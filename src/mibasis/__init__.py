@@ -5,36 +5,16 @@ JordanRep (structured multiplication matrices).  Engines: lin_interp_basis
 (linear algebra over the scalars, any multiplication matrix, Popov output)
 and interpolation_basis (divide and conquer for Jordan matrices), with
 application builders for truncated-product, multi-point, and multivariate
-vanishing problems, and a brute-force oracle for verification.
+vanishing problems, and a brute-force oracle for verification.  Lower-level
+pieces (approximant bases, nullspaces, change of shift, residuals) are
+imported from their submodules.
 """
 
 from .field import MINUS_INF, PrimeField
-from .polymat import (
-    PolyMatrix,
-    is_popov,
-    is_reduced,
-    is_weak_popov,
-    leading_matrix,
-    pivot,
-    shifted_row_degree,
-)
-from .jordan import JordanRep, act, minpoly_degree, normalize, split
-from .linearization import (
-    PriorityPermutation,
-    RankProfile,
-    build_priority,
-    compress,
-    expand,
-    krylov_rank_profile,
-    lin_interp_basis,
-    minimal_degree,
-)
-from .unbalanced import partial_compress, partial_linearize, unbalanced_mul
-from .residual import compute_residuals
-from .approx import ApproximantInstance, mbasis, pm_basis
-from .nullspace import minimal_nullspace_basis
-from .shift_change import change_shift
-from .dnc import interpolation_basis, interpolation_basis_rec
+from .polymat import PolyMatrix, is_popov, is_reduced, is_weak_popov, shifted_row_degree
+from .jordan import JordanRep
+from .linearization import lin_interp_basis
+from .dnc import interpolation_basis
 from .reductions import (
     InterpolationInstance,
     MultivariateInstance,
@@ -44,58 +24,27 @@ from .reductions import (
     multivariate_instance,
     rs_interpolation,
 )
-from .oracle import (
-    module_equivalent,
-    naive_residual,
-    oracle_popov,
-    rational_kernel,
-    striped_krylov,
-)
+from .oracle import module_equivalent, naive_residual, oracle_popov
 
 __all__ = [
     "MINUS_INF",
     "PrimeField",
     "PolyMatrix",
     "JordanRep",
-    "PriorityPermutation",
-    "RankProfile",
-    "ApproximantInstance",
     "InterpolationInstance",
     "MultivariateInstance",
-    "act",
-    "build_priority",
-    "change_shift",
-    "compress",
-    "compute_residuals",
-    "expand",
     "guruswami_sudan_list_size",
     "hermite_pade_instance",
     "interpolation_basis",
-    "interpolation_basis_rec",
     "is_popov",
     "is_reduced",
     "is_weak_popov",
-    "krylov_rank_profile",
-    "leading_matrix",
     "lin_interp_basis",
-    "mbasis",
-    "minimal_degree",
-    "minimal_nullspace_basis",
-    "minpoly_degree",
     "module_equivalent",
     "mpade_instance",
     "multivariate_instance",
     "naive_residual",
-    "normalize",
     "oracle_popov",
-    "partial_compress",
-    "partial_linearize",
-    "pivot",
-    "pm_basis",
-    "rational_kernel",
     "rs_interpolation",
     "shifted_row_degree",
-    "split",
-    "striped_krylov",
-    "unbalanced_mul",
 ]

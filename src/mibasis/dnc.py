@@ -42,7 +42,8 @@ def interpolation_basis_rec(e_rows: list[list[int]], j: JordanRep, field: PrimeF
     e1 = _permute_cols([row[:half] for row in e_rows], perm1)
     p1 = interpolation_basis_rec(e1, j1, field)
     res = compute_residuals(j, p1, e_rows)
-    assert all(not any(row[:half]) for row in res)
+    if any(any(row[:half]) for row in res):
+        raise AssertionError("residual does not vanish on the solved half")
     e2 = _permute_cols([row[half:] for row in res], perm2)
     p2 = interpolation_basis_rec(e2, j2, field)
     t = [int(d) for d in plain_row_degree(p1)]

@@ -6,23 +6,33 @@ is nonzero; [] is the zero polynomial, whose degree is the distinguished
 value MINUS_INF.
 
 All operations hang off a PrimeField instance, which fixes the prime (odd,
-below 2**62) and caches the data needed by the NTT multiplication path.
-Multiplication walks a three-rung ladder: schoolbook below a size
-threshold, NTT when the field supports a large enough power-of-two root of
-unity, Karatsuba otherwise.  The three algorithms are exposed separately
-and agree bit-exactly.
+below 2**62).  Polynomial products use one kernel per regime, chosen from
+the prime and the operand sizes:
+
+=============================================  ===============================
+regime                                         kernel
+=============================================  ===============================
+``poly_mul``, (p-1)^2 * min(len f, len g)      numpy int64 convolution; no
+below 2^63                                     coefficient sum can overflow
+``poly_mul``, larger bound (62-bit primes)     Kronecker substitution
+``polymat.mat_mul``, p < 2^31, transform       batched numpy NTT
+length 32 .. 2^two_adicity, >= 64 entry
+products
+``polymat.mat_mul``, any other product         Kronecker substitution, inner
+                                               sums taken on packed integers
+=============================================  ===============================
+
+Kronecker substitution evaluates a polynomial at X = 2^(8w), w bytes being
+wide enough that no coefficient of the product overflows its digit; one
+Python integer product then does the whole convolution.  ``kron_pack`` and
+``kron_unpack`` are the two directions of that map.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 MINUS_INF = float("-inf")
-
-SCHOOLBOOK_THRESHOLD = 32
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -50,6 +60,24 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def digit_bytes(bound: int) -> int:
+    """Bytes per Kronecker digit, enough to hold any value in [0, bound]."""
+    return (bound.bit_length() + 7) // 8
+
+
+def kron_pack(f: list[int], width: int) -> int:
+    """f evaluated at X = 2^(8*width): coefficients as little-endian digits."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in f]), "little")
+
+
+def kron_unpack(n: int, width: int, p: int) -> list[int]:
+    """Inverse of kron_pack up to reduction: digits of n mod p, normalized."""
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    return PrimeField.normalize(
+        [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width)]
+    )
 
 
 class PrimeField:
@@ -169,36 +197,24 @@ class PrimeField:
             return []
         return self.poly_scale(f, self.inv(f[-1]))
 
-    # -- multiplication ladder ----------------------------------------------
+    # -- multiplication ------------------------------------------------------
 
-    def poly_mul_schoolbook(self, f: list[int], g: list[int]) -> list[int]:
+    def poly_mul(self, f: list[int], g: list[int]) -> list[int]:
+        """Product of two polynomials.
+
+        numpy int64 convolution while every coefficient sum fits the word,
+        that is (p-1)^2 * min(len f, len g) < 2^63; Kronecker substitution on
+        Python integers beyond.
+        """
         if not f or not g:
             return []
         p = self.p
-        if _np is not None and (p - 1) * (p - 1) * min(len(f), len(g)) < (1 << 63):
+        bound = (p - 1) * (p - 1) * min(len(f), len(g))
+        if bound < 1 << 63:
             out = _np.convolve(_np.asarray(f, dtype=_np.int64), _np.asarray(g, dtype=_np.int64))
             return self.normalize((out % p).tolist())
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-        return self.normalize([c % p for c in out])
-
-    def poly_mul_karatsuba(self, f: list[int], g: list[int]) -> list[int]:
-        if not f or not g:
-            return []
-        if min(len(f), len(g)) < SCHOOLBOOK_THRESHOLD:
-            return self.poly_mul_schoolbook(f, g)
-        k = (max(len(f), len(g)) + 1) // 2
-        f0, f1 = self.normalize(f[:k]), f[k:]
-        g0, g1 = self.normalize(g[:k]), g[k:]
-        lo = self.poly_mul_karatsuba(f0, g0)
-        hi = self.poly_mul_karatsuba(f1, g1)
-        mid = self.poly_mul_karatsuba(self.poly_add(f0, f1), self.poly_add(g0, g1))
-        mid = self.poly_sub(self.poly_sub(mid, lo), hi)
-        out = self.poly_add(lo, self.poly_shift_up(mid, k))
-        return self.poly_add(out, self.poly_shift_up(hi, 2 * k))
+        width = digit_bytes(bound)
+        return kron_unpack(kron_pack(f, width) * kron_pack(g, width), width, p)
 
     def ntt_root(self) -> int:
         """Generator of the 2-Sylow subgroup of F_p*, of order 2^two_adicity."""
@@ -213,68 +229,6 @@ class PrimeField:
     def ntt_capacity(self) -> int:
         """Largest supported transform length (a power of two)."""
         return 1 << self.two_adicity
-
-    def _ntt(self, vec: list[int], n: int, invert: bool) -> list[int]:
-        p = self.p
-        root = pow(self.ntt_root(), self.ntt_capacity() // n, p)
-        if invert:
-            root = pow(root, p - 2, p)
-        a = vec[:] + [0] * (n - len(vec))
-        j = 0
-        for i in range(1, n):
-            bit = n >> 1
-            while j & bit:
-                j ^= bit
-                bit >>= 1
-            j |= bit
-            if i < j:
-                a[i], a[j] = a[j], a[i]
-        length = 2
-        while length <= n:
-            wl = pow(root, n // length, p)
-            half = length // 2
-            for start in range(0, n, length):
-                w = 1
-                for k in range(start, start + half):
-                    u = a[k]
-                    v = a[k + half] * w % p
-                    a[k] = (u + v) % p
-                    a[k + half] = (u - v) % p
-                    w = w * wl % p
-            length <<= 1
-        if invert:
-            ninv = pow(n, p - 2, p)
-            a = [x * ninv % p for x in a]
-        return a
-
-    def poly_mul_ntt(self, f: list[int], g: list[int]) -> list[int]:
-        if not f or not g:
-            return []
-        need = len(f) + len(g) - 1
-        n = 1
-        while n < need:
-            n <<= 1
-        if n > self.ntt_capacity():
-            raise ValueError("field lacks a root of unity of the required order")
-        fa = self._ntt(f, n, False)
-        ga = self._ntt(g, n, False)
-        p = self.p
-        prod = [a * b % p for a, b in zip(fa, ga)]
-        return self.normalize(self._ntt(prod, n, True)[:need])
-
-    def poly_mul(self, f: list[int], g: list[int]) -> list[int]:
-        """Product of two polynomials (schoolbook / NTT / Karatsuba ladder)."""
-        if not f or not g:
-            return []
-        if min(len(f), len(g)) < SCHOOLBOOK_THRESHOLD:
-            return self.poly_mul_schoolbook(f, g)
-        need = len(f) + len(g) - 1
-        n = 1
-        while n < need:
-            n <<= 1
-        if n <= self.ntt_capacity():
-            return self.poly_mul_ntt(f, g)
-        return self.poly_mul_karatsuba(f, g)
 
     def poly_pow(self, f: list[int], e: int) -> list[int]:
         result = [1]

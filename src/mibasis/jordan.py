@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as _np
+
 from .field import PrimeField
 
 
@@ -112,8 +114,6 @@ def act(e_rows: list[list[int]], j: JordanRep) -> list[list[int]]:
 
 
 def _act_power_np(e_rows, j: JordanRep, n: int):
-    import numpy as _np
-
     f = j.field
     p = f.p
     arr = _np.asarray(e_rows, dtype=_np.int64) % p
@@ -151,15 +151,7 @@ def act_power(e_rows: list[list[int]], j: JordanRep, n: int) -> list[list[int]]:
         raise ValueError("column count does not match the Jordan order")
     f = j.field
     p = f.p
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
-    if (
-        _np is not None
-        and (p - 1) * (p - 1) < (1 << 62)
-        and len(e_rows) * j.order >= 1 << 14
-    ):
+    if (p - 1) * (p - 1) < (1 << 62) and len(e_rows) * j.order >= 1 << 14:
         return _act_power_np(e_rows, j, n)
     out = [[0] * j.order for _ in e_rows]
     pos = 0

@@ -95,15 +95,6 @@ def compress(vecs: list[list[int]], prio: PriorityPermutation, field: PrimeField
     return PolyMatrix(field, rows)
 
 
-def scalar_row_rank_profile(mat: list[list[int]], p: int) -> tuple[int, list[int]]:
-    """Lexicographically-first maximal independent row set."""
-    return modmat.row_rank_profile(mat, p)
-
-
-def scalar_col_rank_profile(mat: list[list[int]], p: int) -> tuple[int, list[int]]:
-    return modmat.col_rank_profile(mat, p)
-
-
 @dataclass
 class RankProfile:
     rank: int
@@ -118,8 +109,8 @@ def _is_pow2(n: int) -> bool:
 
 
 def _validate_delta(delta: int, sigma: int) -> None:
-    if not _is_pow2(delta) or delta > 2 * sigma - 1:
-        raise ValueError("delta must be a power of two in {1, ..., 2*sigma-1}")
+    if not _is_pow2(delta) or delta > max(2 * sigma - 1, 1):
+        raise ValueError("delta must be a power of two in {1, ..., max(2*sigma-1, 1)}")
 
 
 def _rows_times_power(rows, mulmat, step, field, pow_cache):

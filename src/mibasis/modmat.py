@@ -1,17 +1,14 @@
 """Dense scalar linear algebra modulo a prime.
 
-Matrices are lists of equal-length rows of ints in [0, p).  When numpy is
-available and intermediate products fit in float64 or int64 words, the
-elimination and multiplication kernels run vectorized; otherwise a pure
-Python path is taken, which is exact for any modulus below 2**62.
+Matrices are lists of equal-length rows of ints in [0, p).  When
+intermediate products fit in float64 or int64 words, the elimination and
+multiplication kernels run vectorized in numpy; otherwise a pure Python
+path is taken, which is exact for any modulus below 2**62.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 _F8_LIMIT = 1 << 53
 _I8_LIMIT = 1 << 63
@@ -20,8 +17,6 @@ _BLOCK = 32
 
 def _dtype_for(p: int, inner: int):
     """Widest-safe numpy dtype for sums of `inner` products mod p, or None."""
-    if _np is None:
-        return None
     worst = (p - 1) * (p - 1) * max(inner, 1)
     if worst < _F8_LIMIT:
         return _np.float64
@@ -43,7 +38,7 @@ def transpose(mat: list[list[int]]) -> list[list[int]]:
 
 
 def _as_lists(arr) -> list[list[int]]:
-    if _np is not None and isinstance(arr, _np.ndarray):
+    if isinstance(arr, _np.ndarray):
         return arr.astype(_np.int64).tolist()
     return arr
 
@@ -121,7 +116,6 @@ def _rref_np(mat, p: int, dt):
 
 
 def _rref_py(mat, p: int):
-    ncols = len(mat[0]) if mat else 0
     R: list[list[int]] = []
     pivcols: list[int] = []
     pivrows: list[int] = []

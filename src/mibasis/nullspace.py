@@ -76,7 +76,8 @@ def _mnb_sorted(fmat: PolyMatrix, shift: list[int]) -> PolyMatrix:
             raise ValueError("input matrix is column rank deficient")
         return p1
     p2 = PolyMatrix(field, [pbasis.rows[i] for i in other], m)
-    assert n <= p2.nrows and 2 * p2.nrows <= 3 * n
+    if not (n <= p2.nrows and 2 * p2.nrows <= 3 * n):
+        raise AssertionError("order basis keeps an unexpected number of rows")
     t_shift = [
         int(d) - order3 for d in shifted_row_degree(p2, shift)
     ]
@@ -92,7 +93,8 @@ def _mnb_sorted(fmat: PolyMatrix, shift: list[int]) -> PolyMatrix:
     n1, u = minimal_nullspace_basis(g1, t_shift)
     h = unbalanced_mul_auto(n1, g2)
     n2, _ = minimal_nullspace_basis(h, [int(d) if d != MINUS_INF else 0 for d in u])
-    assert n2.nrows == n1.nrows - (n - half)
+    if n2.nrows != n1.nrows - (n - half):
+        raise AssertionError("second nullspace basis has the wrong row count")
     low = unbalanced_mul_auto(unbalanced_mul_auto(n2, n1), p2)
     out = p1.vstack(low)
     if out.nrows != m - n:

@@ -7,6 +7,8 @@ cannot be shared with the paths under test.  Intended for small instances.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from . import jordan as _jordan
 from . import modmat
 from .field import MINUS_INF, PrimeField
@@ -28,14 +30,10 @@ def _dense_mulmat(mulmat):
 
 def _striped_rows(e_rows, dense, delta: int, p: int):
     """E, E*M, ..., E*M^delta stacked block by block (unpermuted)."""
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover
-        _np = None
     sigma = len(e_rows[0]) if e_rows else 0
-    dt = None if _np is None else modmat._dtype_for(p, sigma)
+    dt = modmat._dtype_for(p, sigma)
     if dt is not None:
-        mat = _np.asarray(dense, dtype=dt)
+        mat = _np.asarray(dense, dtype=dt).reshape(sigma, sigma)
         cur = _np.asarray(e_rows, dtype=dt) % p
         blocks = [cur]
         for _ in range(delta):

@@ -7,13 +7,12 @@ degree vectors may contain MINUS_INF entries, which mark zero rows.
 
 from __future__ import annotations
 
-from .field import MINUS_INF, PrimeField
-from . import modmat
+import operator
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
+
+from .field import MINUS_INF, PrimeField, digit_bytes, kron_pack, kron_unpack
+from . import modmat
 
 
 class PolyMatrix:
@@ -72,15 +71,6 @@ class PolyMatrix:
         cols = list(cols)
         return PolyMatrix(
             self.field, [[self.rows[i][j][:] for j in cols] for i in rows], len(cols)
-        )
-
-    def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if other.nrows != self.nrows:
-            raise ValueError("row count mismatch in hstack")
-        return PolyMatrix(
-            self.field,
-            [a + b for a, b in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
         )
 
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -219,13 +209,12 @@ def is_popov(mat: PolyMatrix, shift: list[int]) -> bool:
     return True
 
 
-def sorted_degrees(degs) -> list:
-    """Degree tuple sorted ascending, for lexicographic minimality checks."""
-    return sorted(degs, key=lambda d: (d != MINUS_INF, d))
-
-
 def naive_mul(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
-    """Reference product by schoolbook inner products of entries."""
+    """Reference product by schoolbook inner products of entries.
+
+    Shares no kernel with mat_mul or PrimeField.poly_mul, so that tests can
+    compare them against it.
+    """
     if b.field != a.field:
         raise ValueError("field mismatch")
     if b.ncols != a.nrows:
@@ -237,9 +226,13 @@ def naive_mul(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
         for j in range(a.ncols):
             acc: list[int] = []
             for e, arow in zip(brow, a.rows):
-                if e and arow[j]:
-                    acc = f.poly_add(acc, f.poly_mul_schoolbook(e, arow[j]))
-            orow.append(acc)
+                g = arow[j]
+                if e and g:
+                    acc += [0] * (len(e) + len(g) - 1 - len(acc))
+                    for s, x in enumerate(e):
+                        for t, y in enumerate(g):
+                            acc[s + t] += x * y
+            orow.append(f.normalize([c % f.p for c in acc]))
         out.append(orow)
     return PolyMatrix(f, out, a.ncols)
 
@@ -305,8 +298,33 @@ def _mat_mul_ntt(b: PolyMatrix, a: PolyMatrix, n: int) -> PolyMatrix:
     return PolyMatrix(f, rows, a.ncols)
 
 
+def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix:
+    """Kronecker substitution: pack each entry once, sum products as integers."""
+    f = b.field
+    p = f.p
+    terms = int(min(b.degree(), a.degree())) + 1
+    width = digit_bytes(b.ncols * terms * (p - 1) * (p - 1))
+    cols = list(zip(*[[kron_pack(e, width) for e in row] for row in a.rows]))
+    mask = None if trunc is None else (1 << (8 * width * max(trunc, 0))) - 1
+    rows = []
+    for brow in b.rows:
+        packed = [kron_pack(e, width) for e in brow]
+        orow = []
+        for col in cols:
+            acc = sum(map(operator.mul, packed, col))
+            if mask is not None:
+                acc &= mask
+            orow.append(kron_unpack(acc, width, p))
+        rows.append(orow)
+    return PolyMatrix(f, rows, a.ncols)
+
+
 def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
-    """Product b*a, batched NTT evaluation when available, else entrywise."""
+    """Product b*a, mod X^trunc when trunc is given.
+
+    Batched NTT evaluation for large products over primes with enough
+    2-power roots of unity, Kronecker substitution otherwise.
+    """
     if b.field != a.field:
         raise ValueError("field mismatch")
     if b.ncols != a.nrows:
@@ -314,35 +332,22 @@ def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatri
     f = b.field
     db, da = b.degree(), a.degree()
     if db == MINUS_INF or da == MINUS_INF:
-        out = PolyMatrix.zeros(f, b.nrows, a.ncols)
-        return out
+        return PolyMatrix.zeros(f, b.nrows, a.ncols)
     need = int(db + da) + 1
     n = 1
     while n < need:
         n <<= 1
     if (
-        _np is not None
-        and f.p < (1 << 31)
+        f.p < (1 << 31)
         and n <= f.ntt_capacity()
         and n >= 32
         and b.nrows * a.ncols * b.ncols >= 64
     ):
         out = _mat_mul_ntt(b, a, n)
-    else:
-        rows = []
-        for brow in b.rows:
-            orow = []
-            for j in range(a.ncols):
-                acc: list[int] = []
-                for e, arow in zip(brow, a.rows):
-                    if e and arow[j]:
-                        acc = f.poly_add(acc, f.poly_mul(e, arow[j]))
-                orow.append(acc)
-            rows.append(orow)
-        out = PolyMatrix(f, rows, a.ncols)
-    if trunc is not None:
-        out = PolyMatrix(f, [[f.poly_trunc(e, trunc) for e in row] for row in out.rows], out.ncols)
-    return out
+        if trunc is not None:
+            out = PolyMatrix(f, [[f.poly_trunc(e, trunc) for e in row] for row in out.rows], out.ncols)
+        return out
+    return _mat_mul_kron(b, a, trunc)
 
 
 def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

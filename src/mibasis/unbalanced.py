@@ -124,15 +124,15 @@ def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:
     for i, idxs in enumerate(buckets):
         if not idxs:
             continue
-        if i >= 1:
-            assert len(idxs) * (1 << (i - 1)) < m_eff
+        if i >= 1 and len(idxs) * (1 << (i - 1)) >= m_eff:
+            raise AssertionError("bucket holds too many rows")
         a_i = PolyMatrix(f, [a_hat.rows[pos] for pos in idxs], a.ncols)
         b_i = PolyMatrix(f, [[row[pos] for pos in idxs] for row in b_hat.rows], len(idxs))
         nonzero = [r for r in range(b_i.nrows) if any(e for e in b_i.rows[r])]
         if not nonzero:
             continue
-        if i >= 1:
-            assert len(nonzero) * (1 << (i - 1)) < m_eff
+        if i >= 1 and len(nonzero) * (1 << (i - 1)) >= m_eff:
+            raise AssertionError("bucket meets too many nonzero rows")
         b_pruned = PolyMatrix(f, [b_i.rows[r] for r in nonzero], b_i.ncols)
         cap = _ceil_div((1 << i) * xi, m_eff)
         lin = partial_linearize(b_pruned, cap)

@@ -92,9 +92,9 @@ def test_shifted_instances_match_oracle_module():
         popov, _ = oracle.oracle_popov(e, j, s, F97)
         assert oracle.module_equivalent(basis, popov, e, j, s)
         # both reduced for s: identical sorted shifted row degrees
-        assert polymat.sorted_degrees(
-            polymat.shifted_row_degree(basis, s)
-        ) == polymat.sorted_degrees(polymat.shifted_row_degree(popov, s))
+        assert sorted(polymat.shifted_row_degree(basis, s)) == sorted(
+            polymat.shifted_row_degree(popov, s)
+        )
 
 
 def test_m3_sigma16_specific_shift():

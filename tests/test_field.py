@@ -70,20 +70,23 @@ def test_mul_matches_schoolbook_oracle():
         assert F7.poly_mul(f, g) == schoolbook_reference(f, g, 7)
 
 
-def test_mul_ladder_agrees_bit_exactly():
-    big = PrimeField(65537)
+@pytest.mark.parametrize("p", [65537, (1 << 61) - 1, 4611686018427322369])
+def test_mul_kernels_match_schoolbook(p):
+    # 65537 takes the numpy convolution, the 61- and 62-bit primes Kronecker
+    # substitution
+    fld = PrimeField(p)
     rng = random.Random(3)
-    for deg in (40, 100, 257):
-        f = rand_poly(rng, big, deg)
-        g = rand_poly(rng, big, deg - 3)
-        sb = big.poly_mul_schoolbook(f, g)
-        assert big.poly_mul_karatsuba(f, g) == sb
-        assert big.poly_mul_ntt(f, g) == sb
-        assert big.poly_mul(f, g) == sb
+    for n in (1, 31, 32, 100, 257):
+        f = rand_poly(rng, fld, n - 1)
+        g = rand_poly(rng, fld, n - 1)
+        assert fld.poly_mul(f, g) == schoolbook_reference(f, g, p)
+        assert fld.poly_mul(f, g[:5]) == schoolbook_reference(f, g[:5], p)
+    top = [p - 1] * 257
+    assert fld.poly_mul(top, top) == schoolbook_reference(top, top, p)
 
 
-def test_karatsuba_without_ntt_support():
-    # 7 has two-adicity 1, so large products must fall back to Karatsuba
+def test_long_product_small_field():
+    # 7 has two-adicity 1, so no NTT of this length exists over it
     rng = random.Random(4)
     f = rand_poly(rng, F7, 90)
     g = rand_poly(rng, F7, 75)

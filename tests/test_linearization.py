@@ -115,13 +115,6 @@ def test_pivot_matches_rightmost_expansion_column(data):
     assert prio.index_of(c, d) == rightmost
 
 
-def test_scalar_rank_profiles():
-    assert lin.scalar_row_rank_profile(modmat.identity(3), 7) == (3, [0, 1, 2])
-    assert lin.scalar_row_rank_profile([[1, 1], [1, 1], [0, 1]], 7) == (2, [0, 2])
-    assert lin.scalar_row_rank_profile([[0, 0], [0, 0]], 7) == (0, [])
-    assert lin.scalar_col_rank_profile([[0, 1, 1], [0, 1, 2]], 7) == (2, [1, 2])
-
-
 def test_krylov_rank_profile_reference_instance():
     j = nilpotent3()
     prof = lin.krylov_rank_profile(EVALS, j, [0, 0, 0], 4, F97)

@@ -38,6 +38,10 @@ def test_row_rank_profile_zero_matrix():
     assert modmat.row_rank_profile(modmat.zeros(3, 4), 7) == (0, [])
 
 
+def test_col_rank_profile_by_hand():
+    assert modmat.col_rank_profile([[0, 1, 1], [0, 1, 2]], 7) == (2, [1, 2])
+
+
 @pytest.mark.parametrize("p", [7, 97, 65537, (1 << 61) - 1])
 def test_rank_profile_matches_reference(p):
     rng = random.Random(p)

@@ -77,6 +77,23 @@ def test_oracle_popov_matches_lin_engine():
     assert polymat.is_popov(basis, [0, 0, 0])
 
 
+def test_sigma_zero_gives_identity_on_every_engine():
+    # no interpolation conditions: every row is an interpolant
+    from mibasis.dnc import interpolation_basis
+    from mibasis.linearization import lin_interp_basis
+
+    for field in (F97, PrimeField((1 << 61) - 1)):
+        j = jordan.JordanRep(field, ())
+        e = [[], []]
+        ident = PolyMatrix.identity(field, 2)
+        for s in ([0, 0], [0, 3]):
+            assert interpolation_basis(e, j, s, field) == ident
+            assert lin_interp_basis(e, j, s, 1, field) == (ident, [0, 0])
+            assert lin_interp_basis(e, [], s, 1, field) == (ident, [0, 0])
+            assert oracle.oracle_popov(e, j, s, field) == (ident, [0, 0])
+            assert oracle.oracle_popov(e, [], s, field) == (ident, [0, 0])
+
+
 def test_oracle_popov_fixed_point():
     basis, _ = oracle.oracle_popov(EVALS, nilpotent3(), [0, 0, 0], F97)
     again, _ = oracle.oracle_popov(EVALS, nilpotent3(), [0, 0, 0], F97)

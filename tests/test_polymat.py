@@ -182,21 +182,33 @@ def test_naive_mul_two_by_two_by_hand():
 def test_mat_mul_matches_naive_small_and_ntt():
     rng = random.Random(4)
     big = PrimeField(65537)
-    for field, deg in ((F7, 3), (big, 40)):
-        a = rand_matrix(rng, field, 3, 2, deg)
-        b = rand_matrix(rng, field, 4, 3, deg)
+    huge = PrimeField((1 << 61) - 1)
+    # (field, degree, rows, inner, cols); the last has 64 entry products of
+    # degree 40 and so takes the batched NTT, the others Kronecker substitution
+    cases = ((F7, 3, 4, 3, 2), (big, 40, 4, 3, 2), (huge, 40, 4, 3, 2), (big, 40, 4, 4, 4))
+    for field, deg, r, k, c in cases:
+        a = rand_matrix(rng, field, k, c, deg)
+        b = rand_matrix(rng, field, r, k, deg)
+        assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
+    # every coefficient p - 1: the inner sums reach the Kronecker digit bound
+    for field in (big, huge):
+        a = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 2] * 3)
+        b = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 3] * 4)
         assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
 
 
 def test_mat_mul_truncated():
     rng = random.Random(5)
-    a = rand_matrix(rng, F7, 2, 2, 5)
-    b = rand_matrix(rng, F7, 2, 2, 5)
-    full = polymat.naive_mul(b, a)
-    trunc = polymat.mat_mul(b, a, trunc=3)
-    for ra, rb in zip(full.rows, trunc.rows):
-        for ea, eb in zip(ra, rb):
-            assert F7.poly_trunc(ea, 3) == eb
+    deg = 5
+    for field in (F7, PrimeField((1 << 61) - 1)):
+        a = rand_matrix(rng, field, 2, 2, deg)
+        b = rand_matrix(rng, field, 2, 2, deg)
+        full = polymat.naive_mul(b, a)
+        for k in (0, 1, 3, deg + 1):
+            trunc = polymat.mat_mul(b, a, trunc=k)
+            for ra, rb in zip(full.rows, trunc.rows):
+                for ea, eb in zip(ra, rb):
+                    assert field.poly_trunc(ea, k) == eb
 
 
 def test_reduced_degree_sum_equals_det_degree():
