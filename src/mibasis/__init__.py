@@ -6,8 +6,8 @@ JordanRep (structured multiplication matrices).  Engines: lin_interp_basis
 and interpolation_basis (divide and conquer for Jordan matrices), with
 application builders for truncated-product, multi-point, and multivariate
 vanishing problems, and a brute-force oracle for verification.  Lower-level
-pieces (approximant bases, nullspaces, change of shift, residuals) are
-imported from their submodules.
+pieces (residuals; approximant bases, nullspaces and change of shift, used
+by the CLI only) stay in their submodules, all loaded with the package.
 """
 
 from .field import MINUS_INF, PrimeField
@@ -25,6 +25,7 @@ from .reductions import (
     rs_interpolation,
 )
 from .oracle import module_equivalent, naive_residual, oracle_popov
+from . import approx, nullspace, shift_change  # noqa: F401  (CLI-only; loaded with the package)
 
 __all__ = [
     "MINUS_INF",

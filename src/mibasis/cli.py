@@ -2,8 +2,8 @@
 
 Subcommands build instances from text documents (see textio), run one of
 the engines, and write results back in the same format.  Exit codes:
-0 success (and passing checks), 1 domain error or failing check, 2 usage
-error.
+0 success (and passing checks), 1 domain error, failing check or failed
+internal invariant (no traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,6 @@ import numpy as _np
 from . import jordan as _jordan
 from . import modmat
 from .field import MINUS_INF, PrimeField
-from .linearization import _assemble_popov, build_priority
 from .polymat import (
     PolyMatrix,
     check_shift,
@@ -49,6 +48,18 @@ def _striped_rows(e_rows, dense, delta: int, p: int):
     return blocks
 
 
+def _priority_pairs(shift: list[int], m: int, delta: int) -> list[tuple[int, int]]:
+    """Pairs (c, d), standing for row c of E*M^d, by s_c + d, then by c."""
+    return sorted(
+        ((c, d) for d in range(delta + 1) for c in range(m)),
+        key=lambda cd: (shift[cd[0]] + cd[1], cd[0]),
+    )
+
+
+def _as_list(row) -> list[int]:
+    return row.tolist() if hasattr(row, "tolist") else row[:]
+
+
 def striped_krylov(
     e_rows: list[list[int]],
     mulmat,
@@ -58,15 +69,8 @@ def striped_krylov(
 ) -> list[list[int]]:
     """Dense stack of E, E*M, ..., E*M^delta with priority-permuted rows."""
     m = len(e_rows)
-    dense = _dense_mulmat(mulmat)
-    prio = build_priority(shift, m, delta)
-    stacked = _striped_rows(e_rows, dense, delta, field.p)
-    out = [None] * (m * (delta + 1))
-    for d in range(delta + 1):
-        for c in range(m):
-            row = stacked[d * m + c]
-            out[prio.index_of(c, d)] = row.tolist() if hasattr(row, "tolist") else row[:]
-    return out
+    stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)
+    return [_as_list(stacked[d * m + c]) for c, d in _priority_pairs(shift, m, delta)]
 
 
 def oracle_popov(
@@ -80,31 +84,29 @@ def oracle_popov(
     sigma = len(e_rows[0]) if m else 0
     check_shift(shift, m)
     delta = max(sigma, 1)
-    dense = _dense_mulmat(mulmat)
-    prio = build_priority(shift, m, delta)
-    stacked = _striped_rows(e_rows, dense, delta, field.p)
-    perm = [0] * (m * (delta + 1))
-    for d in range(delta + 1):
-        for c in range(m):
-            perm[prio.index_of(c, d)] = d * m + c
-    if hasattr(stacked, "tolist"):
-        kry = stacked[perm]
-        row_at = lambda i: kry[i].tolist()
-    else:
-        kry = [stacked[i] for i in perm]
-        row_at = lambda i: kry[i]
-    rank, kept = modmat.row_rank_profile(kry, field.p)
-    decoded = [prio.pair_at(i) for i in kept]
+    pairs = _priority_pairs(shift, m, delta)
+    stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)
+    kry = [stacked[d * m + c] for c, d in pairs]
+    _, kept = modmat.row_rank_profile(kry, field.p)
+    decoded = [pairs[i] for i in kept]
     mindeg = [0] * m
     for c, d in decoded:
         mindeg[c] = max(mindeg[c], d + 1)
-    pivot_rows = [row_at(i) for i in kept]
-    targets = [row_at(prio.index_of(c, mindeg[c])) for c in range(m)]
+    pivot_rows = [_as_list(kry[i]) for i in kept]
+    targets = [_as_list(stacked[mindeg[c] * m + c]) for c in range(m)]
     _, cols = modmat.col_rank_profile(pivot_rows, field.p)
     c_mat = [[row[j] for j in cols] for row in pivot_rows]
     d_mat = [[row[j] for j in cols] for row in targets]
     relation = modmat.solve_right(c_mat, d_mat, field.p)
-    return _assemble_popov(field, m, mindeg, decoded, relation), mindeg
+    # row c: X^mindeg[c] e_c minus the profile monomials X^d e_k it relates to
+    rows = []
+    for c in range(m):
+        row = [[0] * (mindeg[k] + 1) for k in range(m)]
+        row[c][mindeg[c]] = 1
+        for (k, d), coeff in zip(decoded, relation[c]):
+            row[k][d] = (row[k][d] - coeff) % field.p
+        rows.append([field.normalize(e) for e in row])
+    return PolyMatrix(field, rows, m), mindeg
 
 
 def naive_residual(mulmat, pmat: PolyMatrix, e_rows: list[list[int]]) -> list[list[int]]:

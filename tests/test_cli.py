@@ -224,6 +224,17 @@ def test_domain_error_exit_code(tmp_path):
     assert main(["interp", "--evals", str(bad)]) == 1
 
 
+def test_failed_invariant_exit_code_without_traceback(monkeypatch, capsys):
+    def broken(*args):
+        raise AssertionError("residual does not vanish on the solved half")
+
+    monkeypatch.setattr("mibasis.cli.interpolation_basis", broken)
+    assert main(["interp", "--evals", str(GOLDEN)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: residual does not vanish on the solved half\n"
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_usage_error_exit_code():
     assert main(["interp"]) == 2
     assert main(["frobnicate"]) == 2

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
 from mibasis import jordan, oracle, polymat
@@ -72,7 +73,7 @@ def test_recursive_path_small_uniform():
         sigma = rng.randrange(m + 1, 16)
         j = rand_jordan(rng, F7, sigma)
         e = [[rng.randrange(7) for _ in range(sigma)] for _ in range(m)]
-        basis = interpolation_basis_rec(e, j, F7)
+        basis = interpolation_basis_rec(e, j, [0] * m, F7)
         certify_output(basis, e, j, [0] * m, F7)
         # uniform-shift degree sum obeys the determinant bound
         degs = polymat.shifted_row_degree(basis, [0] * m)
@@ -110,8 +111,54 @@ def test_m2_sigma32_small_field():
     rng = random.Random(4)
     j = rand_jordan(rng, F7, 32, eig_pool=7)
     e = [[rng.randrange(7) for _ in range(32)] for _ in range(2)]
-    basis = interpolation_basis_rec(e, j, F7)
+    basis = interpolation_basis_rec(e, j, [0, 0], F7)
     certify_output(basis, e, j, [0, 0], F7)
+
+
+@pytest.mark.parametrize("shift", [[0, 10**6], [10**6, 0, 0]])
+@pytest.mark.parametrize("points", ["nilpotent", "distinct"])
+def test_extreme_shifts(points, shift):
+    rng = random.Random(6)
+    m, sigma = len(shift), 32
+    blocks = [(0, sigma)] if points == "nilpotent" else [(x, 1) for x in range(sigma)]
+    j, _ = jordan.normalize(F97, blocks)
+    e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
+    basis = interpolation_basis(e, j, shift, F97)
+    certify_output(basis, e, j, shift, F97)
+    popov, _ = oracle.oracle_popov(e, j, shift, F97)
+    assert oracle.module_equivalent(basis, popov, e, j, shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_differential_fuzz_against_oracle(data):
+    field = PrimeField(data.draw(st.sampled_from([7, 97, 65537, (1 << 61) - 1])))
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    eig = st.integers(min_value=0, max_value=field.p - 1)
+    shape = data.draw(st.sampled_from(["one block", "distinct", "repeated"]))
+    if shape == "one block":
+        blocks = [(data.draw(eig), data.draw(st.integers(min_value=1, max_value=24)))]
+    elif shape == "distinct":
+        points = data.draw(st.lists(eig, min_size=1, max_size=min(24, field.p), unique=True))
+        blocks = [(x, 1) for x in points]
+    else:
+        x = data.draw(eig)
+        more = st.tuples(st.sampled_from([x, (x + 1) % field.p]), st.integers(1, 4))
+        blocks = [(x, 1), (x, 2)] + data.draw(st.lists(more, max_size=5))
+    j, _ = jordan.normalize(field, blocks)
+    sigma = j.order
+    s = data.draw(
+        st.lists(st.sampled_from([0, 1, 2, 5, 10**6]), min_size=m, max_size=m)
+    )
+    e = [
+        data.draw(st.lists(eig, min_size=sigma, max_size=sigma)) for _ in range(m)
+    ]
+    basis = interpolation_basis(e, j, s, field)
+    popov, _ = oracle.oracle_popov(e, j, s, field)
+    assert oracle.module_equivalent(basis, popov, e, j, s)
+    assert sorted(polymat.shifted_row_degree(basis, s)) == sorted(
+        polymat.shifted_row_degree(popov, s)
+    )
 
 
 def test_dimension_validation():

@@ -77,6 +77,31 @@ def test_oracle_popov_matches_lin_engine():
     assert polymat.is_popov(basis, [0, 0, 0])
 
 
+def test_oracle_order_and_assembly_match_lin_on_random_shifts():
+    # the oracle keeps its own row order and Popov assembly, so that a bug in
+    # the engine's copy cannot pass both
+    from mibasis import linearization as lin
+
+    rng = random.Random(12)
+    for _ in range(30):
+        m = rng.randrange(1, 5)
+        sigma = rng.randrange(1, 12)
+        s = [rng.choice([0, 1, 2, 5, 10**6]) for _ in range(m)]
+        assert oracle._priority_pairs(s, m, sigma) == lin.build_priority(s, m, sigma).order
+        pairs, left = [], sigma
+        while left:
+            size = rng.randrange(1, left + 1)
+            pairs.append((rng.randrange(4), size))
+            left -= size
+        j, _ = jordan.normalize(F97, pairs)
+        e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
+        delta = 1 << (sigma - 1).bit_length()
+        expected = lin.lin_interp_basis(e, j, s, delta, F97)
+        assert oracle.oracle_popov(e, j, s, F97) == expected
+        assert oracle.oracle_popov(e, jordan.to_dense(j), s, F97) == expected
+        assert polymat.is_popov(expected[0], s)
+
+
 def test_sigma_zero_gives_identity_on_every_engine():
     # no interpolation conditions: every row is an interpolant
     from mibasis.dnc import interpolation_basis
