@@ -114,17 +114,8 @@ class PrimeField:
 
     # -- scalars -----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -166,9 +157,6 @@ class PrimeField:
         for i, c in enumerate(g):
             out[i] = (out[i] - c) % self.p
         return self.normalize(out)
-
-    def poly_neg(self, f: list[int]) -> list[int]:
-        return [-c % self.p for c in f]
 
     def poly_scale(self, f: list[int], c: int) -> list[int]:
         c %= self.p

@@ -30,14 +30,12 @@ class PriorityPermutation:
     rank is strictly increasing in d.
     """
 
-    __slots__ = ("m", "max_degree", "order", "_index")
+    __slots__ = ("order", "_index")
 
     def __init__(self, shift: list[int], m: int, max_degree: int):
         check_shift(shift, m)
         if max_degree < 1:
             raise ValueError("max_degree must be at least 1")
-        self.m = m
-        self.max_degree = max_degree
         pairs = [(c, d) for d in range(max_degree + 1) for c in range(m)]
         pairs.sort(key=lambda cd: (shift[cd[0]] + cd[1], cd[0]))
         self.order = pairs
@@ -48,51 +46,9 @@ class PriorityPermutation:
     def index_of(self, c: int, d: int) -> int:
         return self._index[c][d]
 
-    def pair_at(self, i: int) -> tuple[int, int]:
-        return self.order[i]
-
-    def size(self) -> int:
-        return self.m * (self.max_degree + 1)
-
 
 def build_priority(shift: list[int], m: int, max_degree: int) -> PriorityPermutation:
     return PriorityPermutation(shift, m, max_degree)
-
-
-def expand(mat: PolyMatrix, prio: PriorityPermutation) -> list[list[int]]:
-    """Scalar expansion of a degree-bounded polynomial matrix.
-
-    Column index_of(c, d) of the output holds the degree-d coefficient of
-    column c.  Inverse of compress.
-    """
-    if mat.ncols != prio.m:
-        raise ValueError("column count does not match the permutation")
-    out = []
-    for row in mat.rows:
-        line = [0] * prio.size()
-        for c, e in enumerate(row):
-            if len(e) - 1 > prio.max_degree:
-                raise ValueError("degree overflow in expand")
-            for d, coeff in enumerate(e):
-                if coeff:
-                    line[prio.index_of(c, d)] = coeff
-        out.append(line)
-    return out
-
-
-def compress(vecs: list[list[int]], prio: PriorityPermutation, field: PrimeField) -> PolyMatrix:
-    """Inverse of expand."""
-    rows = []
-    for vec in vecs:
-        if len(vec) != prio.size():
-            raise ValueError("vector length does not match the permutation")
-        entries = [[0] * (prio.max_degree + 1) for _ in range(prio.m)]
-        for i, coeff in enumerate(vec):
-            if coeff:
-                c, d = prio.pair_at(i)
-                entries[c][d] = coeff % field.p
-        rows.append([field.normalize(e) for e in entries])
-    return PolyMatrix(field, rows)
 
 
 @dataclass

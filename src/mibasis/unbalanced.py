@@ -1,9 +1,14 @@
-"""Polynomial matrix products driven by row-degree mass, not max degree.
+"""Checked products of polynomial matrices with unbalanced row degrees.
 
-High-degree rows of the left operand are split into several bounded-degree
-rows (partial linearization), the right operand is bucketed by row degree
-into dyadic classes, and each bucket is multiplied after pruning zero rows.
-The recombination of expanded rows uses powers of X^(d+1).
+unbalanced_mul is polymat.mat_mul behind the degree-mass conditions of the
+predictable-degree property (sum rdeg(a) <= xi and sum rdeg_{rdeg(a)}(b)
+<= xi), which the divide-and-conquer engine relies on when it multiplies
+the bases of its two halves.
+
+partial_linearize splits each row of a matrix into rows of degree at most
+d, and partial_compress recombines the rows of a product with weights
+X^(t*(d+1)); residual uses the pair to cut both factors of its
+basis-times-evaluations product into pieces of balanced degree.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import MINUS_INF
-from .polymat import PolyMatrix, degree_sum, mat_add, mat_mul, plain_row_degree
+from .polymat import PolyMatrix, degree_sum, mat_mul, plain_row_degree
 
 
 @dataclass
@@ -59,10 +64,6 @@ def partial_compress(prod: PolyMatrix, lin: PartialLinearization) -> PolyMatrix:
     return PolyMatrix(f, out, prod.ncols)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _shifted_mass(b: PolyMatrix, d_vec) -> int:
     """Sum of the finite entries of the d_vec-shifted row degrees of b."""
     total = 0
@@ -83,65 +84,22 @@ def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:
 
     Requires xi >= the working square dimension, sum of the finite row
     degrees of a at most xi, and the same for the rdeg(a)-shifted row
-    degrees of b.  A violation signals a caller bug and raises.
+    degrees of b.  A violation signals a caller bug and raises.  The
+    product itself is one polymat.mat_mul: its Kronecker branch packs each
+    entry at its own length, so high-degree rows need no splitting.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")
     if b.ncols != a.nrows:
         raise ValueError("dimension mismatch in unbalanced_mul")
-    f = b.field
-    n = a.nrows
-    m_eff = max(b.nrows, n)
-    if xi < m_eff:
+    if xi < max(b.nrows, a.nrows):
         raise ValueError("xi must be at least the matrix dimension")
     d_vec = plain_row_degree(a)
     if degree_sum(d_vec) > xi:
         raise ValueError("row degree sum of the right operand exceeds xi")
     if _shifted_mass(b, d_vec) > xi:
         raise ValueError("shifted row degree sum of the left operand exceeds xi")
-
-    order = sorted(range(n), key=lambda j: (d_vec[j] != MINUS_INF, d_vec[j], j))
-    a_hat = PolyMatrix(f, [a.rows[j] for j in order], a.ncols)
-    b_hat = PolyMatrix(f, [[row[j] for j in order] for row in b.rows], b.ncols)
-    d_sorted = [d_vec[j] for j in order]
-
-    ell = max(1, m_eff - 1).bit_length()  # ceil(log2(m_eff)) for m_eff >= 1
-    # bucket 0: m*d <= xi; bucket i: 2^(i-1)*xi < m*d <= 2^i*xi
-    bounds = [xi] + [(1 << i) * xi for i in range(1, ell + 1)]
-    buckets: list[list[int]] = [[] for _ in range(ell + 1)]
-    for pos, d in enumerate(d_sorted):
-        if d == MINUS_INF or d * m_eff <= bounds[0]:
-            buckets[0].append(pos)
-            continue
-        for i in range(1, ell + 1):
-            if d * m_eff <= bounds[i]:
-                buckets[i].append(pos)
-                break
-        else:
-            raise AssertionError("row degree escaped every bucket")
-
-    result = PolyMatrix.zeros(f, b.nrows, a.ncols)
-    for i, idxs in enumerate(buckets):
-        if not idxs:
-            continue
-        if i >= 1 and len(idxs) * (1 << (i - 1)) >= m_eff:
-            raise AssertionError("bucket holds too many rows")
-        a_i = PolyMatrix(f, [a_hat.rows[pos] for pos in idxs], a.ncols)
-        b_i = PolyMatrix(f, [[row[pos] for pos in idxs] for row in b_hat.rows], len(idxs))
-        nonzero = [r for r in range(b_i.nrows) if any(e for e in b_i.rows[r])]
-        if not nonzero:
-            continue
-        if i >= 1 and len(nonzero) * (1 << (i - 1)) >= m_eff:
-            raise AssertionError("bucket meets too many nonzero rows")
-        b_pruned = PolyMatrix(f, [b_i.rows[r] for r in nonzero], b_i.ncols)
-        cap = _ceil_div((1 << i) * xi, m_eff)
-        lin = partial_linearize(b_pruned, cap)
-        prod = partial_compress(mat_mul(lin.expanded, a_i), lin)
-        full = PolyMatrix.zeros(f, b.nrows, a.ncols)
-        for r, src in zip(nonzero, prod.rows):
-            full.rows[r] = src
-        result = mat_add(result, full)
-    return result
+    return mat_mul(b, a)
 
 
 def auto_xi(b: PolyMatrix, a: PolyMatrix) -> int:

@@ -68,33 +68,6 @@ def test_priority_invariants():
             assert ranks == sorted(ranks)
 
 
-def test_expand_reference_rows():
-    prio = lin.build_priority([0, 0, 0], 3, 3)
-    p1 = PolyMatrix.from_entries(F97, [[[96], [96], [1]]])
-    assert lin.expand(p1, prio) == [[96, 96, 1] + [0] * 9]
-    prio_t = lin.build_priority([3, 0, 2], 3, 3)
-    p4 = PolyMatrix.from_entries(F97, [[[0, 0, 0, 1], [], []]])
-    row = lin.expand(p4, prio_t)[0]
-    assert row[-1] == 1 and not any(row[:-1])
-
-
-def test_expand_compress_round_trip():
-    rng = random.Random(2)
-    for _ in range(20):
-        m = rng.randrange(1, 5)
-        delta = rng.randrange(1, 5)
-        s = [rng.randrange(4) for _ in range(m)]
-        prio = lin.build_priority(s, m, delta)
-        mat = PolyMatrix.from_entries(
-            F7,
-            [
-                [[rng.randrange(7) for _ in range(rng.randrange(delta + 2))] for _ in range(m)]
-                for _ in range(rng.randrange(1, 4))
-            ],
-        )
-        assert lin.compress(lin.expand(mat, prio), prio, F7) == mat
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_pivot_matches_rightmost_expansion_column(data):
@@ -109,8 +82,9 @@ def test_pivot_matches_rightmost_expansion_column(data):
     if all(not e for e in mat.rows[0]):
         return
     prio = lin.build_priority(s, m, delta)
-    vec = lin.expand(mat, prio)[0]
-    rightmost = max(i for i, v in enumerate(vec) if v)
+    # the rightmost nonzero column of the row's scalar expansion, in
+    # priority order, is the leading coefficient of some entry
+    rightmost = max(prio.index_of(c, len(e) - 1) for c, e in enumerate(mat.rows[0]) if e)
     c, d = polymat.pivot(mat.rows[0], s)
     assert prio.index_of(c, d) == rightmost
 
@@ -249,6 +223,27 @@ def test_lin_interp_basis_properties_random():
         # full dense rank equals the minimal degree sum
         kry = oracle.striped_krylov(e, j, s, max(sigma, 1), F97)
         assert sum(mindeg) == modmat.row_rank_profile(kry, 97)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lin_dense_differential_fuzz_against_oracle(data):
+    # both engines return the shifted Popov form, which is unique
+    field = PrimeField(data.draw(st.sampled_from([7, 97, 65537, (1 << 61) - 1])))
+    m = data.draw(st.integers(min_value=1, max_value=4))
+    sigma = data.draw(st.integers(min_value=1, max_value=10))
+    coeff = st.integers(min_value=0, max_value=field.p - 1)
+    square = st.lists(coeff, min_size=sigma, max_size=sigma)
+    dense = data.draw(st.lists(square, min_size=sigma, max_size=sigma))
+    e = data.draw(st.lists(square, min_size=m, max_size=m))
+    s = data.draw(st.lists(st.sampled_from([0, 1, 2, 5, 10**6]), min_size=m, max_size=m))
+    delta = 1
+    while delta < sigma:
+        delta *= 2
+    basis, mindeg = lin.lin_interp_basis(e, dense, s, delta, field)
+    popov, oracle_mindeg = oracle.oracle_popov(e, dense, s, field)
+    assert basis == popov
+    assert mindeg == oracle_mindeg
 
 
 def test_lin_interp_basis_shift_translation_invariance():

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mibasis.field import PrimeField
-from mibasis import reductions
+from mibasis import oracle, reductions
 from mibasis.dnc import interpolation_basis
-from mibasis.polymat import PolyMatrix
+from mibasis.polymat import PolyMatrix, shifted_row_degree
 
 F97 = PrimeField(97)
 F7 = PrimeField(7)
@@ -300,3 +301,27 @@ def test_rs_interpolation_decodes_with_multiplicity_two():
         acc = F97.poly_add(acc, F97.poly_mul(poly, ypow))
         ypow = F97.poly_mul(ypow, msg)
     assert acc == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rs_interpolation_differential_fuzz_against_oracle(data):
+    # the builder's shift (0, w, 2w, ...) is non-uniform for w >= 1, so the
+    # divide-and-conquer nodes multiply bases of unbalanced row degrees
+    fld = PrimeField(data.draw(st.sampled_from([7, 11, 97])))
+    coord = st.integers(min_value=0, max_value=fld.p - 1)
+    pts = data.draw(
+        st.lists(st.tuples(coord, coord), min_size=2, max_size=6, unique=True)
+    )
+    mults = data.draw(
+        st.lists(st.integers(1, 2), min_size=len(pts), max_size=len(pts))
+    )
+    weight = data.draw(st.integers(1, 4))
+    list_bound = data.draw(st.integers(1, 4))
+    res = reductions.rs_interpolation(fld, pts, mults, weight, list_bound)
+    inst = res.instance
+    popov, _ = oracle.oracle_popov(inst.evals, inst.mulmat, res.shift, fld)
+    assert oracle.module_equivalent(res.basis, popov, inst.evals, inst.mulmat, res.shift)
+    assert sorted(shifted_row_degree(res.basis, res.shift)) == sorted(
+        shifted_row_degree(popov, res.shift)
+    )

@@ -8,6 +8,8 @@ from mibasis.polymat import PolyMatrix
 
 F7 = PrimeField(7)
 F97 = PrimeField(97)
+F65537 = PrimeField(65537)
+F_MERSENNE61 = PrimeField((1 << 61) - 1)
 
 
 def rand_matrix_with_degrees(rng, field, degrees, cols):
@@ -100,11 +102,25 @@ def test_unbalanced_mul_precondition_violations():
         unbalanced.unbalanced_mul(b, a, 9)  # right operand mass 15 > 9
 
 
-def test_unbalanced_mul_random_sweep():
+@pytest.mark.parametrize("field", [F97, F65537, F_MERSENNE61], ids=lambda f: str(f.p))
+def test_unbalanced_mul_random_sweep(field, monkeypatch):
+    # F_97 and F_65537 have 2-power roots of unity of order 32 and more, so
+    # the 4x4x4 products of profile 4 (degree sum >= 16) take the batched
+    # NTT branch of mat_mul; F_(2^61-1) is multiplied by Kronecker
+    # substitution throughout.
+    ntt_calls = []
+    ntt = polymat._mat_mul_ntt
+
+    def counting_ntt(b, a, n):
+        ntt_calls.append(n)
+        return ntt(b, a, n)
+
+    monkeypatch.setattr(polymat, "_mat_mul_ntt", counting_ntt)
     rng = random.Random(6)
     for trial in range(120):
         m = rng.randrange(1, 7)
-        profile_kind = trial % 4
+        bdegs = [rng.choice([-1, 0, 1, 2, 4]) for _ in range(m)]
+        profile_kind = trial % 5
         if profile_kind == 0:
             degs = [rng.randrange(5)] * m
         elif profile_kind == 1:
@@ -112,13 +128,17 @@ def test_unbalanced_mul_random_sweep():
             degs[rng.randrange(m)] = rng.randrange(10, 25)
         elif profile_kind == 2:
             degs = [rng.choice([-1, 0, 1, 3]) for _ in range(m)]
-        else:
+        elif profile_kind == 3:
             degs = [rng.randrange(6) for _ in range(m)]
-        a = rand_matrix_with_degrees(rng, F7, degs, m)
-        bdegs = [rng.choice([-1, 0, 1, 2, 4]) for _ in range(m)]
-        b = rand_matrix_with_degrees(rng, F7, bdegs, m)
+        else:
+            m = 4
+            degs = [rng.randrange(3), rng.randrange(4), rng.randrange(8), rng.randrange(12, 17)]
+            bdegs = [rng.randrange(4, 12) for _ in range(m)]
+        a = rand_matrix_with_degrees(rng, field, degs, m)
+        b = rand_matrix_with_degrees(rng, field, bdegs, m)
         xi = max(unbalanced.auto_xi(b, a), m, rng.randrange(m, 41))
         assert unbalanced.unbalanced_mul(b, a, xi) == polymat.naive_mul(b, a)
+    assert bool(ntt_calls) == (field is not F_MERSENNE61)
 
 
 def test_unbalanced_mul_rectangular():
@@ -130,7 +150,7 @@ def test_unbalanced_mul_rectangular():
 
 
 def test_bucket_partition_is_exhaustive_and_disjoint():
-    # every row index lands in exactly one bucket for assorted profiles
+    # an identity left factor returns every row of a, zero rows included
     rng = random.Random(8)
     for _ in range(30):
         m = rng.randrange(1, 7)
