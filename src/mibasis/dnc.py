@@ -64,6 +64,8 @@ def interpolation_basis(
     sigma = j.order
     if m == 0:
         raise ValueError("at least one evaluation row is required")
+    if field != j.field:
+        raise ValueError("field does not match the Jordan matrix")
     if any(len(row) != sigma for row in e_rows):
         raise ValueError("column count of E must match the Jordan order")
     if len(shift) != m:

@@ -15,10 +15,7 @@ regime                                         kernel
 ``poly_mul``, (p-1)^2 * min(len f, len g)      numpy int64 convolution; no
 below 2^63                                     coefficient sum can overflow
 ``poly_mul``, larger bound (62-bit primes)     Kronecker substitution
-``polymat.mat_mul``, p < 2^31, transform       batched numpy NTT
-length 32 .. 2^two_adicity, >= 64 entry
-products
-``polymat.mat_mul``, any other product         Kronecker substitution, inner
+``polymat.mat_mul``, any p                     Kronecker substitution, inner
                                                sums taken on packed integers
 =============================================  ===============================
 
@@ -83,7 +80,7 @@ def kron_unpack(n: int, width: int, p: int) -> list[int]:
 class PrimeField:
     """Arithmetic context for F_p with p an odd prime below 2**62."""
 
-    __slots__ = ("p", "two_adicity", "_odd_part", "_ntt_root", "_fact", "_inv_fact")
+    __slots__ = ("p", "_fact", "_inv_fact")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -93,13 +90,6 @@ class PrimeField:
         if p >= 1 << 62:
             raise ValueError("p must fit in 62 bits")
         self.p = p
-        d, a = p - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            a += 1
-        self.two_adicity = a
-        self._odd_part = d
-        self._ntt_root = None
         self._fact = None
         self._inv_fact = None
 
@@ -203,20 +193,6 @@ class PrimeField:
             return self.normalize((out % p).tolist())
         width = digit_bytes(bound)
         return kron_unpack(kron_pack(f, width) * kron_pack(g, width), width, p)
-
-    def ntt_root(self) -> int:
-        """Generator of the 2-Sylow subgroup of F_p*, of order 2^two_adicity."""
-        if self._ntt_root is None:
-            p = self.p
-            c = 2
-            while pow(c, (p - 1) // 2, p) != p - 1:
-                c += 1
-            self._ntt_root = pow(c, self._odd_part, p)
-        return self._ntt_root
-
-    def ntt_capacity(self) -> int:
-        """Largest supported transform length (a power of two)."""
-        return 1 << self.two_adicity
 
     def poly_pow(self, f: list[int], e: int) -> list[int]:
         result = [1]

@@ -23,9 +23,12 @@ class JordanRep:
     def __post_init__(self):
         groups: dict[int, list[int]] = {}
         order: list[int] = []
+        p = self.field.p
         for x, s in self.blocks:
             if s <= 0:
                 raise ValueError("block sizes must be positive")
+            if not 0 <= x < p:
+                raise ValueError("eigenvalues must lie in [0, p)")
             if x in groups:
                 if order[-1] != x:
                     raise ValueError("blocks of one eigenvalue must be contiguous")

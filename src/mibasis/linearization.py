@@ -197,6 +197,8 @@ def lin_interp_basis(
     the diagonal degrees are the minimal degrees of the instance and the sum
     of the output column degrees is at most the column count of E.
     """
+    if isinstance(mulmat, _jordan.JordanRep) and mulmat.field != field:
+        raise ValueError("field does not match the Jordan matrix")
     m = len(e_rows)
     profile = krylov_rank_profile(e_rows, mulmat, shift, delta, field)
     mindeg = minimal_degree(profile, m)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import operator
 
-import numpy as _np
-
 from .field import MINUS_INF, PrimeField, digit_bytes, kron_pack, kron_unpack
 from . import modmat
 
@@ -237,67 +235,6 @@ def naive_mul(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(f, out, a.ncols)
 
 
-def _coeff_cube(mat: PolyMatrix, n: int):
-    arr = _np.zeros((mat.nrows, mat.ncols, n), dtype=_np.int64)
-    for i, row in enumerate(mat.rows):
-        for j, e in enumerate(row):
-            if e:
-                arr[i, j, : len(e)] = e
-    return arr
-
-
-def _ntt_batch(arr, n, root, p, invert):
-    a = arr % p
-    idx = _np.zeros(n, dtype=_np.int64)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        idx[i] = j
-    a = a[..., idx]
-    w = pow(root, p - 2, p) if invert else root
-    length = 2
-    while length <= n:
-        half = length // 2
-        wl = pow(w, n // length, p)
-        ws = _np.ones(half, dtype=_np.int64)
-        for k in range(1, half):
-            ws[k] = ws[k - 1] * wl % p
-        shape = a.shape[:-1] + (n // length, length)
-        a = a.reshape(shape)
-        u = a[..., :half]
-        v = a[..., half:] * ws % p
-        a = _np.concatenate(((u + v) % p, (u - v) % p), axis=-1)
-        a = a.reshape(shape[:-2] + (n,))
-        length <<= 1
-    if invert:
-        a = a * pow(n, p - 2, p) % p
-    return a
-
-
-def _mat_mul_ntt(b: PolyMatrix, a: PolyMatrix, n: int) -> PolyMatrix:
-    f = b.field
-    p = f.p
-    root = pow(f.ntt_root(), f.ntt_capacity() // n, p)
-    fb = _ntt_batch(_coeff_cube(b, n), n, root, p, False)
-    fa = _ntt_batch(_coeff_cube(a, n), n, root, p, False)
-    inner = b.ncols
-    chunk = max(1, (1 << 62) // max((p - 1) * (p - 1), 1))
-    acc = _np.zeros((b.nrows, a.ncols, n), dtype=_np.int64)
-    for lo in range(0, inner, chunk):
-        hi = min(inner, lo + chunk)
-        acc = (acc + _np.einsum("ijt,jkt->ikt", fb[:, lo:hi], fa[lo:hi])) % p
-    cc = _ntt_batch(acc, n, root, p, True)
-    rows = [
-        [f.normalize(cc[i, j].tolist()) for j in range(a.ncols)]
-        for i in range(b.nrows)
-    ]
-    return PolyMatrix(f, rows, a.ncols)
-
-
 def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix:
     """Kronecker substitution: pack each entry once, sum products as integers."""
     f = b.field
@@ -320,45 +257,16 @@ def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix
 
 
 def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
-    """Product b*a, mod X^trunc when trunc is given.
+    """Product b*a, mod X^trunc when trunc is given, by Kronecker substitution.
 
-    Batched NTT evaluation for large products over primes with enough
-    2-power roots of unity, Kronecker substitution otherwise.
+    Each entry is packed at its own length, so a low-degree row stays cheap
+    beside a high-degree one and operands of unbalanced degrees need no
+    splitting.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")
     if b.ncols != a.nrows:
         raise ValueError("dimension mismatch in mat_mul")
-    f = b.field
-    db, da = b.degree(), a.degree()
-    if db == MINUS_INF or da == MINUS_INF:
-        return PolyMatrix.zeros(f, b.nrows, a.ncols)
-    need = int(db + da) + 1
-    n = 1
-    while n < need:
-        n <<= 1
-    if (
-        f.p < (1 << 31)
-        and n <= f.ntt_capacity()
-        and n >= 32
-        and b.nrows * a.ncols * b.ncols >= 64
-    ):
-        out = _mat_mul_ntt(b, a, n)
-        if trunc is not None:
-            out = PolyMatrix(f, [[f.poly_trunc(e, trunc) for e in row] for row in out.rows], out.ncols)
-        return out
+    if b.degree() == MINUS_INF or a.degree() == MINUS_INF:
+        return PolyMatrix.zeros(b.field, b.nrows, a.ncols)
     return _mat_mul_kron(b, a, trunc)
-
-
-def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    if a.nrows != b.nrows or a.ncols != b.ncols or a.field != b.field:
-        raise ValueError("shape mismatch in mat_add")
-    f = a.field
-    return PolyMatrix(
-        f,
-        [
-            [f.poly_add(x, y) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.rows, b.rows)
-        ],
-        a.ncols,
-    )

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .field import PrimeField
 from .jordan import JordanRep
-from .polymat import PolyMatrix, degree_sum, mat_mul, plain_row_degree
-from .unbalanced import partial_compress, partial_linearize
+from .polymat import PolyMatrix, mat_mul
 
 
 @dataclass
@@ -131,22 +130,6 @@ def residual_by_shifting(
             _store_coeffs(out, [prod.rows[r][jcol] for r in range(prod.nrows)], off, s)
 
 
-def _mul_partially_linearized(pmat: PolyMatrix, rhs: PolyMatrix) -> PolyMatrix:
-    """Exact product P*rhs with both sides cut to balanced degree pieces."""
-    field = pmat.field
-    m = max(pmat.nrows, 1)
-    mass = max(
-        degree_sum(plain_row_degree(pmat)),
-        degree_sum(plain_row_degree(rhs.transpose())),
-    )
-    cap = max(1, -(-mass // m))
-    lin_p = partial_linearize(pmat, cap)
-    lin_r = partial_linearize(rhs.transpose(), cap)
-    prod = mat_mul(lin_p.expanded, lin_r.expanded.transpose())
-    by_cols = partial_compress(prod.transpose(), lin_r).transpose()
-    return partial_compress(by_cols, lin_p)
-
-
 def residual_by_crt(
     entries: list[tuple[int, int, int]],
     pmat: PolyMatrix,
@@ -183,7 +166,7 @@ def residual_by_crt(
                 ]
             )
     rhs = PolyMatrix(field, [list(col) for col in zip(*rhs_cols)])
-    prod = _mul_partially_linearized(pmat, rhs)
+    prod = mat_mul(pmat, rhs)
     for slot, parts in enumerate(slots):
         pts_caps = [(x, s) for x, (s, _) in parts]
         for r in range(prod.nrows):

@@ -88,6 +88,8 @@ def parse_document(text: str) -> Document:
 
         def take_rows(n: int) -> list[tuple[int, str]]:
             nonlocal i
+            if n < 0:
+                raise ParseError(f"section {kind} has a negative count", ln)
             if i + n > len(lines):
                 raise ParseError(f"section {kind} is truncated", ln)
             out = lines[i : i + n]

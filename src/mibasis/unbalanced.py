@@ -4,64 +4,12 @@ unbalanced_mul is polymat.mat_mul behind the degree-mass conditions of the
 predictable-degree property (sum rdeg(a) <= xi and sum rdeg_{rdeg(a)}(b)
 <= xi), which the divide-and-conquer engine relies on when it multiplies
 the bases of its two halves.
-
-partial_linearize splits each row of a matrix into rows of degree at most
-d, and partial_compress recombines the rows of a product with weights
-X^(t*(d+1)); residual uses the pair to cut both factors of its
-basis-times-evaluations product into pieces of balanced degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import MINUS_INF
 from .polymat import PolyMatrix, degree_sum, mat_mul, plain_row_degree
-
-
-@dataclass
-class PartialLinearization:
-    degree: int
-    expanded: PolyMatrix
-    row_map: list[list[int]]
-
-
-def partial_linearize(mat: PolyMatrix, d: int) -> PartialLinearization:
-    """Split each row into 1 + floor(rowdeg/(d+1)) rows of degree at most d."""
-    if d < 0:
-        raise ValueError("degree cap must be nonnegative")
-    f = mat.field
-    chunk = d + 1
-    rows = []
-    row_map = []
-    for row in mat.rows:
-        rowdeg = max((len(e) - 1 for e in row if e), default=MINUS_INF)
-        pieces = 1 if rowdeg == MINUS_INF else 1 + int(rowdeg) // chunk
-        ids = []
-        for t in range(pieces):
-            ids.append(len(rows))
-            rows.append([f.normalize(e[t * chunk : (t + 1) * chunk]) for e in row])
-        row_map.append(ids)
-    return PartialLinearization(d, PolyMatrix(f, rows, mat.ncols), row_map)
-
-
-def partial_compress(prod: PolyMatrix, lin: PartialLinearization) -> PolyMatrix:
-    """Recombine expanded product rows with weights X^(t*(d+1))."""
-    if prod.nrows != lin.expanded.nrows:
-        raise ValueError("row count does not match the partial linearization")
-    f = prod.field
-    chunk = lin.degree + 1
-    out = []
-    for ids in lin.row_map:
-        acc = [[] for _ in range(prod.ncols)]
-        for t, ridx in enumerate(ids):
-            shift = t * chunk
-            acc = [
-                f.poly_add(a, f.poly_shift_up(e, shift))
-                for a, e in zip(acc, prod.rows[ridx])
-            ]
-        out.append(acc)
-    return PolyMatrix(f, out, prod.ncols)
 
 
 def _shifted_mass(b: PolyMatrix, d_vec) -> int:
@@ -85,8 +33,9 @@ def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:
     Requires xi >= the working square dimension, sum of the finite row
     degrees of a at most xi, and the same for the rdeg(a)-shifted row
     degrees of b.  A violation signals a caller bug and raises.  The
-    product itself is one polymat.mat_mul: its Kronecker branch packs each
-    entry at its own length, so high-degree rows need no splitting.
+    product itself is one polymat.mat_mul, whose Kronecker substitution
+    packs each entry at its own length, so high-degree rows need no
+    splitting.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")

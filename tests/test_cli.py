@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from mibasis.field import PrimeField
 from mibasis.polymat import PolyMatrix
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parents[1] / "src"
 GOLDEN = DATA / "example_instance.txt"
 
 F97 = PrimeField(97)
@@ -50,6 +54,22 @@ def test_parse_error_reports_line():
     bad = "field p=97\nmat 2 2\n1 2\n3 x\n"
     with pytest.raises(textio.ParseError, match="line 4"):
         textio.parse_document(bad)
+
+
+@pytest.mark.parametrize("header", ["polymat -1 2", "jordan -1"])
+def test_negative_section_count_is_parse_error(tmp_path, header):
+    # a negative count must not move the parser backwards; the child process
+    # and its timeout turn a hang into a failure
+    inp = tmp_path / "neg.txt"
+    inp.write_text(f"field p=7\n{header}\n1;2\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mibasis.cli", "nullspace", str(inp)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "line 2: section" in proc.stderr and "negative count" in proc.stderr
 
 
 def test_comments_and_blank_lines_ignored():

@@ -166,3 +166,9 @@ def test_dimension_validation():
         interpolation_basis([[1, 2]], nilpotent3(), [0], F97)
     with pytest.raises(ValueError):
         interpolation_basis(EVALS, nilpotent3(), [0, 0], F97)
+
+
+def test_field_mismatch_rejected():
+    # rows that interpolate over F_7 would not interpolate under nilpotent3
+    with pytest.raises(ValueError, match="field"):
+        interpolation_basis(EVALS, nilpotent3(), [0, 0, 0], F7)

@@ -86,7 +86,7 @@ def test_mul_kernels_match_schoolbook(p):
 
 
 def test_long_product_small_field():
-    # 7 has two-adicity 1, so no NTT of this length exists over it
+    # (p-1)^2 * 76 is far below 2^63: the int64 convolution path
     rng = random.Random(4)
     f = rand_poly(rng, F7, 90)
     g = rand_poly(rng, F7, 75)

@@ -41,6 +41,15 @@ def test_normalize_rejects_bad_sizes():
         jordan.normalize(F7, [(1, 0)])
 
 
+def test_rep_rejects_unreduced_eigenvalues():
+    # act_power would invert x = 7 over F_7 as if it were nonzero
+    for x in (7, -1, 100):
+        with pytest.raises(ValueError, match="eigenvalues"):
+            jordan.JordanRep(F7, ((x, 2),))
+    assert jordan.JordanRep(F7, ((6, 2),)).blocks == ((6, 2),)
+    assert jordan.normalize(F7, [(7, 2), (-1, 1)])[0].blocks == ((0, 2), (6, 1))
+
+
 def test_normalize_idempotent_and_matches_dense_conjugation():
     rng = random.Random(1)
     for _ in range(20):

@@ -192,6 +192,11 @@ def test_lin_interp_basis_staircase_shift():
     assert basis == ob and mindeg == om
 
 
+def test_lin_interp_basis_field_mismatch_rejected():
+    with pytest.raises(ValueError, match="field"):
+        lin.lin_interp_basis(EVALS, nilpotent3(), [0, 0, 0], 4, F7)
+
+
 def test_lin_interp_basis_zero_evals():
     j = nilpotent3()
     basis, mindeg = lin.lin_interp_basis([[0, 0, 0]] * 3, j, [0, 1, 2], 4, F97)

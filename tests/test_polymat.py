@@ -179,12 +179,11 @@ def test_naive_mul_two_by_two_by_hand():
     assert prod.rows[1] == [[0, 1, 1], [0, 2]]
 
 
-def test_mat_mul_matches_naive_small_and_ntt():
+def test_mat_mul_matches_naive_balanced_and_unbalanced():
     rng = random.Random(4)
     big = PrimeField(65537)
     huge = PrimeField((1 << 61) - 1)
-    # (field, degree, rows, inner, cols); the last has 64 entry products of
-    # degree 40 and so takes the batched NTT, the others Kronecker substitution
+    # (field, degree, rows, inner, cols)
     cases = ((F7, 3, 4, 3, 2), (big, 40, 4, 3, 2), (huge, 40, 4, 3, 2), (big, 40, 4, 4, 4))
     for field, deg, r, k, c in cases:
         a = rand_matrix(rng, field, k, c, deg)
@@ -195,6 +194,27 @@ def test_mat_mul_matches_naive_small_and_ntt():
         a = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 2] * 3)
         b = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 3] * 4)
         assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
+    # unbalanced operands: a row of degree 0 beside one of degree ~300, zero
+    # entries and a zero row, as the residual products of dnc pass them
+    def poly(d):
+        return [rng.randrange(field.p) for _ in range(d)] + [rng.randrange(1, field.p)]
+
+    for field in (F97, big, huge):
+        b = PolyMatrix(field, [
+            [poly(0), poly(0), poly(0)],
+            [poly(300), [], poly(297)],
+            [[], [], []],
+        ])
+        a = PolyMatrix(field, [
+            [poly(0), poly(301), [], poly(2)],
+            [poly(5), [], [], poly(0)],
+            [[], poly(0), [], poly(7)],
+        ])
+        full = polymat.naive_mul(b, a)
+        assert polymat.mat_mul(b, a) == full
+        for k in (1, 7):
+            want = [[field.poly_trunc(e, k) for e in row] for row in full.rows]
+            assert polymat.mat_mul(b, a, trunc=k).rows == want
 
 
 def test_mat_mul_truncated():

@@ -29,42 +29,6 @@ def rand_matrix_with_degrees(rng, field, degrees, cols):
     return PolyMatrix.from_entries(field, rows)
 
 
-def test_partial_linearize_no_split_needed():
-    rng = random.Random(1)
-    b = rand_matrix_with_degrees(rng, F7, [2, 1, 0], 3)
-    lin = unbalanced.partial_linearize(b, 2)
-    assert lin.expanded == b
-    assert lin.row_map == [[0], [1], [2]]
-
-
-def test_partial_linearize_degree_five_row():
-    b = PolyMatrix.from_entries(F7, [[[1, 2, 3, 4, 5, 6]]])
-    lin = unbalanced.partial_linearize(b, 1)
-    assert lin.expanded.nrows == 3
-    assert lin.expanded.rows == [[[1, 2]], [[3, 4]], [[5, 6]]]
-    # recombination with weights 1, X^2, X^4 returns the original row
-    rebuilt = unbalanced.partial_compress(lin.expanded, lin)
-    assert rebuilt == b
-
-
-def test_partial_linearize_zero_rows():
-    b = PolyMatrix.zeros(F7, 2, 3)
-    lin = unbalanced.partial_linearize(b, 4)
-    assert lin.expanded == b
-    assert unbalanced.partial_compress(lin.expanded, lin) == b
-
-
-def test_partial_compress_recovers_product():
-    rng = random.Random(2)
-    b = rand_matrix_with_degrees(rng, F7, [9, 0, 3], 3)
-    a = rand_matrix_with_degrees(rng, F7, [1, 2, 1], 3)
-    lin = unbalanced.partial_linearize(b, 2)
-    prod = unbalanced.partial_compress(
-        polymat.naive_mul(lin.expanded, a), lin
-    )
-    assert prod == polymat.naive_mul(b, a)
-
-
 def test_unbalanced_mul_identity_cases():
     rng = random.Random(3)
     a = rand_matrix_with_degrees(rng, F7, [0, 1, 4], 3)
@@ -103,19 +67,7 @@ def test_unbalanced_mul_precondition_violations():
 
 
 @pytest.mark.parametrize("field", [F97, F65537, F_MERSENNE61], ids=lambda f: str(f.p))
-def test_unbalanced_mul_random_sweep(field, monkeypatch):
-    # F_97 and F_65537 have 2-power roots of unity of order 32 and more, so
-    # the 4x4x4 products of profile 4 (degree sum >= 16) take the batched
-    # NTT branch of mat_mul; F_(2^61-1) is multiplied by Kronecker
-    # substitution throughout.
-    ntt_calls = []
-    ntt = polymat._mat_mul_ntt
-
-    def counting_ntt(b, a, n):
-        ntt_calls.append(n)
-        return ntt(b, a, n)
-
-    monkeypatch.setattr(polymat, "_mat_mul_ntt", counting_ntt)
+def test_unbalanced_mul_random_sweep(field):
     rng = random.Random(6)
     for trial in range(120):
         m = rng.randrange(1, 7)
@@ -138,7 +90,6 @@ def test_unbalanced_mul_random_sweep(field, monkeypatch):
         b = rand_matrix_with_degrees(rng, field, bdegs, m)
         xi = max(unbalanced.auto_xi(b, a), m, rng.randrange(m, 41))
         assert unbalanced.unbalanced_mul(b, a, xi) == polymat.naive_mul(b, a)
-    assert bool(ntt_calls) == (field is not F_MERSENNE61)
 
 
 def test_unbalanced_mul_rectangular():
