@@ -23,6 +23,10 @@ Kronecker substitution evaluates a polynomial at X = 2^(8w), w bytes being
 wide enough that no coefficient of the product overflows its digit; one
 Python integer product then does the whole convolution.  ``kron_pack`` and
 ``kron_unpack`` are the two directions of that map.
+
+Simultaneous reduction (``multi_mod``) and Chinese remaindering (``crt``)
+walk one SubproductTree down and up; a tree built once for fixed moduli
+serves any number of polynomials.
 """
 
 from __future__ import annotations
@@ -267,61 +271,53 @@ class PrimeField:
         hi = self.taylor_shift(f[k:], x)
         return self.poly_add(lo, self.poly_mul(self.poly_pow([x, 1], k), hi))
 
-    def multi_mod(self, f: list[int], moduli: list[list[int]]) -> list[list[int]]:
-        """Remainders of f by each modulus, via a subproduct tree."""
-        if any(not q for q in moduli):
-            raise ValueError("zero modulus")
-        if not moduli:
-            return []
-        tree = [moduli[:]]
-        while len(tree[-1]) > 1:
-            level = tree[-1]
-            nxt = [
-                self.poly_mul(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
-                for i in range(0, len(level), 2)
+    def multi_mod(self, f: list[int], moduli) -> list[list[int]]:
+        """Remainders of f by each modulus, going down a subproduct tree.
+
+        ``moduli`` is a list of nonzero polynomials or a SubproductTree built
+        over them, which many polynomials can then share.
+        """
+        tree = moduli if isinstance(moduli, SubproductTree) else SubproductTree(self, moduli)
+        rems = [f]
+        for level in reversed(tree.levels):
+            rems = [
+                self.poly_mod(rems[i // 2], q) if len(rems[i // 2]) >= len(q) else rems[i // 2]
+                for i, q in enumerate(level)
             ]
-            tree.append(nxt)
-        out = [None] * len(moduli)
+        return rems
 
-        def descend(level: int, idx: int, rem: list[int]) -> None:
-            node = tree[level][idx]
-            if len(rem) >= len(node):
-                rem = self.poly_mod(rem, node)
-            if level == 0:
-                out[idx] = rem
-                return
-            descend(level - 1, 2 * idx, rem)
-            if 2 * idx + 1 < len(tree[level - 1]):
-                descend(level - 1, 2 * idx + 1, rem)
+    def crt(self, residues: list[list[int]], moduli) -> list[int]:
+        """Unique f of degree < sum(deg moduli) matching all residues.
 
-        descend(len(tree) - 1, 0, f)
-        return out
-
-    def crt(self, residues: list[list[int]], moduli: list[list[int]]) -> list[int]:
-        """Unique f of degree < sum(deg moduli) matching all residues."""
-        if len(residues) != len(moduli):
+        Goes up a subproduct tree: each leaf holds r_i * c_i mod m_i, c_i
+        being the tree's cofactor, and each node f_L * M_R + f_R * M_L.
+        ``moduli`` is a list of pairwise coprime nonzero polynomials or a
+        SubproductTree built over them, which many residue vectors can then
+        share.
+        """
+        tree = moduli if isinstance(moduli, SubproductTree) else SubproductTree(self, moduli)
+        leaves = tree.levels[0]
+        if len(residues) != len(leaves):
             raise ValueError("residue/modulus count mismatch")
-        if any(not q for q in moduli):
-            raise ValueError("zero modulus")
-        for r, q in zip(residues, moduli):
+        for r, q in zip(residues, leaves):
             if len(r) >= len(q):
                 raise ValueError("residue degree not below modulus degree")
-        items = list(zip(residues, moduli))
-        if not items:
+        if not leaves:
             return []
-        while len(items) > 1:
-            merged = []
-            for i in range(0, len(items) - 1, 2):
-                (r1, m1), (r2, m2) = items[i], items[i + 1]
-                g, u, _ = self.poly_xgcd(m1, m2)
-                if len(g) != 1:
-                    raise ValueError("moduli are not pairwise coprime")
-                t = self.poly_mod(self.poly_mul(self.poly_sub(r2, r1), u), m2)
-                merged.append((self.poly_add(r1, self.poly_mul(m1, t)), self.poly_mul(m1, m2)))
-            if len(items) % 2:
-                merged.append(items[-1])
-            items = merged
-        return items[0][0]
+        vals = [
+            self.poly_mod(self.poly_mul(r, c), q)
+            for r, c, q in zip(residues, tree.cofactors(), leaves)
+        ]
+        for level in tree.levels[:-1]:
+            vals = [
+                self.poly_add(
+                    self.poly_mul(vals[i], level[i + 1]), self.poly_mul(vals[i + 1], level[i])
+                )
+                if i + 1 < len(level)
+                else vals[i]
+                for i in range(0, len(level), 2)
+            ]
+        return vals[0]
 
     # -- binomials -----------------------------------------------------------
 
@@ -362,3 +358,60 @@ class PrimeField:
             num = num * ((n - t + 1) % p) % p
             den = den * t % p
         return num * pow(den, p - 2, p) % p
+
+
+class SubproductTree:
+    """Fixed moduli with their subproduct tree and CRT cofactors.
+
+    Built once and passed to PrimeField.multi_mod and PrimeField.crt in place
+    of the moduli list, it serves every polynomial reduced modulo them and
+    every residue vector lifted from them (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 10).  ``levels[0]`` holds the moduli; each level
+    above multiplies neighbours pairwise, an odd last node moving up
+    unchanged, so that ``levels[-1][0]`` is their product M.
+    """
+
+    __slots__ = ("field", "levels", "_cofactors")
+
+    def __init__(self, field: PrimeField, moduli: list[list[int]]):
+        if any(not q for q in moduli):
+            raise ValueError("zero modulus")
+        levels = [list(moduli)]
+        while len(levels[-1]) > 1:
+            level = levels[-1]
+            levels.append(
+                [
+                    field.poly_mul(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
+                    for i in range(0, len(level), 2)
+                ]
+            )
+        self.field = field
+        self.levels = levels
+        self._cofactors = None
+
+    def cofactors(self) -> list[list[int]]:
+        """Per modulus m_i, the inverse of M / m_i modulo m_i.
+
+        Computed on first use: M / m_i mod m_i comes down the tree, each
+        child taking its parent's value times its sibling modulo itself, and
+        one extended gcd per modulus inverts it.  Raises ValueError unless
+        the moduli are pairwise coprime.
+        """
+        if self._cofactors is None:
+            f = self.field
+            rest = [[1]]
+            for level in reversed(self.levels[:-1]):
+                rest = [
+                    f.poly_mod(f.poly_mul(rest[i // 2], level[i ^ 1]), q)
+                    if i ^ 1 < len(level)
+                    else rest[i // 2]
+                    for i, q in enumerate(level)
+                ]
+            cof = []
+            for a, q in zip(rest, self.levels[0]):
+                g, u, _ = f.poly_xgcd(a, q)  # u * a = g mod q
+                if len(g) != 1:
+                    raise ValueError("moduli are not pairwise coprime")
+                cof.append(u)
+            self._cofactors = cof
+        return self._cofactors

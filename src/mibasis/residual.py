@@ -6,14 +6,17 @@ columns, taken mod X^s.  Blocks are dispatched by dyadic size class and by
 how often their eigenvalue repeats inside the class: frequently repeating
 eigenvalues amortize one truncated shift of P across many blocks, rare ones
 are batched through Chinese remaindering so that a single polynomial-matrix
-product serves every eigenvalue at once.
+product serves every eigenvalue at once.  The moduli (X - x)^s of a CRT slot,
+like those of a shifting bucket's eigenvalues, depend on the blocks alone:
+one subproduct tree, with its CRT cofactors, is built per slot and shared by
+every row lifted up it and every product reduced back down it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import PrimeField
+from .field import PrimeField, SubproductTree
 from .jordan import JordanRep
 from .polymat import PolyMatrix, mat_mul
 
@@ -82,12 +85,17 @@ def _store_coeffs(out, col_polys, off, size):
             row[off + t] = e[t] if t < len(e) else 0
 
 
-def _shifted_remainders(field: PrimeField, f, pts_caps):
+def _point_tree(field: PrimeField, pts_caps) -> SubproductTree:
+    """The subproduct tree of the moduli (X - x)^s, one per (x, s)."""
+    return SubproductTree(field, [field.poly_pow([(-x) % field.p, 1], s) for x, s in pts_caps])
+
+
+def _shifted_remainders(field: PrimeField, f, pts_caps, tree: SubproductTree):
     """For each (x, s): the first s coefficients of f(X + x), batched.
 
     Equals f mod (X - x)^s recentered at x.  A single point needs one
     truncated Taylor shift (a plain slice when x is zero); several points go
-    through one simultaneous remainder pass.
+    down ``tree``, the subproduct tree of their moduli.
     """
     if not f:
         return [[] for _ in pts_caps]
@@ -96,8 +104,7 @@ def _shifted_remainders(field: PrimeField, f, pts_caps):
         if x == 0:
             return [field.poly_trunc(f, s)]
         return [field.poly_trunc(field.taylor_shift(f, x), s)]
-    moduli = [field.poly_pow([(-x) % field.p, 1], s) for x, s in pts_caps]
-    rems = field.multi_mod(f, moduli)
+    rems = field.multi_mod(f, tree)
     return [field.taylor_shift(rem, x) for rem, (x, _) in zip(rems, pts_caps)]
 
 
@@ -111,12 +118,13 @@ def residual_by_shifting(
     field = pmat.field
     groups = _group_by_eigenvalue(entries)
     pts_caps = [(x, max(s for s, _ in blocks)) for x, blocks in groups]
+    tree = _point_tree(field, pts_caps)
     shifted = [
         [[None] * pmat.ncols for _ in range(pmat.nrows)] for _ in groups
     ]
     for r, prow in enumerate(pmat.rows):
         for c, e in enumerate(prow):
-            for gi, rem in enumerate(_shifted_remainders(field, e, pts_caps)):
+            for gi, rem in enumerate(_shifted_remainders(field, e, pts_caps, tree)):
                 shifted[gi][r][c] = rem
     for gi, (x, blocks) in enumerate(groups):
         cap = pts_caps[gi][1]
@@ -139,7 +147,9 @@ def residual_by_crt(
     """Handle a bucket by Chinese remaindering across (rare) eigenvalues.
 
     Slot j collects the j-th block of every eigenvalue; missing slots act as
-    size-zero padding blocks and are simply skipped.
+    size-zero padding blocks and are simply skipped.  Each slot builds one
+    subproduct tree of its moduli (X - x)^s: every row's residues go up it
+    and every row of the product comes back down it.
     """
     field = pmat.field
     groups = _group_by_eigenvalue(entries)
@@ -149,28 +159,26 @@ def residual_by_crt(
         parts = [(x, blocks[slot]) for x, blocks in groups if slot < len(blocks)]
         slots.append(parts)
     rhs_cols = []
+    trees = []
     for parts in slots:
-        residues = []
-        moduli = []
-        for x, (s, off) in parts:
-            chunk = _column_poly(e_rows, field, off, s)
-            residues.append([field.taylor_shift(e, (-x) % field.p) for e in chunk])
-            moduli.append(field.poly_pow([(-x) % field.p, 1], s))
+        pts_caps = [(x, s) for x, (s, _) in parts]
+        tree = _point_tree(field, pts_caps)
+        residues = [
+            [field.taylor_shift(e, (-x) % field.p) for e in _column_poly(e_rows, field, off, s)]
+            for x, (s, off) in parts
+        ]
         if len(parts) == 1:
             rhs_cols.append(residues[0])
         else:
             rhs_cols.append(
-                [
-                    field.crt([residues[i][r] for i in range(len(parts))], moduli)
-                    for r in range(len(e_rows))
-                ]
+                [field.crt([res[r] for res in residues], tree) for r in range(len(e_rows))]
             )
+        trees.append((pts_caps, tree))
     rhs = PolyMatrix(field, [list(col) for col in zip(*rhs_cols)])
     prod = mat_mul(pmat, rhs)
-    for slot, parts in enumerate(slots):
-        pts_caps = [(x, s) for x, (s, _) in parts]
+    for slot, (parts, (pts_caps, tree)) in enumerate(zip(slots, trees)):
         for r in range(prod.nrows):
-            rems = _shifted_remainders(field, prod.rows[r][slot], pts_caps)
+            rems = _shifted_remainders(field, prod.rows[r][slot], pts_caps, tree)
             row = out[r]
             for (x, (s, off)), rem in zip(parts, rems):
                 for t in range(s):

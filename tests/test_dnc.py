@@ -1,15 +1,20 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import jordan, oracle, polymat
-from mibasis.dnc import interpolation_basis, interpolation_basis_rec
+from mibasis import jordan, oracle, polymat, residual
+from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
 from mibasis.polymat import PolyMatrix
 
 F97 = PrimeField(97)
 F7 = PrimeField(7)
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 EVALS = [
     [27, 49, 29],
@@ -172,3 +177,87 @@ def test_field_mismatch_rejected():
     # rows that interpolate over F_7 would not interpolate under nilpotent3
     with pytest.raises(ValueError, match="field"):
         interpolation_basis(EVALS, nilpotent3(), [0, 0, 0], F7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_right_residual_equals_right_half_of_full_residual(data):
+    # One eigenvalue with more than m equal blocks (the shift bucket), rare
+    # ones with one block each (the CRT bucket) and a block of at least
+    # 2*sigma/m columns (the tail class); most cuts fall inside that block.
+    field = PrimeField(data.draw(st.sampled_from([97, 65537, (1 << 61) - 1])))
+    m = data.draw(st.integers(min_value=3, max_value=4))
+    eig = st.integers(min_value=0, max_value=field.p - 1)
+    x0 = data.draw(eig)
+    size = data.draw(st.integers(min_value=1, max_value=2))
+    blocks = [(x0, size)] * data.draw(st.integers(min_value=m + 1, max_value=m + 3))
+    rare = data.draw(st.lists(eig.filter(lambda x: x != x0), min_size=1, max_size=4, unique=True))
+    blocks += [(x, data.draw(st.integers(min_value=1, max_value=4))) for x in rare]
+    rest = sum(s for _, s in blocks)
+    blocks.append((data.draw(eig), 2 * rest + data.draw(st.integers(min_value=0, max_value=6))))
+    j, _ = jordan.normalize(field, blocks)
+    sigma = j.order
+    k = data.draw(st.integers(min_value=1, max_value=sigma - 1))
+    e = [data.draw(st.lists(eig, min_size=sigma, max_size=sigma)) for _ in range(m)]
+    rows = data.draw(st.integers(min_value=1, max_value=3))
+    pmat = PolyMatrix.from_entries(
+        field, [[data.draw(st.lists(eig, max_size=5)) for _ in range(m)] for _ in range(rows)]
+    )
+    full = residual.compute_residuals(j, pmat, e)
+    lead, right = right_residual(j, k, pmat, e)
+    start = max(off for off in j.column_offsets() if off <= k)
+    assert right == [row[k:] for row in full]
+    assert lead == [row[start:k] for row in full]
+
+
+# Corrupts one coefficient of every product of two halves, so that the basis
+# no longer interpolates; distinct points mean no block straddles a cut, so
+# only the final check in interpolation_basis can see it.
+_CORRUPT_UNDER_O = """
+import sys
+from mibasis import cli, dnc, jordan
+from mibasis.field import PrimeField
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+product = dnc.unbalanced_mul
+
+def corrupted(b, a, xi):
+    out = product(b, a, xi)
+    row = out.rows[0]
+    c = next(i for i, e in enumerate(row) if len(e) > 1)
+    row[c] = [(row[c][0] + 1) % out.field.p] + row[c][1:]
+    return out
+
+dnc.unbalanced_mul = corrupted
+field = PrimeField(97)
+j, _ = jordan.normalize(field, [(x, 1) for x in range(1, 9)])
+e = [[(7 * r + 3 * c + 1) % 97 for c in range(8)] for r in range(2)]
+try:
+    dnc.interpolation_basis(e, j, [0, 0], field)
+    print("returned")
+except AssertionError:
+    print("raised")
+sys.stdout.flush()
+sys.exit(cli.main(["interp", "--algo", "dnc", "--evals", sys.argv[1]]))
+"""
+
+
+def test_invariant_holds_under_optimize(tmp_path):
+    inst = tmp_path / "points.txt"
+    inst.write_text(
+        "field p=97\nmat 2 8\n"
+        + "".join(" ".join(str((7 * r + 3 * c + 1) % 97) for c in range(8)) + "\n" for r in range(2))
+        + "jordan 8\n" + "".join(f"{x} 1\n" for x in range(1, 9))
+        + "shift 2\n0 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_UNDER_O, str(inst)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.stdout == "raised\n"
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr

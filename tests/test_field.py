@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mibasis.field import MINUS_INF, PrimeField, is_prime
+from mibasis.field import MINUS_INF, PrimeField, SubproductTree, is_prime
 
 F97 = PrimeField(97)
 F7 = PrimeField(7)
@@ -206,20 +207,36 @@ def test_crt_single_modulus():
 
 
 def test_crt_round_trip_with_multi_mod():
+    # many rows against one set of moduli (X - a)^s: a tree shared by all rows
+    # gives what a tree built per call gives, and long division agrees
     rng = random.Random(9)
-    for _ in range(10):
-        pts = rng.sample(range(97), 4)
-        moduli = [F97.poly_pow([(-a) % 97, 1], rng.randrange(1, 4)) for a in pts]
-        total = sum(len(m) - 1 for m in moduli)
-        f = rand_poly(rng, F97, total - 1)
-        rems = F97.multi_mod(f, moduli)
-        assert F97.crt(rems, moduli) == f
-        assert F97.multi_mod(F97.crt(rems, moduli), moduli) == rems
+    for p, sizes in itertools.product(
+        [97, (1 << 61) - 1], [[1, 2, 5, 1, 2], [2, 1, 3], [5]]
+    ):
+        fld = PrimeField(p)
+        pts = rng.sample(range(min(p, 1 << 30)), len(sizes))
+        moduli = [fld.poly_pow([(-a) % p, 1], s) for a, s in zip(pts, sizes)]
+        tree = SubproductTree(fld, moduli)
+        for _ in range(6):
+            f = rand_poly(rng, fld, sum(sizes) - 1)
+            rems = fld.multi_mod(f, tree)
+            assert rems == fld.multi_mod(f, moduli)
+            assert rems == [long_division_reference(f, m, p) for m in moduli]
+            assert fld.crt(rems, tree) == fld.crt(rems, moduli) == f
+            assert fld.multi_mod(fld.crt(rems, tree), tree) == rems
+            g = rand_poly(rng, fld, 3 * sum(sizes))
+            assert fld.multi_mod(g, tree) == [long_division_reference(g, m, p) for m in moduli]
 
 
 def test_crt_rejects_non_coprime_moduli():
     with pytest.raises(ValueError):
         F7.crt([[1], [2]], [[0, 1], [0, 0, 1]])
+    # X and X^2 are not siblings in the tree of [X, X + 1, X^2]
+    moduli = [[0, 1], [1, 1], [0, 0, 1]]
+    with pytest.raises(ValueError):
+        F7.crt([[1], [2], [3]], moduli)
+    with pytest.raises(ValueError):
+        F7.crt([[1], [2], [3]], SubproductTree(F7, moduli))
 
 
 def test_binomial_lucas():
