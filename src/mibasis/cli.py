@@ -261,6 +261,8 @@ def _cmd_check(args) -> int:
             mulmat = mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0)
         else:
             jdoc = _load(args.jordan) if args.jordan else edoc
+            if args.jordan:
+                _same_prime(doc, jdoc)
             mulmat, evals = _jordan_from(jdoc, field, evals)
         if args.mode == "interpolant":
             res = oracle.naive_residual(mulmat, mat, evals)

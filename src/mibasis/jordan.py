@@ -116,73 +116,45 @@ def act(e_rows: list[list[int]], j: JordanRep) -> list[list[int]]:
     return out
 
 
-def _act_power_np(e_rows, j: JordanRep, n: int):
-    f = j.field
-    p = f.p
-    arr = _np.asarray(e_rows, dtype=_np.int64) % p
-    out = _np.zeros_like(arr)
-    pos = 0
-    for x, s in j.blocks:
-        blk = arr[:, pos : pos + s]
-        if x == 0:
-            if n < s:
-                out[:, pos + n : pos + s] = blk[:, : s - n]
-        else:
-            xp = pow(x, n, p)
-            xinv = pow(x, p - 2, p)
-            dest = out[:, pos : pos + s]
-            for t in range(min(s - 1, n) + 1):
-                w = f.binomial(n, t) * xp % p
-                xp = xp * xinv % p
-                if w:
-                    dest[:, t:] = (dest[:, t:] + w * blk[:, : s - t]) % p
-        pos += s
-    return out.tolist()
-
-
 def act_power(e_rows: list[list[int]], j: JordanRep, n: int) -> list[list[int]]:
     """E * J^n via the binomial closed form of Jordan block powers.
 
     Within a block of eigenvalue x and size s, column k of the result is
-    sum_t C(n, t) x^(n-t) times input column k-t.
+    sum_t C(n, t) x^(n-t) times input column k-t.  Nilpotent blocks shift
+    their columns by n.  The other blocks are summed per shift t, all blocks
+    at once, with one weight per column, so that many small blocks cost one
+    numpy update per t.  The arrays are int64 while (p-1)^2 < 2^62, so that
+    p + (p-1)^2 fits, and object arrays of Python integers beyond.
     """
     if n < 0:
         raise ValueError("negative power")
     if n == 0:
         return [row[:] for row in e_rows]
-    if e_rows and len(e_rows[0]) != j.order:
+    if not e_rows:
+        return []
+    if len(e_rows[0]) != j.order:
         raise ValueError("column count does not match the Jordan order")
     f = j.field
     p = f.p
-    if (p - 1) * (p - 1) < (1 << 62) and len(e_rows) * j.order >= 1 << 14:
-        return _act_power_np(e_rows, j, n)
-    out = [[0] * j.order for _ in e_rows]
+    dt = _np.int64 if (p - 1) * (p - 1) < 1 << 62 else object
+    arr = _np.asarray(e_rows, dtype=dt) % p
+    out = _np.zeros(arr.shape, dtype=dt)
+    # weights[t][c]: the coefficient of input column c - t in output column c
+    weights: dict[int, list[int]] = {}
     pos = 0
     for x, s in j.blocks:
         if x == 0:
             if n < s:
-                for r, row in enumerate(e_rows):
-                    orow = out[r]
-                    for k in range(n, s):
-                        orow[pos + k] = row[pos + k - n]
+                out[:, pos + n : pos + s] = arr[:, pos : pos + s - n]
         else:
-            weights = []
-            xp = pow(x, n, p) if n else 1
-            xinv = pow(x, p - 2, p)
             for t in range(min(s - 1, n) + 1):
-                weights.append(f.binomial(n, t) * xp % p)
-                xp = xp * xinv % p
-            for r, row in enumerate(e_rows):
-                orow = out[r]
-                for k in range(s):
-                    acc = 0
-                    for t in range(min(k, len(weights) - 1) + 1):
-                        w = weights[t]
-                        if w:
-                            acc += w * row[pos + k - t]
-                    orow[pos + k] = acc % p
+                w = f.binomial(n, t) * pow(x, n - t, p) % p
+                if w:
+                    weights.setdefault(t, [0] * j.order)[pos + t : pos + s] = [w] * (s - t)
         pos += s
-    return out
+    for t, w in weights.items():
+        out[:, t:] = (out[:, t:] + arr[:, : j.order - t] * _np.asarray(w[t:], dtype=dt)) % p
+    return out.tolist()
 
 
 def minpoly_degree(j: JordanRep) -> int:

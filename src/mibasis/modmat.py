@@ -1,9 +1,9 @@
 """Dense scalar linear algebra modulo a prime.
 
-Matrices are lists of equal-length rows of ints in [0, p).  When
-intermediate products fit in float64 or int64 words, the elimination and
-multiplication kernels run vectorized in numpy; otherwise a pure Python
-path is taken, which is exact for any modulus below 2**62.
+Matrices are lists of equal-length rows of ints in [0, p).  Elimination
+and multiplication run in numpy, in float64 or int64 words when every sum
+of products fits them, and otherwise in object arrays of Python integers,
+which are exact for any modulus below 2**62.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ _BLOCK = 32
 
 
 def _dtype_for(p: int, inner: int):
-    """Widest-safe numpy dtype for sums of `inner` products mod p, or None."""
+    """Cheapest numpy dtype that holds sums of `inner` products mod p exactly."""
     worst = (p - 1) * (p - 1) * max(inner, 1)
     if worst < _F8_LIMIT:
         return _np.float64
     if worst < _I8_LIMIT:
         return _np.int64
-    return None
+    return object
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -37,12 +37,6 @@ def transpose(mat: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*mat)] if mat else []
 
 
-def _as_lists(arr) -> list[list[int]]:
-    if isinstance(arr, _np.ndarray):
-        return arr.astype(_np.int64).tolist()
-    return arr
-
-
 def mat_mul(a, b, p: int) -> list[list[int]]:
     """Exact product of two matrices over Z/pZ."""
     ra = len(a)
@@ -53,29 +47,30 @@ def mat_mul(a, b, p: int) -> list[list[int]]:
     if ra == 0 or cb == 0:
         return zeros(ra, cb)
     dt = _dtype_for(p, ca)
-    if dt is not None:
-        A = _np.asarray(a, dtype=dt)
-        B = _np.asarray(b, dtype=dt)
-        return _as_lists((A @ B) % p)
-    out = []
-    for row in a:
-        acc = [0] * cb
-        for x, brow in zip(row, b):
-            if x:
-                acc = [t + x * y for t, y in zip(acc, brow)]
-        out.append([t % p for t in acc])
-    return out
+    A = _np.asarray(a, dtype=dt)
+    B = _np.asarray(b, dtype=dt)
+    return ((A @ B) % p).astype(_np.int64).tolist()
 
 
-def _rref_np(mat, p: int, dt):
-    """Blocked Gauss-Jordan: one pre-reduction and one update matmul per block.
+def rref(mat, p: int):
+    """Row-order Gauss-Jordan elimination.
 
-    The reduced rows R stay fully reduced (unit at their own pivot column,
-    zero at every other pivot column); new pivots found inside a block are
-    folded into R with a single product once the block is finished.
+    Processes the rows top to bottom without swapping them, so the selected
+    pivot rows form the (lexicographically first) row rank profile.  Returns
+    (pivot_row_indices, pivot_cols, reduced_rows) with each reduced row unit
+    at its own pivot column and zero at every other pivot column.
+
+    The elimination is blocked: one pre-reduction and one update product per
+    block of rows.  The reduced rows R stay fully reduced; new pivots found
+    inside a block are folded into R with a single product once the block is
+    finished.
     """
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    if not ncols:
+        return [], [], []
+    dt = _dtype_for(p, min(nrows, ncols) + 1)
     A = _np.asarray(mat, dtype=dt) % p
-    nrows, ncols = A.shape
     R = _np.zeros((0, ncols), dtype=dt)
     pivcols: list[int] = []
     pivrows: list[int] = []
@@ -84,7 +79,6 @@ def _rref_np(mat, p: int, dt):
         blk = A[i : i + _BLOCK].copy()
         if pivcols:
             blk = (blk - blk[:, pivcols] @ R) % p
-        loc_rows: list = []
         loc_cols: list[int] = []
         loc = None
         for bi in range(blk.shape[0]):
@@ -95,7 +89,7 @@ def _rref_np(mat, p: int, dt):
             if nz.size == 0:
                 continue
             j = int(nz[0])
-            inv = pow(int(v[j]), p - 2, p)
+            inv = pow(int(v[j]), -1, p)
             v = (v * inv) % p
             if loc_cols:
                 loc = (loc - _np.outer(loc[:, j], v)) % p
@@ -112,49 +106,7 @@ def _rref_np(mat, p: int, dt):
             R = _np.vstack([R, loc])
             pivcols.extend(loc_cols)
         i += _BLOCK
-    return pivrows, pivcols, R
-
-
-def _rref_py(mat, p: int):
-    R: list[list[int]] = []
-    pivcols: list[int] = []
-    pivrows: list[int] = []
-    for idx, row in enumerate(mat):
-        v = [x % p for x in row]
-        for w, j in zip(R, pivcols):
-            f = v[j]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, w)]
-        j = next((k for k, x in enumerate(v) if x), -1)
-        if j < 0:
-            continue
-        inv = pow(v[j], p - 2, p)
-        v = [x * inv % p for x in v]
-        for k, w in enumerate(R):
-            f = w[j]
-            if f:
-                R[k] = [(x - f * y) % p for x, y in zip(w, v)]
-        R.append(v)
-        pivcols.append(j)
-        pivrows.append(idx)
-    return pivrows, pivcols, R
-
-
-def rref(mat, p: int):
-    """Row-order Gauss-Jordan elimination.
-
-    Processes the rows top to bottom without swapping them, so the selected
-    pivot rows form the (lexicographically first) row rank profile.  Returns
-    (pivot_row_indices, pivot_cols, reduced_rows) with each reduced row unit
-    at its own pivot column and zero at every other pivot column.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    dt = _dtype_for(p, min(nrows, ncols) + 1)
-    if dt is not None and nrows and ncols:
-        pr, pc, R = _rref_np(mat, p, dt)
-        return pr, pc, _as_lists(R)
-    return _rref_py(mat, p)
+    return pivrows, pivcols, R.astype(_np.int64).tolist()
 
 
 def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:

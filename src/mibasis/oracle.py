@@ -28,24 +28,21 @@ def _dense_mulmat(mulmat):
 
 
 def _striped_rows(e_rows, dense, delta: int, p: int):
-    """E, E*M, ..., E*M^delta stacked block by block (unpermuted)."""
+    """E, E*M, ..., E*M^delta stacked block by block (unpermuted).
+
+    An int64 array, or an object array of Python integers for primes where
+    the products overflow int64.
+    """
     sigma = len(e_rows[0]) if e_rows else 0
     dt = modmat._dtype_for(p, sigma)
-    if dt is not None:
-        mat = _np.asarray(dense, dtype=dt).reshape(sigma, sigma)
-        cur = _np.asarray(e_rows, dtype=dt) % p
-        blocks = [cur]
-        for _ in range(delta):
-            cur = (cur @ mat) % p
-            blocks.append(cur)
-        return _np.vstack(blocks).astype(_np.int64)
-    blocks = []
-    cur = [row[:] for row in e_rows]
-    for d in range(delta + 1):
-        blocks.extend(cur)
-        if d < delta:
-            cur = modmat.mat_mul(cur, dense, p)
-    return blocks
+    mat = _np.asarray(dense, dtype=dt).reshape(sigma, sigma)
+    cur = _np.asarray(e_rows, dtype=dt) % p
+    blocks = [cur]
+    for _ in range(delta):
+        cur = (cur @ mat) % p
+        blocks.append(cur)
+    stacked = _np.vstack(blocks)
+    return stacked if dt is object else stacked.astype(_np.int64)
 
 
 def _priority_pairs(shift: list[int], m: int, delta: int) -> list[tuple[int, int]]:
@@ -54,10 +51,6 @@ def _priority_pairs(shift: list[int], m: int, delta: int) -> list[tuple[int, int
         ((c, d) for d in range(delta + 1) for c in range(m)),
         key=lambda cd: (shift[cd[0]] + cd[1], cd[0]),
     )
-
-
-def _as_list(row) -> list[int]:
-    return row.tolist() if hasattr(row, "tolist") else row[:]
 
 
 def striped_krylov(
@@ -70,7 +63,7 @@ def striped_krylov(
     """Dense stack of E, E*M, ..., E*M^delta with priority-permuted rows."""
     m = len(e_rows)
     stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)
-    return [_as_list(stacked[d * m + c]) for c, d in _priority_pairs(shift, m, delta)]
+    return [stacked[d * m + c].tolist() for c, d in _priority_pairs(shift, m, delta)]
 
 
 def oracle_popov(
@@ -92,8 +85,8 @@ def oracle_popov(
     mindeg = [0] * m
     for c, d in decoded:
         mindeg[c] = max(mindeg[c], d + 1)
-    pivot_rows = [_as_list(kry[i]) for i in kept]
-    targets = [_as_list(stacked[mindeg[c] * m + c]) for c in range(m)]
+    pivot_rows = [kry[i].tolist() for i in kept]
+    targets = [stacked[mindeg[c] * m + c].tolist() for c in range(m)]
     _, cols = modmat.col_rank_profile(pivot_rows, field.p)
     c_mat = [[row[j] for j in cols] for row in pivot_rows]
     d_mat = [[row[j] for j in cols] for row in targets]

@@ -267,6 +267,22 @@ def test_check_missing_companion_flags_is_usage_error(tmp_path):
     assert main(["check", "--equiv", "--matrix", str(out), "--evals", str(GOLDEN)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["--interpolant", "--equiv"])
+def test_check_rejects_jordan_file_of_another_prime(tmp_path, capsys, mode):
+    basis = tmp_path / "basis.txt"
+    assert main(["interp", "--algo", "lin", "--evals", str(GOLDEN), "-o", str(basis)]) == 0
+    jfile = tmp_path / "j7.txt"
+    jfile.write_text("field p=7\njordan 1\n0 3\n")
+    capsys.readouterr()
+    args = ["check", mode, "--matrix", str(basis), "--evals", str(GOLDEN), "--jordan", str(jfile)]
+    if mode == "--equiv":
+        args += ["--matrix2", str(basis)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: input files disagree on the field prime\n"
+    assert captured.out == ""
+
+
 def test_dnc_with_dense_mulmat_is_usage_error(tmp_path):
     f = tmp_path / "inst.txt"
     f.write_text("field p=97\nmat 1 2\n1 2\nmat 2 2\n0 1\n0 0\n")

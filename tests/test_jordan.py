@@ -104,15 +104,32 @@ def test_act_iterated_matches_dense_power():
 
 def test_act_power_matches_repeated_act():
     rng = random.Random(3)
-    for _ in range(15):
-        rep, _ = jordan.normalize(F97, rand_rep(rng, F97, 9))
-        n = rep.order
-        e = [[rng.randrange(97) for _ in range(n)]]
-        for power in (0, 1, 2, 3, 5, 8, 16):
-            expected = [r[:] for r in e]
-            for _ in range(power):
-                expected = jordan.act(expected, rep)
-            assert jordan.act_power(e, rep, power) == expected
+    # int64 columns at 97, object columns of Python integers at 61/62-bit primes
+    for field in (F97, PrimeField((1 << 61) - 1), PrimeField(4611686018427322369)):
+        for _ in range(15):
+            rep, _ = jordan.normalize(field, rand_rep(rng, field, 9))
+            n = rep.order
+            e = [[rng.randrange(field.p) for _ in range(n)] for _ in range(rng.randrange(1, 6))]
+            for power in (0, 1, 2, 3, 5, 8, 16):
+                expected = [r[:] for r in e]
+                for _ in range(power):
+                    expected = jordan.act(expected, rep)
+                assert jordan.act_power(e, rep, power) == expected
+    # 64 rows x 256 columns: blocks of many sizes, nilpotent and not, and powers
+    # below and above the largest block size
+    f = PrimeField(65537)
+    pairs = [(0, 40), (5, 30), (5, 2), (7, 64), (9, 1)] + [(x, 1) for x in range(10, 129)]
+    rep, _ = jordan.normalize(f, pairs)
+    assert rep.order == 256
+    e = [[rng.randrange(f.p) for _ in range(256)] for _ in range(64)]
+    expected = [r[:] for r in e]
+    done = 0
+    for power in (1, 3, 37, 100):
+        for _ in range(power - done):
+            expected = jordan.act(expected, rep)
+        done = power
+        assert jordan.act_power(e, rep, power) == expected
+    assert jordan.act_power([], rep, 3) == []
 
 
 def test_minpoly_degree():

@@ -267,8 +267,9 @@ def test_lin_interp_basis_shift_translation_invariance():
         assert b1 == b2
 
 
-def test_lin_interp_basis_large_prime_python_fallback():
-    # a 61-bit prime forces the pure-Python scalar kernels end to end
+def test_lin_interp_basis_large_prime_object_kernel():
+    # a 61-bit prime runs the scalar kernels on object arrays of Python
+    # integers end to end
     big = PrimeField((1 << 61) - 1)
     rng = random.Random(6)
     j, _ = jordan.normalize(big, [(rng.randrange(big.p), 2), (rng.randrange(big.p), 2)])

@@ -1,18 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 
 from mibasis import modmat
 
 
-def rank_profile_reference(mat, p):
-    # independent O(n^3) elimination without any vectorization tricks
-    rows = [r[:] for r in mat]
-    pivots = []
-    indices = []
-    for idx, row in enumerate(rows):
+P61 = (1 << 61) - 1
+P62 = 4611686018427322369  # 2**62 - 65535, next to the library's bound of 2**62
+P30 = 998244353  # int64 products for inner dimensions up to 9, object beyond
+P26 = 67108859  # float64 products for inner dimensions up to 2, int64 beyond
+
+
+def rref_reference(mat, p):
+    # independent row-by-row Gauss-Jordan on Python integers, no vectorization
+    reduced = []
+    pivcols = []
+    pivrows = []
+    for idx, row in enumerate(mat):
         v = [x % p for x in row]
-        for w, j in pivots:
+        for w, j in zip(reduced, pivcols):
             f = v[j]
             if f:
                 v = [(a - f * b) % p for a, b in zip(v, w)]
@@ -20,9 +27,27 @@ def rank_profile_reference(mat, p):
         if j < 0:
             continue
         inv = pow(v[j], p - 2, p)
-        pivots.append(([x * inv % p for x in v], j))
-        indices.append(idx)
-    return len(indices), indices
+        v = [x * inv % p for x in v]
+        reduced = [[(a - w[j] * b) % p for a, b in zip(w, v)] for w in reduced]
+        reduced.append(v)
+        pivcols.append(j)
+        pivrows.append(idx)
+    return pivrows, pivcols, reduced
+
+
+def rank_profile_reference(mat, p):
+    pivrows, _, _ = rref_reference(mat, p)
+    return len(pivrows), pivrows
+
+
+def random_matrix(rng, p, rows, cols, small):
+    # small entries make dependent rows likely; full-range ones get planted
+    hi = min(p, 5) if small else p
+    mat = [[rng.randrange(hi) for _ in range(cols)] for _ in range(rows)]
+    for i in range(2, rows, 3):
+        a, b = rng.randrange(p), rng.randrange(p)
+        mat[i] = [(a * x + b * y) % p for x, y in zip(mat[i - 1], mat[i - 2])]
+    return mat
 
 
 def test_row_rank_profile_identity():
@@ -42,16 +67,28 @@ def test_col_rank_profile_by_hand():
     assert modmat.col_rank_profile([[0, 1, 1], [0, 1, 2]], 7) == (2, [1, 2])
 
 
-@pytest.mark.parametrize("p", [7, 97, 65537, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [7, 97, 65537, P30, P61, P62])
 def test_rank_profile_matches_reference(p):
+    # every dtype regime of the one elimination kernel: float64 (7, 97,
+    # 65537), int64 (P30 with min(rows, cols) <= 8), object (P30 beyond, P61,
+    # P62)
     rng = random.Random(p)
-    for _ in range(15):
-        rows = rng.randrange(1, 9)
-        cols = rng.randrange(1, 7)
-        mat = [
-            [rng.randrange(min(p, 5)) for _ in range(cols)] for _ in range(rows)
-        ]
+    for trial in range(30):
+        rows = rng.randrange(1, 13)
+        cols = rng.randrange(1, 13)
+        mat = random_matrix(rng, p, rows, cols, small=trial % 2 == 0)
+        assert modmat.rref(mat, p) == rref_reference(mat, p)
         assert modmat.row_rank_profile(mat, p) == rank_profile_reference(mat, p)
+    # more rows than one elimination block, at an object-dtype prime
+    if p > P30:
+        mat = random_matrix(rng, p, 60, 50, small=False)
+        assert len(rref_reference(mat, p)[0]) > modmat._BLOCK
+        assert modmat.rref(mat, p) == rref_reference(mat, p)
+
+
+def test_rank_profile_empty_matrix():
+    assert modmat.rref([], 7) == ([], [], [])
+    assert modmat.rref([[], []], P61) == ([], [], [])
 
 
 def test_large_blocked_path_agrees_with_reference():
@@ -61,32 +98,52 @@ def test_large_blocked_path_agrees_with_reference():
     for i in range(0, 200, 3):
         mat[i] = [(2 * x) % 97 for x in mat[(i + 57) % 200]]
     assert modmat.row_rank_profile(mat, 97) == rank_profile_reference(mat, 97)
+    assert modmat.rref(mat, 97) == rref_reference(mat, 97)
 
 
 def test_mat_mul_against_naive():
     rng = random.Random(12)
-    for p in (7, 65537, (1 << 61) - 1):
-        a = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
-        b = [[rng.randrange(p) for _ in range(4)] for _ in range(5)]
-        expected = [
-            [sum(a[i][k] * b[k][j] for k in range(5)) % p for j in range(4)]
-            for i in range(3)
-        ]
-        assert modmat.mat_mul(a, b, p) == expected
+    seen = set()
+    for p in (7, 65537, P26, P30, P61, P62):
+        for inner in range(1, 13):
+            a = [[rng.randrange(p) for _ in range(inner)] for _ in range(3)]
+            b = [[rng.randrange(p) for _ in range(4)] for _ in range(inner)]
+            expected = [
+                [sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(4)]
+                for i in range(3)
+            ]
+            assert modmat.mat_mul(a, b, p) == expected
+            seen.add(modmat._dtype_for(p, inner))
+    # the inner dimensions cross both bounds
+    assert seen == {np.float64, np.int64, object}
+
+
+def test_dtype_for_bounds():
+    # float64 while (p-1)^2 * inner < 2^53, int64 while < 2^63, object beyond
+    assert modmat._dtype_for(65537, (1 << 21) - 1) is np.float64
+    assert modmat._dtype_for(65537, 1 << 21) is np.int64
+    assert modmat._dtype_for(65537, (1 << 31) - 1) is np.int64
+    assert modmat._dtype_for(65537, 1 << 31) is object
+    # at p = 2 the worst sum equals the inner dimension: both bounds exactly
+    assert modmat._dtype_for(2, (1 << 53) - 1) is np.float64
+    assert modmat._dtype_for(2, 1 << 53) is np.int64
+    assert modmat._dtype_for(2, (1 << 63) - 1) is np.int64
+    assert modmat._dtype_for(2, 1 << 63) is object
+    assert modmat._dtype_for(P61, 1) is object
 
 
 def test_solve_right():
     rng = random.Random(13)
-    p = 97
-    for _ in range(20):
-        r = rng.randrange(1, 6)
-        while True:
-            c = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
-            if modmat.det(c, p) != 0:
-                break
-        x = [[rng.randrange(p) for _ in range(r)] for _ in range(4)]
-        d = modmat.mat_mul(x, c, p)
-        assert modmat.solve_right(c, d, p) == x
+    for p in (97, P61):
+        for _ in range(20):
+            r = rng.randrange(1, 6)
+            while True:
+                c = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+                if modmat.det(c, p) != 0:
+                    break
+            x = [[rng.randrange(p) for _ in range(r)] for _ in range(4)]
+            d = modmat.mat_mul(x, c, p)
+            assert modmat.solve_right(c, d, p) == x
 
 
 def test_solve_right_rejects_singular():
