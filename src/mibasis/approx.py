@@ -74,7 +74,7 @@ def _mbasis_uniform(f: PolyMatrix, order: int, shift) -> PolyMatrix:
             for pr, pc in pivots:
                 c = delta[i][pc]
                 if c:
-                    fct = c * pow(delta[pr][pc], p - 2, p) % p
+                    fct = c * pow(delta[pr][pc], -1, p) % p
                     delta[i] = [(a - fct * b) % p for a, b in zip(delta[i], delta[pr])]
                     basis.rows[i] = [
                         field.poly_sub(a, field.poly_scale(b, fct))

@@ -114,7 +114,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # -- polynomial basics -------------------------------------------------
 
@@ -348,7 +348,7 @@ class PrimeField:
             for i in range(1, p):
                 fact[i] = fact[i - 1] * i % p
             inv_fact = [1] * p
-            inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
+            inv_fact[p - 1] = pow(fact[p - 1], -1, p)
             for i in range(p - 1, 0, -1):
                 inv_fact[i - 1] = inv_fact[i] * i % p
             self._fact, self._inv_fact = fact, inv_fact
@@ -357,7 +357,7 @@ class PrimeField:
         for t in range(1, min(k, n - k) + 1):
             num = num * ((n - t + 1) % p) % p
             den = den * t % p
-        return num * pow(den, p - 2, p) % p
+        return num * pow(den, -1, p) % p
 
 
 class SubproductTree:

@@ -116,28 +116,30 @@ def act(e_rows: list[list[int]], j: JordanRep) -> list[list[int]]:
     return out
 
 
-def act_power(e_rows: list[list[int]], j: JordanRep, n: int) -> list[list[int]]:
+def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     """E * J^n via the binomial closed form of Jordan block powers.
 
-    Within a block of eigenvalue x and size s, column k of the result is
-    sum_t C(n, t) x^(n-t) times input column k-t.  Nilpotent blocks shift
-    their columns by n.  The other blocks are summed per shift t, all blocks
-    at once, with one weight per column, so that many small blocks cost one
-    numpy update per t.  The arrays are int64 while (p-1)^2 < 2^62, so that
-    p + (p-1)^2 fits, and object arrays of Python integers beyond.
+    E is a list of rows or an array, reduced mod p here; the result is an
+    array.  Within a block of eigenvalue x and size s, column k of the
+    result is sum_t C(n, t) x^(n-t) times input column k-t.  Nilpotent
+    blocks shift their columns by n.  The other blocks are summed per shift
+    t, all blocks at once, with one weight per column, so that many small
+    blocks cost one numpy update per t.  The arrays are int64 while
+    (p-1)^2 < 2^62, so that p + (p-1)^2 fits, and object arrays of Python
+    integers beyond.
     """
     if n < 0:
         raise ValueError("negative power")
-    if n == 0:
-        return [row[:] for row in e_rows]
-    if not e_rows:
-        return []
-    if len(e_rows[0]) != j.order:
-        raise ValueError("column count does not match the Jordan order")
     f = j.field
     p = f.p
     dt = _np.int64 if (p - 1) * (p - 1) < 1 << 62 else object
+    if not len(e_rows):
+        return _np.zeros((0, j.order), dtype=dt)
     arr = _np.asarray(e_rows, dtype=dt) % p
+    if arr.ndim != 2 or arr.shape[1] != j.order:
+        raise ValueError("column count does not match the Jordan order")
+    if n == 0:
+        return arr
     out = _np.zeros(arr.shape, dtype=dt)
     # weights[t][c]: the coefficient of input column c - t in output column c
     weights: dict[int, list[int]] = {}
@@ -154,7 +156,7 @@ def act_power(e_rows: list[list[int]], j: JordanRep, n: int) -> list[list[int]]:
         pos += s
     for t, w in weights.items():
         out[:, t:] = (out[:, t:] + arr[:, : j.order - t] * _np.asarray(w[t:], dtype=dt)) % p
-    return out.tolist()
+    return out
 
 
 def minpoly_degree(j: JordanRep) -> int:

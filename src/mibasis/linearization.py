@@ -10,11 +10,19 @@ interpolation basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
+
+The engine runs on numpy arrays from entry to exit.  E is converted once,
+reduced mod p, into the int64 (or object) words of `modmat`; a dense M is
+converted once, reduced mod p, into the dtype of its products.  The Krylov
+rows, the powers of M, the target rows and the linear system stay arrays;
+lists appear again only when the PolyMatrix is assembled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as _np
 
 from . import jordan as _jordan
 from . import modmat
@@ -56,7 +64,7 @@ class RankProfile:
     rank: int
     row_indices: list[int]
     decoded: list[tuple[int, int]]
-    pivot_rows: list[list[int]]
+    pivot_rows: _np.ndarray
     col_indices: list[int]
 
 
@@ -69,21 +77,34 @@ def _validate_delta(delta: int, sigma: int) -> None:
         raise ValueError("delta must be a power of two in {1, ..., max(2*sigma-1, 1)}")
 
 
-def _rows_times_power(rows, mulmat, step, field, pow_cache):
+def _operands(e_rows, mulmat, p: int):
+    """E reduced mod p in modmat's words; a dense M reduced mod p in the
+    dtype of its products (so that no product converts it again)."""
+    sigma = modmat._dims(e_rows)[1]
+    dt = modmat._dtype_for(p, sigma)
+    e = modmat.reduce(e_rows, p, modmat._words(dt)).reshape(len(e_rows), sigma)
+    if isinstance(mulmat, _jordan.JordanRep):
+        return e, mulmat
+    if len(mulmat) != sigma:
+        raise ValueError("multiplication matrix size mismatch")
+    return e, modmat.reduce(mulmat, p, dt)
+
+
+def _rows_times_power(rows, mulmat, step, p, pow_cache):
     if isinstance(mulmat, _jordan.JordanRep):
         return _jordan.act_power(rows, mulmat, step)
     mp = pow_cache["mat"]
     while pow_cache["exp"] < step:
-        mp = modmat.mat_mul(mp, mp, field.p)
+        mp = modmat.mat_mul(mp, mp, p)
         pow_cache["exp"] *= 2
         pow_cache["mat"] = mp
     if pow_cache["exp"] != step:
         raise AssertionError("power cache out of sync")
-    return modmat.mat_mul(rows, mp, field.p)
+    return modmat.mat_mul(rows, mp, p)
 
 
 def krylov_rank_profile(
-    e_rows: list[list[int]],
+    e_rows,
     mulmat,
     shift: list[int],
     delta: int,
@@ -94,48 +115,38 @@ def krylov_rank_profile(
     delta must be a power of two bounding the degree of the minimal
     polynomial of the multiplication matrix.  The doubling loop keeps at
     most 2*rank candidate rows per iteration; reported indices refer to the
-    degree-delta row ordering.
+    degree-delta row ordering.  E and a dense M are lists of rows, reduced
+    and converted here, or arrays already reduced mod p as lin_interp_basis
+    passes them.
     """
-    m = len(e_rows)
-    sigma = len(e_rows[0]) if m else 0
+    p = field.p
+    if isinstance(e_rows, _np.ndarray):
+        e = e_rows
+    else:
+        e, mulmat = _operands(e_rows, mulmat, p)
+    m, sigma = e.shape
     _validate_delta(delta, sigma)
     check_shift(shift, m)
-    p = field.p
 
     def key(cd):
         return (shift[cd[0]] + cd[1], cd[0])
 
     # degree-0 rows, processed in priority order
     base = sorted(range(m), key=lambda c: (shift[c], c))
-    rank, kept = modmat.row_rank_profile([e_rows[c] for c in base], p)
+    _, kept = modmat.row_rank_profile(e.take(base, 0), p)
     pairs = [(base[i], 0) for i in kept]
-    rows = [e_rows[c][:] for c, _ in pairs]
-
-    pow_cache = None
-    if not isinstance(mulmat, _jordan.JordanRep):
-        if len(mulmat) != sigma:
-            raise ValueError("multiplication matrix size mismatch")
-        pow_cache = {"mat": mulmat, "exp": 1}
+    rows = e.take([c for c, _ in pairs], 0)
+    pow_cache = {"mat": mulmat, "exp": 1}
 
     step = 1
     while step < delta and pairs:
-        new_pairs = [(c, d + step) for c, d in pairs]
-        new_rows = _rows_times_power(rows, mulmat, step, field, pow_cache)
-        merged_pairs: list[tuple[int, int]] = []
-        merged_rows: list[list[int]] = []
-        i = j = 0
-        while i < len(pairs) or j < len(new_pairs):
-            if j >= len(new_pairs) or (i < len(pairs) and key(pairs[i]) < key(new_pairs[j])):
-                merged_pairs.append(pairs[i])
-                merged_rows.append(rows[i])
-                i += 1
-            else:
-                merged_pairs.append(new_pairs[j])
-                merged_rows.append(new_rows[j])
-                j += 1
-        rank, kept = modmat.row_rank_profile(merged_rows, p)
-        pairs = [merged_pairs[i] for i in kept]
-        rows = [merged_rows[i] for i in kept]
+        new_rows = _rows_times_power(rows, mulmat, step, p, pow_cache)
+        merged = pairs + [(c, d + step) for c, d in pairs]
+        order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
+        stack = _np.concatenate([rows, new_rows]).take(order, 0)
+        _, kept = modmat.row_rank_profile(stack, p)
+        pairs = [merged[order[i]] for i in kept]
+        rows = stack.take(kept, 0)
         step *= 2
 
     prio = build_priority(shift, m, delta)
@@ -153,21 +164,21 @@ def minimal_degree(profile: RankProfile, m: int) -> list[int]:
     return out
 
 
-def _target_rows(e_rows, mulmat, mindeg, field):
+def _target_rows(e, mulmat, mindeg, p):
+    """Row c of E*M^mindeg[c], for every c, as one array."""
+    targets = e.copy()
     if isinstance(mulmat, _jordan.JordanRep):
-        return [
-            _jordan.act_power([e_rows[c]], mulmat, mindeg[c])[0]
-            for c in range(len(e_rows))
-        ]
-    targets = [None] * len(e_rows)
-    cur = [row[:] for row in e_rows]
+        for d in sorted(set(mindeg)):
+            cs = [c for c, dc in enumerate(mindeg) if dc == d]
+            targets[cs] = _jordan.act_power(e.take(cs, 0), mulmat, d)
+        return targets
+    cur = e
     top = max(mindeg) if mindeg else 0
-    for d in range(top + 1):
+    for d in range(1, top + 1):
+        cur = modmat.mat_mul(cur, mulmat, p)
         for c, dc in enumerate(mindeg):
             if dc == d:
-                targets[c] = cur[c][:]
-        if d < top:
-            cur = modmat.mat_mul(cur, mulmat, field.p)
+                targets[c] = cur[c]
     return targets
 
 
@@ -185,7 +196,7 @@ def _assemble_popov(field, m, mindeg, decoded, relation):
 
 
 def lin_interp_basis(
-    e_rows: list[list[int]],
+    e_rows,
     mulmat,
     shift: list[int],
     delta: int,
@@ -199,13 +210,13 @@ def lin_interp_basis(
     """
     if isinstance(mulmat, _jordan.JordanRep) and mulmat.field != field:
         raise ValueError("field does not match the Jordan matrix")
-    m = len(e_rows)
-    profile = krylov_rank_profile(e_rows, mulmat, shift, delta, field)
+    p = field.p
+    e, mulmat = _operands(e_rows, mulmat, p)
+    m = len(e)
+    profile = krylov_rank_profile(e, mulmat, shift, delta, field)
     mindeg = minimal_degree(profile, m)
-    targets = _target_rows(e_rows, mulmat, mindeg, field)
+    targets = _target_rows(e, mulmat, mindeg, p)
     cols = profile.col_indices
-    c_mat = [[row[j] for j in cols] for row in profile.pivot_rows]
-    d_mat = [[row[j] for j in cols] for row in targets]
-    relation = modmat.solve_right(c_mat, d_mat, field.p)
-    basis = _assemble_popov(field, m, mindeg, profile.decoded, relation)
+    relation = modmat.solve_right(profile.pivot_rows.take(cols, 1), targets.take(cols, 1), p)
+    basis = _assemble_popov(field, m, mindeg, profile.decoded, relation.tolist())
     return basis, mindeg

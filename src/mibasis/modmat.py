@@ -1,9 +1,13 @@
 """Dense scalar linear algebra modulo a prime.
 
-Matrices are lists of equal-length rows of ints in [0, p).  Elimination
-and multiplication run in numpy, in float64 or int64 words when every sum
-of products fits them, and otherwise in object arrays of Python integers,
-which are exact for any modulus below 2**62.
+Matrices come in as lists of equal-length rows or as numpy arrays, and
+`rref`, `mat_mul` and `solve_right` return numpy arrays with entries in
+[0, p): int64 arrays, or object arrays of Python integers when sums of
+products mod p overflow int64 words.  Products run in float64 words when
+every sum of products fits their 53 bits, then in int64 words, and
+otherwise in object arrays, which are exact for any modulus below 2**62.
+Remainders of float64 products are taken in int64, where `%` is several
+times cheaper.
 """
 
 from __future__ import annotations
@@ -25,31 +29,41 @@ def _dtype_for(p: int, inner: int):
     return object
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
+def _words(dt):
+    """The dtype of reduced entries next to products computed in dt."""
+    return object if dt is object else _np.int64
+
+
+def reduce(mat, p: int, dt) -> _np.ndarray:
+    """mat mod p as an array of dtype dt.
+
+    Exact for any integer entries that fit int64 words, and for any Python
+    integers when dt is object; larger entries raise OverflowError.
+    """
+    return (_np.asarray(mat, dtype=_words(dt)) % p).astype(dt, copy=False)
+
+
+def _dims(mat) -> tuple[int, int]:
+    if isinstance(mat, _np.ndarray):
+        return mat.shape if mat.ndim == 2 else (len(mat), 0)
+    return len(mat), (len(mat[0]) if len(mat) else 0)
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(mat: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*mat)] if mat else []
-
-
-def mat_mul(a, b, p: int) -> list[list[int]]:
-    """Exact product of two matrices over Z/pZ."""
-    ra = len(a)
-    ca = len(a[0]) if ra else 0
-    if ca != len(b):
+def mat_mul(a, b, p: int) -> _np.ndarray:
+    """Exact product over Z/pZ of two matrices with entries in [0, p)."""
+    ra, ca = _dims(a)
+    rb, cb = _dims(b)
+    if ca != rb:
         raise ValueError("matrix dimension mismatch in mat_mul")
-    cb = len(b[0]) if len(b) else 0
-    if ra == 0 or cb == 0:
-        return zeros(ra, cb)
     dt = _dtype_for(p, ca)
-    A = _np.asarray(a, dtype=dt)
-    B = _np.asarray(b, dtype=dt)
-    return ((A @ B) % p).astype(_np.int64).tolist()
+    if ra == 0 or cb == 0:
+        return _np.zeros((ra, cb), dtype=_words(dt))
+    prod = _np.asarray(a, dtype=dt) @ _np.asarray(b, dtype=dt)
+    return prod.astype(_words(dt), copy=False) % p
 
 
 def rref(mat, p: int):
@@ -57,56 +71,72 @@ def rref(mat, p: int):
 
     Processes the rows top to bottom without swapping them, so the selected
     pivot rows form the (lexicographically first) row rank profile.  Returns
-    (pivot_row_indices, pivot_cols, reduced_rows) with each reduced row unit
-    at its own pivot column and zero at every other pivot column.
+    (pivot_row_indices, pivot_cols, reduced_rows), the last an array whose
+    rows are unit at their own pivot column and zero at every other one.
 
-    The elimination is blocked: one pre-reduction and one update product per
-    block of rows.  The reduced rows R stay fully reduced; new pivots found
-    inside a block are folded into R with a single product once the block is
-    finished.
+    The elimination is blocked.  The reduced rows R found so far stay fully
+    reduced, and each block of rows is pre-reduced against them with one
+    product.  Inside a block the new pivot rows H are kept in echelon form
+    only: zero at the block's earlier pivot columns.  Their entries at the
+    block's pivot columns form an upper-triangular matrix T, and G holds
+    the inverse of T in the rows of those columns (zero elsewhere), so that
+    H G = I.  An incoming row v is reduced by c = v G and v - c H: a pivot
+    costs products of one row, not an update of the whole block.  A new
+    pivot row h, of pivot column j, adds the column (e_j - G H[:, j]) / h_j
+    to G.  At the end of the block, T^-1 H are its fully reduced rows, and
+    one product folds them into R.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    if not ncols:
-        return [], [], []
+    nrows, ncols = _dims(mat)
+    if not nrows or not ncols:
+        return [], [], _np.zeros((0, ncols), dtype=_np.int64)
     dt = _dtype_for(p, min(nrows, ncols) + 1)
-    A = _np.asarray(mat, dtype=dt) % p
-    R = _np.zeros((0, ncols), dtype=dt)
+    wd = _words(dt)
+    A = _np.asarray(mat, dtype=wd)
+    kmax = min(_BLOCK, nrows, ncols)
+    R = _np.zeros((min(nrows, ncols), ncols), dtype=dt)
+    H = _np.zeros((kmax, ncols), dtype=dt)
+    G = _np.zeros((ncols, kmax), dtype=dt)
     pivcols: list[int] = []
     pivrows: list[int] = []
     i = 0
     while i < nrows and len(pivcols) < ncols:
-        blk = A[i : i + _BLOCK].copy()
-        if pivcols:
-            blk = (blk - blk[:, pivcols] @ R) % p
-        loc_cols: list[int] = []
-        loc = None
+        r = len(pivcols)
+        blk = A[i : i + _BLOCK] % p
+        if r:
+            blk = (blk - blk[:, pivcols] @ R[:r]).astype(wd, copy=False) % p
+        loc: list[int] = []
         for bi in range(blk.shape[0]):
+            k = len(loc)
             v = blk[bi]
-            if loc_cols:
-                v = (v - v[loc_cols] @ loc) % p
-            nz = _np.nonzero(v)[0]
+            if k:
+                g = G[:, :k]
+                h = H[:k]
+                c = (v @ g).astype(wd, copy=False) % p
+                v = (v - c @ h).astype(wd, copy=False) % p
+            nz = v.nonzero()[0]
             if nz.size == 0:
                 continue
             j = int(nz[0])
             inv = pow(int(v[j]), -1, p)
-            v = (v * inv) % p
-            if loc_cols:
-                loc = (loc - _np.outer(loc[:, j], v)) % p
-                loc = _np.vstack([loc, v])
+            if k:
+                G[:, k] = (g @ h[:, j]).astype(wd, copy=False) % p * (p - inv) % p
             else:
-                loc = v.reshape(1, -1)
-            loc_cols.append(j)
+                G[:, 0] = 0
+            G[j, k] = inv
+            H[k] = v
+            loc.append(j)
             pivrows.append(i + bi)
-            if len(pivcols) + len(loc_cols) == ncols:
+            if r + k + 1 == ncols:
                 break
-        if loc_cols:
-            if len(pivcols):
-                R = (R - R[:, loc_cols] @ loc) % p
-            R = _np.vstack([R, loc])
-            pivcols.extend(loc_cols)
+        if loc:
+            k = len(loc)
+            red = (G.take(loc, 0)[:, :k] @ H[:k]).astype(wd, copy=False) % p
+            if r:
+                R[:r] = (R[:r] - R[:r, loc] @ red).astype(wd, copy=False) % p
+            R[r : r + k] = red
+            pivcols.extend(loc)
         i += _BLOCK
-    return pivrows, pivcols, R.astype(_np.int64).tolist()
+    return pivrows, pivcols, R[: len(pivcols)].astype(wd, copy=False)
 
 
 def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:
@@ -117,22 +147,19 @@ def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:
 
 def col_rank_profile(mat, p: int) -> tuple[int, list[int]]:
     """Rank and indices of the first maximal independent set of columns."""
-    return row_rank_profile(transpose(mat), p)
+    return row_rank_profile(_np.asarray(mat).T, p)
 
 
-def solve_right(c, d, p: int) -> list[list[int]]:
+def solve_right(c, d, p: int) -> _np.ndarray:
     """Solve X*C = D for X, with C square invertible over Z/pZ."""
     r = len(c)
     if r == 0:
-        return [[] for _ in range(len(d))]
-    aug = [list(crow) + list(drow) for crow, drow in zip(transpose(c), transpose(d))]
+        return _np.zeros((len(d), 0), dtype=_np.int64)
+    aug = _np.concatenate([_np.asarray(c), _np.asarray(d).reshape(-1, r)]).T
     _, pivcols, R = rref(aug, p)
     if len(pivcols) < r or any(j >= r for j in pivcols):
         raise ValueError("singular matrix in solve_right")
-    xt = [None] * r
-    for j, row in zip(pivcols, R):
-        xt[j] = row[r:]
-    return transpose(xt)
+    return R[_np.argsort(pivcols), r:].T
 
 
 def det(mat, p: int) -> int:

@@ -35,8 +35,8 @@ def _striped_rows(e_rows, dense, delta: int, p: int):
     """
     sigma = len(e_rows[0]) if e_rows else 0
     dt = modmat._dtype_for(p, sigma)
-    mat = _np.asarray(dense, dtype=dt).reshape(sigma, sigma)
-    cur = _np.asarray(e_rows, dtype=dt) % p
+    mat = modmat.reduce(dense, p, dt).reshape(sigma, sigma)
+    cur = modmat.reduce(e_rows, p, dt)
     blocks = [cur]
     for _ in range(delta):
         cur = (cur @ mat) % p
@@ -79,18 +79,16 @@ def oracle_popov(
     delta = max(sigma, 1)
     pairs = _priority_pairs(shift, m, delta)
     stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)
-    kry = [stacked[d * m + c] for c, d in pairs]
+    kry = stacked[[d * m + c for c, d in pairs]]
     _, kept = modmat.row_rank_profile(kry, field.p)
     decoded = [pairs[i] for i in kept]
     mindeg = [0] * m
     for c, d in decoded:
         mindeg[c] = max(mindeg[c], d + 1)
-    pivot_rows = [kry[i].tolist() for i in kept]
-    targets = [stacked[mindeg[c] * m + c].tolist() for c in range(m)]
+    pivot_rows = kry[kept]
+    targets = stacked[[mindeg[c] * m + c for c in range(m)]]
     _, cols = modmat.col_rank_profile(pivot_rows, field.p)
-    c_mat = [[row[j] for j in cols] for row in pivot_rows]
-    d_mat = [[row[j] for j in cols] for row in targets]
-    relation = modmat.solve_right(c_mat, d_mat, field.p)
+    relation = modmat.solve_right(pivot_rows[:, cols], targets[:, cols], field.p).tolist()
     # row c: X^mindeg[c] e_c minus the profile monomials X^d e_k it relates to
     rows = []
     for c in range(m):
@@ -111,24 +109,21 @@ def naive_residual(mulmat, pmat: PolyMatrix, e_rows: list[list[int]]) -> list[li
         raise ValueError("dimension mismatch in naive_residual")
     sigma = len(e_rows[0]) if m else 0
     top = pmat.degree()
-    out = [[0] * sigma for _ in range(pmat.nrows)]
     if top == MINUS_INF:
-        return out
-    cur = [row[:] for row in e_rows]
+        return [[0] * sigma for _ in range(pmat.nrows)]
+    out = None
+    cur = e_rows
     dense = None if isinstance(mulmat, _jordan.JordanRep) else mulmat
     for d in range(int(top) + 1):
         coeff = [[e[d] if d < len(e) else 0 for e in row] for row in pmat.rows]
         term = modmat.mat_mul(coeff, cur, p)
-        out = [
-            [(a + b) % p for a, b in zip(ra, rb)]
-            for ra, rb in zip(out, term)
-        ]
+        out = term if out is None else (out + term) % p
         if d < top:
             if dense is None:
                 cur = _jordan.act(cur, mulmat)
             else:
                 cur = modmat.mat_mul(cur, dense, p)
-    return out
+    return out.tolist()
 
 
 def _content(field: PrimeField, polys: list[list[int]]) -> list[int]:

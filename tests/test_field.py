@@ -252,3 +252,19 @@ def test_binomial_lucas():
     from math import comb
 
     assert big.binomial(10**6, 3) == comb(10**6, 3) % ((1 << 61) - 1)
+    # n < p: one inversion of the denominator product per binomial
+    for n in range(64):
+        for k in range(n + 1):
+            assert big.binomial(n, k) == comb(n, k) % big.p
+
+
+@pytest.mark.parametrize("p", [65537, (1 << 61) - 1, 4611686018427322369])
+def test_inv_round_trip(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for a in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(50)]:
+        assert field.inv(a) * a % p == 1
+        assert field.inv(a + 3 * p) == field.inv(a)
+    for zero in (0, p):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mibasis.field import PrimeField
@@ -99,7 +100,7 @@ def test_act_iterated_matches_dense_power():
         for d in range(5):
             cur = jordan.act(cur, rep)
             dcur = modmat.mat_mul(dcur, dense, 7)
-            assert cur == dcur
+            assert cur == dcur.tolist()
 
 
 def test_act_power_matches_repeated_act():
@@ -114,7 +115,8 @@ def test_act_power_matches_repeated_act():
                 expected = [r[:] for r in e]
                 for _ in range(power):
                     expected = jordan.act(expected, rep)
-                assert jordan.act_power(e, rep, power) == expected
+                assert jordan.act_power(e, rep, power).tolist() == expected
+                assert jordan.act_power(np.array(e, dtype=object), rep, power).tolist() == expected
     # 64 rows x 256 columns: blocks of many sizes, nilpotent and not, and powers
     # below and above the largest block size
     f = PrimeField(65537)
@@ -128,8 +130,8 @@ def test_act_power_matches_repeated_act():
         for _ in range(power - done):
             expected = jordan.act(expected, rep)
         done = power
-        assert jordan.act_power(e, rep, power) == expected
-    assert jordan.act_power([], rep, 3) == []
+        assert jordan.act_power(e, rep, power).tolist() == expected
+    assert jordan.act_power([], rep, 3).shape == (0, 256)
 
 
 def test_minpoly_degree():

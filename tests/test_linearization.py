@@ -292,3 +292,19 @@ def test_lin_interp_basis_wide_matrix():
     assert polymat.is_popov(basis, [0, 0, 0])
     res = oracle.naive_residual(j, basis, e)
     assert all(not any(row) for row in res)
+
+
+def test_lin_interp_basis_reduces_unreduced_dense_input():
+    # entries x + k*p far beyond 2^53 after one product: the result must be
+    # the basis of the reduced input, since the Popov form is unique
+    field = PrimeField(65537)
+    rng = random.Random(9)
+    e = [[rng.randrange(field.p) for _ in range(12)] for _ in range(3)]
+    dense = [[rng.randrange(field.p) for _ in range(12)] for _ in range(12)]
+
+    def lift(rows):
+        return [[x + rng.randrange(10**9) * field.p for x in row] for row in rows]
+
+    expected = lin.lin_interp_basis(e, dense, [0, 1, 2], 16, field)
+    assert lin.lin_interp_basis(lift(e), lift(dense), [0, 1, 2], 16, field) == expected
+

@@ -35,6 +35,11 @@ def rref_reference(mat, p):
     return pivrows, pivcols, reduced
 
 
+def rref_lists(mat, p):
+    pivrows, pivcols, reduced = modmat.rref(mat, p)
+    return pivrows, pivcols, reduced.tolist()
+
+
 def rank_profile_reference(mat, p):
     pivrows, _, _ = rref_reference(mat, p)
     return len(pivrows), pivrows
@@ -60,35 +65,45 @@ def test_row_rank_profile_by_hand():
 
 
 def test_row_rank_profile_zero_matrix():
-    assert modmat.row_rank_profile(modmat.zeros(3, 4), 7) == (0, [])
+    assert modmat.row_rank_profile([[0] * 4 for _ in range(3)], 7) == (0, [])
 
 
 def test_col_rank_profile_by_hand():
     assert modmat.col_rank_profile([[0, 1, 1], [0, 1, 2]], 7) == (2, [1, 2])
 
 
-@pytest.mark.parametrize("p", [7, 97, 65537, P30, P61, P62])
+@pytest.mark.parametrize("p", [7, 97, 65537, P26, P30, P61, P62])
 def test_rank_profile_matches_reference(p):
     # every dtype regime of the one elimination kernel: float64 (7, 97,
-    # 65537), int64 (P30 with min(rows, cols) <= 8), object (P30 beyond, P61,
-    # P62)
+    # 65537, P26 with min(rows, cols) <= 1), int64 (P26 beyond, P30 with
+    # min(rows, cols) <= 8), object (P30 beyond, P61, P62)
     rng = random.Random(p)
     for trial in range(30):
         rows = rng.randrange(1, 13)
         cols = rng.randrange(1, 13)
         mat = random_matrix(rng, p, rows, cols, small=trial % 2 == 0)
-        assert modmat.rref(mat, p) == rref_reference(mat, p)
+        expected = rref_reference(mat, p)
+        assert rref_lists(mat, p) == expected
+        # an array gives the same result as the list of its rows
+        assert rref_lists(np.array(mat, dtype=object), p) == expected
         assert modmat.row_rank_profile(mat, p) == rank_profile_reference(mat, p)
-    # more rows than one elimination block, at an object-dtype prime
-    if p > P30:
-        mat = random_matrix(rng, p, 60, 50, small=False)
-        assert len(rref_reference(mat, p)[0]) > modmat._BLOCK
-        assert modmat.rref(mat, p) == rref_reference(mat, p)
+    # more rows than one elimination block: 7, 97 and 65537 run float64
+    # words, P26 int64 and the others object.  Besides the planted rows of
+    # random_matrix, rows 40 and 45 depend on a row of the first block and
+    # on pivot rows found earlier in their own block.
+    mat = random_matrix(rng, p, 60, 50, small=False)
+    for i, (a, b) in ((40, (7, 36)), (45, (20, 43))):
+        mat[i] = [(x + 3 * y) % p for x, y in zip(mat[a], mat[b])]
+    expected = rref_reference(mat, p)
+    assert len(expected[0]) > modmat._BLOCK
+    assert 40 not in expected[0] and 45 not in expected[0]
+    assert rref_lists(mat, p) == expected
+    assert rref_lists(np.array(mat, dtype=object), p) == expected
 
 
 def test_rank_profile_empty_matrix():
-    assert modmat.rref([], 7) == ([], [], [])
-    assert modmat.rref([[], []], P61) == ([], [], [])
+    assert rref_lists([], 7) == ([], [], [])
+    assert rref_lists([[], []], P61) == ([], [], [])
 
 
 def test_large_blocked_path_agrees_with_reference():
@@ -98,7 +113,7 @@ def test_large_blocked_path_agrees_with_reference():
     for i in range(0, 200, 3):
         mat[i] = [(2 * x) % 97 for x in mat[(i + 57) % 200]]
     assert modmat.row_rank_profile(mat, 97) == rank_profile_reference(mat, 97)
-    assert modmat.rref(mat, 97) == rref_reference(mat, 97)
+    assert rref_lists(mat, 97) == rref_reference(mat, 97)
 
 
 def test_mat_mul_against_naive():
@@ -112,7 +127,7 @@ def test_mat_mul_against_naive():
                 [sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(4)]
                 for i in range(3)
             ]
-            assert modmat.mat_mul(a, b, p) == expected
+            assert modmat.mat_mul(a, b, p).tolist() == expected
             seen.add(modmat._dtype_for(p, inner))
     # the inner dimensions cross both bounds
     assert seen == {np.float64, np.int64, object}
@@ -143,7 +158,7 @@ def test_solve_right():
                     break
             x = [[rng.randrange(p) for _ in range(r)] for _ in range(4)]
             d = modmat.mat_mul(x, c, p)
-            assert modmat.solve_right(c, d, p) == x
+            assert modmat.solve_right(c, d, p).tolist() == x
 
 
 def test_solve_right_rejects_singular():

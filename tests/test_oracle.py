@@ -119,6 +119,21 @@ def test_sigma_zero_gives_identity_on_every_engine():
             assert oracle.oracle_popov(e, [], s, field) == (ident, [0, 0])
 
 
+def test_oracle_popov_reduces_unreduced_dense_input():
+    # entries x + k*p far beyond 2^53 after one product: the result must be
+    # the basis of the reduced input, since the Popov form is unique
+    field = PrimeField(65537)
+    rng = random.Random(9)
+    e = [[rng.randrange(field.p) for _ in range(12)] for _ in range(3)]
+    dense = [[rng.randrange(field.p) for _ in range(12)] for _ in range(12)]
+
+    def lift(rows):
+        return [[x + rng.randrange(10**9) * field.p for x in row] for row in rows]
+
+    expected = oracle.oracle_popov(e, dense, [0, 1, 2], field)
+    assert oracle.oracle_popov(lift(e), lift(dense), [0, 1, 2], field) == expected
+
+
 def test_oracle_popov_fixed_point():
     basis, _ = oracle.oracle_popov(EVALS, nilpotent3(), [0, 0, 0], F97)
     again, _ = oracle.oracle_popov(EVALS, nilpotent3(), [0, 0, 0], F97)

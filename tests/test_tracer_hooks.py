@@ -3,10 +3,12 @@
 perfbench/tracer.py wraps mibasis functions by name (its LAYERS table, three
 PrimeField methods and dnc.lin_interp_basis).  Installing it looks each name
 up, so deleting or renaming one of them fails here, in the fast suite,
-instead of only in the slow benchmark checks.
+instead of only in the slow benchmark checks.  A solve that bypasses a
+wrapped layer, for instance by an inlined product, fails here too.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -46,3 +48,25 @@ def test_tracer_installs_on_every_traced_name_and_restores_it():
         assert vars(mb.PrimeField)[meth] is orig
     for qual, orig in originals.items():
         assert lookup(qual) is orig
+
+
+def test_dense_lin_reaches_the_scalar_layers():
+    # dense lin must multiply and eliminate through modmat.mat_mul and
+    # modmat.rref, or the benchmark's scalar layers read zero on dense-lin
+    import random
+
+    tracer = load_tracer()
+    field = mb.PrimeField(65537)
+    rng = random.Random(4)
+    sigma = 40
+    e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(3)]
+    dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
+    tr = tracer.Tracer()
+    with tr.installed():
+        tr.recording = True
+        try:
+            mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field)
+        finally:
+            tr.recording = False
+    assert tr.stats["modmat.rref"].calls >= 1
+    assert tr.stats["modmat.mat_mul"].calls >= 1
