@@ -59,6 +59,31 @@ def _jordan_from(doc: Document, field: PrimeField, evals):
     return rep, [[row[c] for c in perm] for row in evals]
 
 
+def _mulmat_from(args, edoc: Document, field: PrimeField, evals):
+    """The multiplication matrix from --dense-mulmat, --jordan or the
+    evaluations document edoc, with the evaluation columns permuted along."""
+    if args.dense_mulmat:
+        mdoc = _load(args.dense_mulmat)
+        _same_prime(edoc, mdoc)
+        return mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0), evals
+    jdoc = _load(args.jordan) if args.jordan else edoc
+    if args.jordan:
+        _same_prime(edoc, jdoc)
+    return _jordan_from(jdoc, field, evals)
+
+
+def _krylov_delta(mulmat, sigma: int) -> int:
+    """Smallest power of two bounding the degree of M's minimal polynomial."""
+    if isinstance(mulmat, JordanRep):
+        bound = jordan.minpoly_degree(mulmat)
+    else:
+        bound = max(sigma, 1)
+    delta = 1
+    while delta < bound:
+        delta *= 2
+    return delta
+
+
 def _shift_from(args, doc: Document, m: int, skip: int = 0) -> list[int]:
     """Shift from --shift (first section) or the bundled document (index skip)."""
     if args.shift:
@@ -81,28 +106,13 @@ def _cmd_interp(args) -> int:
     evals = doc.first("mat")
     m = len(evals)
     shift = _shift_from(args, doc, m)
-    if args.dense_mulmat:
-        if args.algo == "dnc":
-            raise UsageError("--algo dnc requires a Jordan multiplication matrix")
-        mdoc = _load(args.dense_mulmat)
-        _same_prime(doc, mdoc)
-        mulmat = mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0)
-    else:
-        jdoc = _load(args.jordan) if args.jordan else doc
-        if args.jordan:
-            _same_prime(doc, jdoc)
-        mulmat, evals = _jordan_from(jdoc, field, evals)
-    sigma = len(evals[0]) if evals else 0
+    if args.dense_mulmat and args.algo == "dnc":
+        raise UsageError("--algo dnc requires a Jordan multiplication matrix")
+    mulmat, evals = _mulmat_from(args, doc, field, evals)
     if args.algo == "dnc":
         basis = interpolation_basis(evals, mulmat, shift, field)
     elif args.algo == "lin":
-        delta = 1
-        if isinstance(mulmat, JordanRep):
-            bound = jordan.minpoly_degree(mulmat)
-        else:
-            bound = max(sigma, 1)
-        while delta < bound:
-            delta *= 2
+        delta = _krylov_delta(mulmat, len(evals[0]) if evals else 0)
         basis, _ = lin_interp_basis(evals, mulmat, shift, delta, field)
     else:
         basis, _ = oracle.oracle_popov(evals, mulmat, shift, field)
@@ -254,16 +264,7 @@ def _cmd_check(args) -> int:
             raise UsageError("check --equiv requires --matrix2")
         edoc = _load(args.evals)
         _same_prime(doc, edoc)
-        evals = edoc.first("mat")
-        if args.dense_mulmat:
-            mdoc = _load(args.dense_mulmat)
-            _same_prime(doc, mdoc)
-            mulmat = mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0)
-        else:
-            jdoc = _load(args.jordan) if args.jordan else edoc
-            if args.jordan:
-                _same_prime(doc, jdoc)
-            mulmat, evals = _jordan_from(jdoc, field, evals)
+        mulmat, evals = _mulmat_from(args, edoc, field, edoc.first("mat"))
         if args.mode == "interpolant":
             res = oracle.naive_residual(mulmat, mat, evals)
             ok = all(not any(row) for row in res)
@@ -301,9 +302,7 @@ def _cmd_bench(args) -> int:
             if engine == "dnc":
                 interpolation_basis(inst.evals, inst.mulmat, shift, field)
             elif engine == "lin":
-                delta = 1
-                while delta < jordan.minpoly_degree(inst.mulmat):
-                    delta *= 2
+                delta = _krylov_delta(inst.mulmat, sigma)
                 lin_interp_basis(inst.evals, inst.mulmat, shift, delta, field)
             else:
                 oracle.oracle_popov(inst.evals, inst.mulmat, shift, field)

@@ -4,9 +4,11 @@ Interpolants of degree at most delta correspond to linear relations among
 the rows of a striped Krylov matrix (the stack of E, E*M, ..., E*M^delta),
 with rows permuted so that relations found among early rows have small
 shifted row degree.  The engine computes the row rank profile of that
-matrix by degree doubling, never materializing more than about 2*rank
-candidate rows, then solves one small linear system for the unique
-interpolation basis in shifted Popov form.
+matrix by degree doubling: the first elimination takes the 2m rows of E and
+E*M, each later one at most 2*rank rows, and delta = 1 is one elimination
+of E.  One product by M takes the last profile row of each column to its
+target row, and one linear solve, of the profile rows against the targets,
+gives the unique interpolation basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -30,33 +32,15 @@ from .field import PrimeField
 from .polymat import PolyMatrix, check_shift
 
 
-class PriorityPermutation:
-    """Row order of the striped Krylov matrix induced by a shift.
+def priority_index(shift: list[int], delta: int, c: int, d: int) -> int:
+    """Position of row c of E*M^d in the striped Krylov matrix of degree delta.
 
-    Pair (c, d) stands for row c of E*M^d.  Pairs are ranked by the priority
-    shift[c] + d, ties broken by ascending column index c; for a fixed c the
-    rank is strictly increasing in d.
+    Rows (k, d') with d' <= delta are ranked by the priority shift[k] + d',
+    ties broken by ascending k; for a fixed c the rank is strictly increasing
+    in d.  Each k contributes the number of its degrees ranked before (c, d).
     """
-
-    __slots__ = ("order", "_index")
-
-    def __init__(self, shift: list[int], m: int, max_degree: int):
-        check_shift(shift, m)
-        if max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
-        pairs = [(c, d) for d in range(max_degree + 1) for c in range(m)]
-        pairs.sort(key=lambda cd: (shift[cd[0]] + cd[1], cd[0]))
-        self.order = pairs
-        self._index = [[0] * (max_degree + 1) for _ in range(m)]
-        for i, (c, d) in enumerate(pairs):
-            self._index[c][d] = i
-
-    def index_of(self, c: int, d: int) -> int:
-        return self._index[c][d]
-
-
-def build_priority(shift: list[int], m: int, max_degree: int) -> PriorityPermutation:
-    return PriorityPermutation(shift, m, max_degree)
+    t = shift[c] + d
+    return sum(min(max(t - s + (k < c), 0), delta + 1) for k, s in enumerate(shift))
 
 
 @dataclass
@@ -65,7 +49,6 @@ class RankProfile:
     row_indices: list[int]
     decoded: list[tuple[int, int]]
     pivot_rows: _np.ndarray
-    col_indices: list[int]
 
 
 def _is_pow2(n: int) -> bool:
@@ -113,11 +96,16 @@ def krylov_rank_profile(
     """Row rank profile of the shifted striped Krylov matrix in degree delta.
 
     delta must be a power of two bounding the degree of the minimal
-    polynomial of the multiplication matrix.  The doubling loop keeps at
-    most 2*rank candidate rows per iteration; reported indices refer to the
-    degree-delta row ordering.  E and a dense M are lists of rows, reduced
-    and converted here, or arrays already reduced mod p as lin_interp_basis
-    passes them.
+    polynomial of the multiplication matrix.  The loop starts from all rows
+    of E in priority order; each doubling step merges the kept rows with
+    their images under M^step and eliminates once, so delta = 1 is one
+    elimination of E and delta > 1 takes log2(delta) eliminations, of at most
+    2m rows first and 2*rank afterwards.  A row that depends on earlier rows
+    in degree d still does in degree d + step, as the priority order is
+    compatible with multiplication by M, so dropped rows never change which
+    later rows are independent.  Reported indices refer to the degree-delta
+    row ordering.  E and a dense M are lists of rows, reduced and converted
+    here, or arrays already reduced mod p as lin_interp_basis passes them.
     """
     p = field.p
     if isinstance(e_rows, _np.ndarray):
@@ -131,28 +119,26 @@ def krylov_rank_profile(
     def key(cd):
         return (shift[cd[0]] + cd[1], cd[0])
 
-    # degree-0 rows, processed in priority order
-    base = sorted(range(m), key=lambda c: (shift[c], c))
-    _, kept = modmat.row_rank_profile(e.take(base, 0), p)
-    pairs = [(base[i], 0) for i in kept]
+    pairs = [(c, 0) for c in sorted(range(m), key=lambda c: (shift[c], c))]
     rows = e.take([c for c, _ in pairs], 0)
     pow_cache = {"mat": mulmat, "exp": 1}
-
     step = 1
-    while step < delta and pairs:
-        new_rows = _rows_times_power(rows, mulmat, step, p, pow_cache)
-        merged = pairs + [(c, d + step) for c, d in pairs]
-        order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
-        stack = _np.concatenate([rows, new_rows]).take(order, 0)
-        _, kept = modmat.row_rank_profile(stack, p)
-        pairs = [merged[order[i]] for i in kept]
-        rows = stack.take(kept, 0)
+    while True:
+        if step < delta:
+            new_rows = _rows_times_power(rows, mulmat, step, p, pow_cache)
+            merged = pairs + [(c, d + step) for c, d in pairs]
+            order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
+            pairs = [merged[i] for i in order]
+            rows = _np.concatenate([rows, new_rows]).take(order, 0)
+        _, kept = modmat.row_rank_profile(rows, p)
+        pairs = [pairs[i] for i in kept]
+        rows = rows.take(kept, 0)
         step *= 2
+        if step >= delta or not pairs:
+            break
 
-    prio = build_priority(shift, m, delta)
-    indices = [prio.index_of(c, d) for c, d in pairs]
-    _, col_idx = modmat.col_rank_profile(rows, p)
-    return RankProfile(len(pairs), indices, pairs, rows, col_idx)
+    indices = [priority_index(shift, delta, c, d) for c, d in pairs]
+    return RankProfile(len(pairs), indices, pairs, rows)
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:
@@ -164,21 +150,21 @@ def minimal_degree(profile: RankProfile, m: int) -> list[int]:
     return out
 
 
-def _target_rows(e, mulmat, mindeg, p):
-    """Row c of E*M^mindeg[c], for every c, as one array."""
+def _target_rows(e, mulmat, profile, mindeg, p):
+    """Row c of E*M^mindeg[c], for every c, as one array.
+
+    The profile holds row c of E*M^(mindeg[c]-1) when mindeg[c] > 0, so one
+    product by M gives every such target; the others are row c of E.
+    """
     targets = e.copy()
-    if isinstance(mulmat, _jordan.JordanRep):
-        for d in sorted(set(mindeg)):
-            cs = [c for c, dc in enumerate(mindeg) if dc == d]
-            targets[cs] = _jordan.act_power(e.take(cs, 0), mulmat, d)
-        return targets
-    cur = e
-    top = max(mindeg) if mindeg else 0
-    for d in range(1, top + 1):
-        cur = modmat.mat_mul(cur, mulmat, p)
-        for c, dc in enumerate(mindeg):
-            if dc == d:
-                targets[c] = cur[c]
+    cs = [c for c, dc in enumerate(mindeg) if dc]
+    if cs:
+        where = {cd: k for k, cd in enumerate(profile.decoded)}
+        last = profile.pivot_rows.take([where[c, mindeg[c] - 1] for c in cs], 0)
+        if isinstance(mulmat, _jordan.JordanRep):
+            targets[cs] = _jordan.act_power(last, mulmat, 1)
+        else:
+            targets[cs] = modmat.mat_mul(last, mulmat, p)
     return targets
 
 
@@ -215,8 +201,7 @@ def lin_interp_basis(
     m = len(e)
     profile = krylov_rank_profile(e, mulmat, shift, delta, field)
     mindeg = minimal_degree(profile, m)
-    targets = _target_rows(e, mulmat, mindeg, p)
-    cols = profile.col_indices
-    relation = modmat.solve_right(profile.pivot_rows.take(cols, 1), targets.take(cols, 1), p)
+    targets = _target_rows(e, mulmat, profile, mindeg, p)
+    relation = modmat.solve_right(profile.pivot_rows, targets, p)
     basis = _assemble_popov(field, m, mindeg, profile.decoded, relation.tolist())
     return basis, mindeg

@@ -7,7 +7,8 @@ products mod p overflow int64 words.  Products run in float64 words when
 every sum of products fits their 53 bits, then in int64 words, and
 otherwise in object arrays, which are exact for any modulus below 2**62.
 Remainders of float64 products are taken in int64, where `%` is several
-times cheaper.
+times cheaper.  Every elimination goes through `rref`: row rank profiles,
+and `solve_right`, which solves a full-row-rank system with one call.
 """
 
 from __future__ import annotations
@@ -145,20 +146,28 @@ def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:
     return len(pivrows), pivrows
 
 
-def col_rank_profile(mat, p: int) -> tuple[int, list[int]]:
-    """Rank and indices of the first maximal independent set of columns."""
-    return row_rank_profile(_np.asarray(mat).T, p)
+_UNSOLVABLE = "C is rank deficient or D is not in its row space"
 
 
 def solve_right(c, d, p: int) -> _np.ndarray:
-    """Solve X*C = D for X, with C square invertible over Z/pZ."""
-    r = len(c)
+    """Solve X*C = D for X over Z/pZ.
+
+    C is r x n of full row rank r (a square invertible C is the case
+    r = n), and every row of D must lie in the row space of C; X is then
+    unique.  One elimination of [C; D]^T: its columns past r are the first r
+    columns times X^T, so a reduced row that vanishes on the first r columns
+    vanishes everywhere, and the pivots are exactly the columns 0..r-1.
+    Raises ValueError when C is rank deficient or D is inconsistent.
+    """
+    r, n = _dims(c)
     if r == 0:
+        if _np.any(_np.asarray(d) % p):
+            raise ValueError(_UNSOLVABLE)
         return _np.zeros((len(d), 0), dtype=_np.int64)
-    aug = _np.concatenate([_np.asarray(c), _np.asarray(d).reshape(-1, r)]).T
+    aug = _np.concatenate([_np.asarray(c), _np.asarray(d).reshape(-1, n)]).T
     _, pivcols, R = rref(aug, p)
     if len(pivcols) < r or any(j >= r for j in pivcols):
-        raise ValueError("singular matrix in solve_right")
+        raise ValueError(_UNSOLVABLE)
     return R[_np.argsort(pivcols), r:].T
 
 

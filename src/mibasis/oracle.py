@@ -87,8 +87,7 @@ def oracle_popov(
         mindeg[c] = max(mindeg[c], d + 1)
     pivot_rows = kry[kept]
     targets = stacked[[mindeg[c] * m + c for c in range(m)]]
-    _, cols = modmat.col_rank_profile(pivot_rows, field.p)
-    relation = modmat.solve_right(pivot_rows[:, cols], targets[:, cols], field.p).tolist()
+    relation = modmat.solve_right(pivot_rows, targets, field.p).tolist()
     # row c: X^mindeg[c] e_c minus the profile monomials X^d e_k it relates to
     rows = []
     for c in range(m):

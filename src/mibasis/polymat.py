@@ -76,13 +76,6 @@ class PolyMatrix:
             raise ValueError("column count mismatch in vstack")
         return PolyMatrix(self.field, self.rows + other.rows, self.ncols)
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
     def scale_columns_by_x_power(self, exps: list[int]) -> "PolyMatrix":
         """Multiply column j by X^exps[j]."""
         f = self.field

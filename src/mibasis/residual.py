@@ -8,8 +8,9 @@ eigenvalues amortize one truncated shift of P across many blocks, rare ones
 are batched through Chinese remaindering so that a single polynomial-matrix
 product serves every eigenvalue at once.  The moduli (X - x)^s of a CRT slot,
 like those of a shifting bucket's eigenvalues, depend on the blocks alone:
-one subproduct tree, with its CRT cofactors, is built per slot and shared by
-every row lifted up it and every product reduced back down it.
+one subproduct tree, with its CRT cofactors, is built per slot of two or more
+moduli and shared by every row lifted up it and every product reduced back
+down it.  A single modulus needs no tree.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ def _point_tree(field: PrimeField, pts_caps) -> SubproductTree:
     return SubproductTree(field, [field.poly_pow([(-x) % field.p, 1], s) for x, s in pts_caps])
 
 
-def _shifted_remainders(field: PrimeField, f, pts_caps, tree: SubproductTree):
+def _shifted_remainders(field: PrimeField, f, pts_caps, tree: SubproductTree | None):
     """For each (x, s): the first s coefficients of f(X + x), batched.
 
     Equals f mod (X - x)^s recentered at x.  A single point needs one
-    truncated Taylor shift (a plain slice when x is zero); several points go
-    down ``tree``, the subproduct tree of their moduli.
+    truncated Taylor shift (a plain slice when x is zero) and no tree;
+    several points go down ``tree``, the subproduct tree of their moduli.
     """
     if not f:
         return [[] for _ in pts_caps]
@@ -118,7 +119,7 @@ def residual_by_shifting(
     field = pmat.field
     groups = _group_by_eigenvalue(entries)
     pts_caps = [(x, max(s for s, _ in blocks)) for x, blocks in groups]
-    tree = _point_tree(field, pts_caps)
+    tree = _point_tree(field, pts_caps) if len(pts_caps) > 1 else None
     shifted = [
         [[None] * pmat.ncols for _ in range(pmat.nrows)] for _ in groups
     ]
@@ -162,7 +163,7 @@ def residual_by_crt(
     trees = []
     for parts in slots:
         pts_caps = [(x, s) for x, (s, _) in parts]
-        tree = _point_tree(field, pts_caps)
+        tree = _point_tree(field, pts_caps) if len(parts) > 1 else None
         residues = [
             [field.taylor_shift(e, (-x) % field.p) for e in _column_poly(e_rows, field, off, s)]
             for x, (s, off) in parts

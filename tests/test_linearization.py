@@ -32,39 +32,43 @@ def rand_jordan(rng, field, sigma):
     return jordan.normalize(field, pairs)[0]
 
 
+def priority_order(shift, delta):
+    """Reference row order: all pairs (c, d), sorted by (shift[c] + d, c)."""
+    pairs = [(c, d) for d in range(delta + 1) for c in range(len(shift))]
+    return sorted(pairs, key=lambda cd: (shift[cd[0]] + cd[1], cd[0]))
+
+
 def test_priority_uniform_shift_formula():
-    prio = lin.build_priority([0, 0, 0], 3, 3)
     for d in range(4):
         for c in range(3):
-            assert prio.index_of(c, d) == c + 3 * d
+            assert lin.priority_index([0, 0, 0], 3, c, d) == c + 3 * d
 
 
 def test_priority_row_order_for_staircase_shift():
-    prio = lin.build_priority([0, 3, 6], 3, 3)
     expected = [
         (0, 0), (0, 1), (0, 2), (0, 3),
         (1, 0), (1, 1), (1, 2), (1, 3),
         (2, 0), (2, 1), (2, 2), (2, 3),
     ]
-    assert prio.order == expected
+    assert priority_order([0, 3, 6], 3) == expected
+    for i, (c, d) in enumerate(expected):
+        assert lin.priority_index([0, 3, 6], 3, c, d) == i
 
 
 def test_priority_single_column():
-    prio = lin.build_priority([5], 1, 4)
-    assert prio.order == [(0, d) for d in range(5)]
+    assert [lin.priority_index([5], 4, 0, d) for d in range(5)] == list(range(5))
 
 
 def test_priority_invariants():
     rng = random.Random(1)
-    for _ in range(20):
+    for _ in range(200):
         m = rng.randrange(1, 5)
         delta = rng.randrange(1, 6)
-        s = [rng.randrange(5) for _ in range(m)]
-        prio = lin.build_priority(s, m, delta)
-        keys = [(s[c] + d, c) for c, d in prio.order]
-        assert keys == sorted(keys)
+        s = [rng.choice([0, 1, 2, 3, 4, 40]) for _ in range(m)]
+        order = priority_order(s, delta)
+        assert [lin.priority_index(s, delta, c, d) for c, d in order] == list(range(len(order)))
         for c in range(m):
-            ranks = [prio.index_of(c, d) for d in range(delta + 1)]
+            ranks = [lin.priority_index(s, delta, c, d) for d in range(delta + 1)]
             assert ranks == sorted(ranks)
 
 
@@ -81,12 +85,13 @@ def test_pivot_matches_rightmost_expansion_column(data):
     mat = PolyMatrix.from_entries(F7, [row])
     if all(not e for e in mat.rows[0]):
         return
-    prio = lin.build_priority(s, m, delta)
+    index_of = {cd: i for i, cd in enumerate(priority_order(s, delta))}
     # the rightmost nonzero column of the row's scalar expansion, in
     # priority order, is the leading coefficient of some entry
-    rightmost = max(prio.index_of(c, len(e) - 1) for c, e in enumerate(mat.rows[0]) if e)
+    rightmost = max(index_of[c, len(e) - 1] for c, e in enumerate(mat.rows[0]) if e)
     c, d = polymat.pivot(mat.rows[0], s)
-    assert prio.index_of(c, d) == rightmost
+    assert index_of[c, d] == rightmost
+    assert lin.priority_index(s, delta, c, d) == rightmost
 
 
 def test_krylov_rank_profile_reference_instance():

@@ -68,10 +68,6 @@ def test_row_rank_profile_zero_matrix():
     assert modmat.row_rank_profile([[0] * 4 for _ in range(3)], 7) == (0, [])
 
 
-def test_col_rank_profile_by_hand():
-    assert modmat.col_rank_profile([[0, 1, 1], [0, 1, 2]], 7) == (2, [1, 2])
-
-
 @pytest.mark.parametrize("p", [7, 97, 65537, P26, P30, P61, P62])
 def test_rank_profile_matches_reference(p):
     # every dtype regime of the one elimination kernel: float64 (7, 97,
@@ -164,6 +160,37 @@ def test_solve_right():
 def test_solve_right_rejects_singular():
     with pytest.raises(ValueError):
         modmat.solve_right([[1, 1], [1, 1]], [[1, 0], [0, 1]], 7)
+
+
+def test_solve_right_rectangular():
+    # full row rank 3 x 7: X is unique and comes back from X*C
+    rng = random.Random(17)
+    for p in (97, P61):
+        while True:
+            c = [[rng.randrange(p) for _ in range(7)] for _ in range(3)]
+            if modmat.row_rank_profile(c, p)[0] == 3:
+                break
+        x = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+        d = modmat.mat_mul(x, c, p)
+        assert modmat.solve_right(c, d, p).tolist() == x
+        assert modmat.solve_right(np.array(c, dtype=object), d, p).tolist() == x
+
+
+def test_solve_right_rejects_inconsistent_and_rank_deficient_rectangular():
+    # the contract's own error, not one from mismatched shapes
+    c = [[1, 0, 2, 0, 1], [0, 1, 3, 0, 4], [0, 0, 0, 1, 5]]
+    # a row outside the row space of C: no X solves X*C = D
+    with pytest.raises(ValueError, match="row space"):
+        modmat.solve_right(c, [[1, 0, 2, 0, 1], [0, 0, 1, 0, 0]], 7)
+    # rank 2 with 3 rows: X would not be unique
+    deficient = [c[0], c[1], [1, 1, 5, 0, 5]]
+    with pytest.raises(ValueError, match="rank deficient"):
+        modmat.solve_right(deficient, [[1, 1, 5, 0, 5]], 7)
+    # no rows in C: only D = 0 lies in its row space
+    empty = np.zeros((0, 5), dtype=np.int64)
+    assert modmat.solve_right(empty, [[0, 7, 0, 0, 0]], 7).shape == (1, 0)
+    with pytest.raises(ValueError, match="row space"):
+        modmat.solve_right(empty, [[0, 1, 0, 0, 0]], 7)
 
 
 def test_det():

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import mibasis as mb
-from mibasis import dnc
+from mibasis import dnc, jordan
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,23 +50,40 @@ def test_tracer_installs_on_every_traced_name_and_restores_it():
         assert lookup(qual) is orig
 
 
+def traced_stats(solve):
+    """Per-layer stats of the benchmark's tracer over one call of solve."""
+    tr = load_tracer().Tracer()
+    with tr.installed():
+        tr.recording = True
+        try:
+            solve()
+        finally:
+            tr.recording = False
+    return tr.stats
+
+
 def test_dense_lin_reaches_the_scalar_layers():
     # dense lin must multiply and eliminate through modmat.mat_mul and
     # modmat.rref, or the benchmark's scalar layers read zero on dense-lin
-    import random
-
-    tracer = load_tracer()
     field = mb.PrimeField(65537)
     rng = random.Random(4)
     sigma = 40
     e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(3)]
     dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
-    tr = tracer.Tracer()
-    with tr.installed():
-        tr.recording = True
-        try:
-            mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field)
-        finally:
-            tr.recording = False
-    assert tr.stats["modmat.rref"].calls >= 1
-    assert tr.stats["modmat.mat_mul"].calls >= 1
+    stats = traced_stats(lambda: mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field))
+    # six doubling steps (delta = 64) eliminate once each, and one solve
+    # gives the relations; six products by powers of M, five squarings and
+    # one product for the target rows
+    assert stats["modmat.rref"].calls == 7
+    assert stats["modmat.mat_mul"].calls == 12
+
+
+def test_jordan_lin_eliminates_once_per_doubling_step_and_once_to_solve():
+    # no elimination of E alone and no column profile: delta = 4 takes two
+    # doubling steps and one relation solve
+    field = mb.PrimeField(97)
+    rep, _ = jordan.normalize(field, [(0, 4)])
+    rng = random.Random(5)
+    e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
+    stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
+    assert stats["modmat.rref"].calls == 3
