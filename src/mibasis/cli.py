@@ -52,24 +52,20 @@ def _same_prime(*docs: Document) -> int:
     return ps.pop()
 
 
-def _jordan_from(doc: Document, field: PrimeField, evals):
-    """Jordan section normalized, with the evaluation columns permuted along."""
-    blocks = doc.first("jordan")
-    rep, perm = jordan.normalize(field, blocks)
-    return rep, [[row[c] for c in perm] for row in evals]
-
-
 def _mulmat_from(args, edoc: Document, field: PrimeField, evals):
     """The multiplication matrix from --dense-mulmat, --jordan or the
-    evaluations document edoc, with the evaluation columns permuted along."""
+    evaluations document edoc, checked against the evaluations."""
     if args.dense_mulmat:
         mdoc = _load(args.dense_mulmat)
         _same_prime(edoc, mdoc)
-        return mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0), evals
-    jdoc = _load(args.jordan) if args.jordan else edoc
-    if args.jordan:
-        _same_prime(edoc, jdoc)
-    return _jordan_from(jdoc, field, evals)
+        mulmat = mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0)
+    else:
+        jdoc = _load(args.jordan) if args.jordan else edoc
+        if args.jordan:
+            _same_prime(edoc, jdoc)
+        mulmat = JordanRep(field, tuple(jdoc.first("jordan")))
+    jordan.check_evaluations(evals, mulmat)
+    return mulmat
 
 
 def _krylov_delta(mulmat, sigma: int) -> int:
@@ -108,7 +104,7 @@ def _cmd_interp(args) -> int:
     shift = _shift_from(args, doc, m)
     if args.dense_mulmat and args.algo == "dnc":
         raise UsageError("--algo dnc requires a Jordan multiplication matrix")
-    mulmat, evals = _mulmat_from(args, doc, field, evals)
+    mulmat = _mulmat_from(args, doc, field, evals)
     if args.algo == "dnc":
         basis = interpolation_basis(evals, mulmat, shift, field)
     elif args.algo == "lin":
@@ -264,7 +260,8 @@ def _cmd_check(args) -> int:
             raise UsageError("check --equiv requires --matrix2")
         edoc = _load(args.evals)
         _same_prime(doc, edoc)
-        mulmat, evals = _mulmat_from(args, edoc, field, edoc.first("mat"))
+        evals = edoc.first("mat")
+        mulmat = _mulmat_from(args, edoc, field, evals)
         if args.mode == "interpolant":
             res = oracle.naive_residual(mulmat, mat, evals)
             ok = all(not any(row) for row in res)

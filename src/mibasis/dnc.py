@@ -6,6 +6,8 @@ propagate the surviving right-half columns of the residual, solve those at
 shift t = rdeg_s(P1), and multiply.  P2*P1 is then s-reduced with
 rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node re-reduces.
 Column counts at or below the row count go to the linearization engine.
+The halves are the leading and trailing columns with their blocks in the
+order given; a block that straddles the cut splits in two.
 
 A node computes the residual of P1 on the right half only: on the blocks
 that reach past the cut, the left columns of a straddling block included.
@@ -17,7 +19,7 @@ basis, by ``interpolation_basis``.
 from __future__ import annotations
 
 from .field import PrimeField
-from .jordan import JordanRep, normalize, split
+from .jordan import JordanRep, check_evaluations, split
 from .linearization import lin_interp_basis
 from .polymat import PolyMatrix, shifted_row_degree
 from .residual import compute_residuals
@@ -31,10 +33,6 @@ def _base_delta(sigma: int) -> int:
     return d
 
 
-def _permute_cols(rows: list[list[int]], perm: list[int]) -> list[list[int]]:
-    return [[row[c] for c in perm] for row in rows]
-
-
 def right_residual(
     j: JordanRep, k: int, pmat: PolyMatrix, e_rows: list[list[int]]
 ) -> tuple[list[list[int]], list[list[int]]]:
@@ -45,18 +43,13 @@ def right_residual(
     column of the block that contains column k.  The rows of the first part
     are empty unless that block straddles the cut.
     """
-    start = first = 0
-    for _, s in j.blocks:
-        if start + s > k:
-            break
-        start += s
-        first += 1
-    jr, perm = normalize(j.field, j.blocks[first:])
-    res = compute_residuals(jr, pmat, _permute_cols([row[start:] for row in e_rows], perm))
-    back = [0] * len(perm)
-    for i, c in enumerate(perm):
-        back[c] = i
-    return _permute_cols(res, back[: k - start]), _permute_cols(res, back[k - start :])
+    offsets = j.column_offsets()
+    first = max(i for i, off in enumerate(offsets) if off <= k)
+    start = offsets[first]
+    jr = JordanRep(j.field, j.blocks[first:])
+    res = compute_residuals(jr, pmat, [row[start:] for row in e_rows])
+    cut = k - start
+    return [row[:cut] for row in res], [row[cut:] for row in res]
 
 
 def interpolation_basis_rec(
@@ -69,15 +62,13 @@ def interpolation_basis_rec(
         basis, _ = lin_interp_basis(e_rows, j, shift, _base_delta(sigma), field)
         return basis
     half = sigma // 2
-    j1, perm1, j2, perm2 = split(j, half)
-    e1 = _permute_cols([row[:half] for row in e_rows], perm1)
-    p1 = interpolation_basis_rec(e1, j1, shift, field)
+    j1, j2 = split(j, half)
+    p1 = interpolation_basis_rec([row[:half] for row in e_rows], j1, shift, field)
     lead, right = right_residual(j, half, p1, e_rows)
     if any(any(row) for row in lead):
         raise AssertionError("residual does not vanish on the solved half")
-    e2 = _permute_cols(right, perm2)
     t = [int(d) for d in shifted_row_degree(p1, shift)]
-    p2 = interpolation_basis_rec(e2, j2, t, field)
+    p2 = interpolation_basis_rec(right, j2, t, field)
     # rdeg(P1) <= t and sum rdeg_t(P2) = sum rdeg_s(P2*P1) <= sigma + sum(s)
     return unbalanced_mul(p2, p1, sigma + sum(shift))
 
@@ -93,15 +84,10 @@ def interpolation_basis(
     residual of the output, which must vanish, checks every row here, and
     AssertionError reports a basis that does not interpolate.
     """
-    m = len(e_rows)
-    sigma = j.order
-    if m == 0:
-        raise ValueError("at least one evaluation row is required")
+    check_evaluations(e_rows, j)
     if field != j.field:
         raise ValueError("field does not match the Jordan matrix")
-    if any(len(row) != sigma for row in e_rows):
-        raise ValueError("column count of E must match the Jordan order")
-    if len(shift) != m:
+    if len(shift) != len(e_rows):
         raise ValueError("one shift entry per row required")
     smin = min(shift)
     basis = interpolation_basis_rec(e_rows, j, [s - smin for s in shift], field)

@@ -1,14 +1,13 @@
-"""Jordan multiplication matrices in standard representation.
+"""Jordan multiplication matrices as lists of blocks.
 
-A JordanRep lists (eigenvalue, block size) pairs: blocks are grouped by
-eigenvalue, groups ordered by non-increasing block count (ties by ascending
-eigenvalue), sizes non-increasing within a group.  Columns of an evaluation
-matrix line up with the blocks in this order.
+A JordanRep lists (eigenvalue, block size) pairs in any order; the columns
+of an evaluation matrix line up with the blocks as listed, block i taking
+the next block-size columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 import numpy as _np
 
@@ -19,32 +18,16 @@ from .field import PrimeField
 class JordanRep:
     field: PrimeField
     blocks: tuple[tuple[int, int], ...]
+    order: int = _field(init=False, compare=False)
 
     def __post_init__(self):
-        groups: dict[int, list[int]] = {}
-        order: list[int] = []
         p = self.field.p
         for x, s in self.blocks:
             if s <= 0:
                 raise ValueError("block sizes must be positive")
             if not 0 <= x < p:
                 raise ValueError("eigenvalues must lie in [0, p)")
-            if x in groups:
-                if order[-1] != x:
-                    raise ValueError("blocks of one eigenvalue must be contiguous")
-                if groups[x][-1] < s:
-                    raise ValueError("block sizes must be non-increasing per eigenvalue")
-            else:
-                order.append(x)
-            groups.setdefault(x, []).append(s)
-        counts = [len(groups[x]) for x in order]
-        for a, b, xa, xb in zip(counts, counts[1:], order, order[1:]):
-            if a < b or (a == b and xa > xb):
-                raise ValueError("eigenvalue groups not in standard order")
-
-    @property
-    def order(self) -> int:
-        return sum(s for _, s in self.blocks)
+        object.__setattr__(self, "order", sum(s for _, s in self.blocks))
 
     def column_offsets(self) -> list[int]:
         offs = []
@@ -55,34 +38,14 @@ class JordanRep:
         return offs
 
 
-def normalize(field: PrimeField, pairs) -> tuple[JordanRep, list[int]]:
-    """Standard representation plus the column permutation it induces.
-
-    The permutation maps new column index to the original one: the caller
-    reorders evaluation columns as E_new[:, i] = E[:, perm[i]].
-    """
-    pairs = [(x % field.p, s) for x, s in pairs]
-    for _, s in pairs:
-        if s <= 0:
-            raise ValueError("block sizes must be positive")
-    offsets = []
-    pos = 0
-    for _, s in pairs:
-        offsets.append(pos)
-        pos += s
-    counts: dict[int, int] = {}
-    for x, _ in pairs:
-        counts[x] = counts.get(x, 0) + 1
-    keyed = sorted(
-        range(len(pairs)),
-        key=lambda i: (-counts[pairs[i][0]], pairs[i][0], -pairs[i][1], i),
-    )
-    blocks = tuple(pairs[i] for i in keyed)
-    perm = []
-    for i in keyed:
-        x, s = pairs[i]
-        perm.extend(range(offsets[i], offsets[i] + s))
-    return JordanRep(field, blocks), perm
+def check_evaluations(e_rows, mulmat) -> None:
+    """The engines' domain checks on E: at least one row, and as many
+    columns as the order of M, a JordanRep or a dense list of rows."""
+    if not len(e_rows):
+        raise ValueError("at least one evaluation row is required")
+    order = mulmat.order if isinstance(mulmat, JordanRep) else len(mulmat)
+    if any(len(row) != order for row in e_rows):
+        raise ValueError("column count of E must match the order of M")
 
 
 def to_dense(j: JordanRep) -> list[list[int]]:
@@ -168,12 +131,11 @@ def minpoly_degree(j: JordanRep) -> int:
     return sum(best.values())
 
 
-def split(j: JordanRep, k: int):
+def split(j: JordanRep, k: int) -> tuple[JordanRep, JordanRep]:
     """Leading/trailing principal parts covering columns [0,k) and [k,order).
 
-    A block straddling the cut splits into two blocks of the same eigenvalue.
-    Both halves are re-normalized; the returned permutations are local to each
-    half (new index -> pre-normalization index within the half).
+    A block straddling the cut splits into two blocks of the same eigenvalue;
+    the other blocks keep their order.
     """
     if not 0 < k < j.order:
         raise ValueError("split point out of range")
@@ -190,6 +152,4 @@ def split(j: JordanRep, k: int):
             lead.append((x, t))
             trail.append((x, s - t))
         pos += s
-    j1, perm1 = normalize(j.field, lead)
-    j2, perm2 = normalize(j.field, trail)
-    return j1, perm1, j2, perm2
+    return JordanRep(j.field, tuple(lead)), JordanRep(j.field, tuple(trail))

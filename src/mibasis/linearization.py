@@ -63,13 +63,12 @@ def _validate_delta(delta: int, sigma: int) -> None:
 def _operands(e_rows, mulmat, p: int):
     """E reduced mod p in modmat's words; a dense M reduced mod p in the
     dtype of its products (so that no product converts it again)."""
+    _jordan.check_evaluations(e_rows, mulmat)
     sigma = modmat._dims(e_rows)[1]
     dt = modmat._dtype_for(p, sigma)
     e = modmat.reduce(e_rows, p, modmat._words(dt)).reshape(len(e_rows), sigma)
     if isinstance(mulmat, _jordan.JordanRep):
         return e, mulmat
-    if len(mulmat) != sigma:
-        raise ValueError("multiplication matrix size mismatch")
     return e, modmat.reduce(mulmat, p, dt)
 
 

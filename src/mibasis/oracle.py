@@ -73,8 +73,9 @@ def oracle_popov(
     field: PrimeField,
 ) -> tuple[PolyMatrix, list[int]]:
     """Shifted Popov interpolation basis by full-matrix Gaussian elimination."""
+    _jordan.check_evaluations(e_rows, mulmat)
     m = len(e_rows)
-    sigma = len(e_rows[0]) if m else 0
+    sigma = len(e_rows[0])
     check_shift(shift, m)
     delta = max(sigma, 1)
     pairs = _priority_pairs(shift, m, delta)

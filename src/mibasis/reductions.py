@@ -4,7 +4,9 @@ Each builder produces the evaluation matrix, the Jordan representation and
 (where relevant) the shift so that rows annihilating the instance are
 exactly the solutions of the source problem: truncated-product relations,
 multi-point congruences, or multivariate vanishing conditions with
-prescribed supports.
+prescribed supports.  The blocks follow the source problem: one per input
+column, or per point and auxiliary exponent, in the order given, and the
+evaluation columns follow the blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .dnc import interpolation_basis
 from .field import PrimeField
-from .jordan import JordanRep, normalize
+from .jordan import JordanRep
 from .polymat import PolyMatrix, shifted_row_degree
 
 
@@ -52,8 +54,7 @@ def hermite_pade_instance(fmat: PolyMatrix, orders) -> InterpolationInstance:
     if len(orders) != fmat.ncols or any(o <= 0 for o in orders):
         raise ValueError("one positive order per column required")
     e = _pack_columns(fmat, orders, [lambda q: q] * len(orders))
-    rep, perm = normalize(fmat.field, [(0, o) for o in orders])
-    e = [[row[c] for c in perm] for row in e]
+    rep = JordanRep(fmat.field, tuple((0, o) for o in orders))
     return InterpolationInstance(fmat.field, e, rep)
 
 
@@ -71,9 +72,7 @@ def mpade_instance(fmat: PolyMatrix, points, orders) -> InterpolationInstance:
         for x, o in zip(points, orders)
     ]
     e = _pack_columns(fmat, orders, recenters)
-    rep, perm = normalize(fld, list(zip(points, orders)))
-    e = [[row[c] for c in perm] for row in e]
-    return InterpolationInstance(fld, e, rep)
+    return InterpolationInstance(fld, e, JordanRep(fld, tuple(zip(points, orders))))
 
 
 def _divisibility_closed(exponents: set[tuple[int, ...]]) -> bool:
@@ -164,7 +163,7 @@ def multivariate_instance(inst: MultivariateInstance):
     for k, ((x, y), mu) in enumerate(zip(inst.points, inst.supports)):
         for j, h in _support_blocks(mu):
             layout.append((k, j, h, offset))
-            pairs.append((x, h))
+            pairs.append((x % fld.p, h))
             offset += h
     sigma = offset
     col_of = {}
@@ -197,8 +196,7 @@ def multivariate_instance(inst: MultivariateInstance):
         rows_by_gamma[g] = row
 
     e = [rows_by_gamma[g] for g in inst.gamma]
-    rep, perm = normalize(fld, pairs)
-    e = [[row[c] for c in perm] for row in e]
+    rep = JordanRep(fld, tuple(pairs))
     shift = [sum(w * x for w, x in zip(inst.weights, g)) for g in inst.gamma]
     return InterpolationInstance(fld, e, rep), shift
 

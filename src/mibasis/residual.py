@@ -2,11 +2,12 @@
 
 Per Jordan block of eigenvalue x and size s, the result columns are the
 first s coefficients of P(X+x) times the polynomial encoding of the block's
-columns, taken mod X^s.  Blocks are dispatched by dyadic size class and by
-how often their eigenvalue repeats inside the class: frequently repeating
-eigenvalues amortize one truncated shift of P across many blocks, rare ones
-are batched through Chinese remaindering so that a single polynomial-matrix
-product serves every eigenvalue at once.  The moduli (X - x)^s of a CRT slot,
+columns, taken mod X^s.  Blocks come in any order.  They are dispatched by
+dyadic size class and by how often their eigenvalue repeats inside the
+class, wherever its blocks sit: frequently repeating eigenvalues amortize
+one truncated shift of P across many blocks, rare ones are batched through
+Chinese remaindering so that a single polynomial-matrix product serves
+every eigenvalue at once.  The moduli (X - x)^s of a CRT slot,
 like those of a shifting bucket's eigenvalues, depend on the blocks alone:
 one subproduct tree, with its CRT cofactors, is built per slot of two or more
 moduli and shared by every row lifted up it and every product reduced back
@@ -65,13 +66,11 @@ def build_residual_plan(j: JordanRep, m: int) -> ResidualPlan:
 
 
 def _group_by_eigenvalue(entries):
-    groups: list[tuple[int, list[tuple[int, int]]]] = []
+    """(eigenvalue, [(size, offset), ...]) in order of first appearance."""
+    groups: dict[int, list[tuple[int, int]]] = {}
     for x, s, off in entries:
-        if groups and groups[-1][0] == x:
-            groups[-1][1].append((s, off))
-        else:
-            groups.append((x, [(s, off)]))
-    return groups
+        groups.setdefault(x, []).append((s, off))
+    return list(groups.items())
 
 
 def _column_poly(e_rows, field, off, size):

@@ -11,6 +11,8 @@ sections.  Sections:
     jordan <nblocks>       lines of `<eigenvalue> <size>`
     shift <len>            one line of space-separated nonnegative integers
 
+A `mat` or `polymat` section with zero columns has no row lines.
+
 Serialization is canonical (zero polynomials print as `0`), so parsing a
 serialized document and serializing again is byte-identical.
 """
@@ -86,10 +88,13 @@ def parse_document(text: str) -> Document:
         kind = words[0]
         i += 1
 
-        def take_rows(n: int) -> list[tuple[int, str]]:
+        def take_rows(n: int, cols: int = 1) -> list[tuple[int, str]]:
+            """The next n lines; rows of zero columns have no line and read as ''."""
             nonlocal i
             if n < 0:
                 raise ParseError(f"section {kind} has a negative count", ln)
+            if cols == 0:
+                return [(ln, "")] * n
             if i + n > len(lines):
                 raise ParseError(f"section {kind} is truncated", ln)
             out = lines[i : i + n]
@@ -104,7 +109,7 @@ def parse_document(text: str) -> Document:
                 raise ParseError("negative dimensions", ln)
             data = [
                 [v % p for v in _ints(body, cols, rln)]
-                for rln, body in take_rows(rows)
+                for rln, body in take_rows(rows, cols)
             ]
             sections.append(Section("mat", data))
         elif kind == "polymat":
@@ -112,8 +117,8 @@ def parse_document(text: str) -> Document:
                 raise ParseError("usage: polymat <rows> <cols>", ln)
             rows, cols = _ints(" ".join(words[1:]), 2, ln)
             grid = []
-            for rln, body in take_rows(rows):
-                entries = body.split(";")
+            for rln, body in take_rows(rows, cols):
+                entries = body.split(";") if cols else []
                 if len(entries) != cols:
                     raise ParseError(f"expected {cols} entries, got {len(entries)}", rln)
                 row = []
@@ -158,12 +163,12 @@ def serialize_document(doc: Document) -> str:
             rows = sec.data
             cols = len(rows[0]) if rows else 0
             out.append(f"mat {len(rows)} {cols}")
-            out.extend(" ".join(str(v) for v in row) for row in rows)
+            out.extend(" ".join(str(v) for v in row) for row in rows if cols)
         elif sec.kind == "polymat":
             rows = sec.data
             cols = len(rows[0]) if rows else 0
             out.append(f"polymat {len(rows)} {cols}")
-            out.extend(";".join(_poly_str(e) for e in row) for row in rows)
+            out.extend(";".join(_poly_str(e) for e in row) for row in rows if cols)
         elif sec.kind == "jordan":
             out.append(f"jordan {len(sec.data)}")
             out.extend(f"{ev} {size}" for ev, size in sec.data)

@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The benchmark criterion writes bench_report.csv at the repo root.
+lines.  The benchmark criterion writes bench_report.csv under its pytest
+temporary directory, so a test run leaves the checkout as it was.
 """
 
 import contextlib
 import io
-import pathlib
 import random
 import time
 
@@ -41,12 +41,9 @@ EXPECTED_POPOV = [
     [[96], [96], [1]],
 ]
 
-REPO_ROOT = pathlib.Path(__file__).parents[1]
-
 
 def nilpotent3():
-    rep, _ = jordan.normalize(F97, [(0, 3)])
-    return rep
+    return jordan.JordanRep(F97, ((0, 3),))
 
 
 @contextlib.contextmanager
@@ -68,7 +65,7 @@ def rand_jordan(rng, field, sigma, eig_pool):
         s = rng.randrange(1, left + 1)
         pairs.append((rng.randrange(eig_pool) % field.p, s))
         left -= s
-    return jordan.normalize(field, pairs)[0]
+    return jordan.JordanRep(field, tuple(pairs))
 
 
 def test_criterion_1_golden_linearization():
@@ -244,7 +241,7 @@ def test_criterion_7_residual_dispatcher():
                     left -= s
             field = F7 if trial % 2 else F97
             pairs = [(x % field.p, s) for x, s in pairs]
-            j, _ = jordan.normalize(field, pairs)
+            j = jordan.JordanRep(field, tuple(pairs))
             sigma = j.order
             for bucket in residual.build_residual_plan(j, m).buckets:
                 seen.add((bucket.strategy, bucket.size_class == "inf"))
@@ -276,7 +273,7 @@ def _oracle_min_nullspace_degree_sum(f: PolyMatrix, shift):
         for e_poly in row:
             packed.extend((e_poly + [0] * bound)[:bound])
         e.append(packed)
-    rep, _ = jordan.normalize(field, [(0, bound)] * f.ncols)
+    rep = jordan.JordanRep(field, ((0, bound),) * f.ncols)
     popov, _ = oracle.oracle_popov(e, rep, shift, field)
     degs = polymat.shifted_row_degree(popov, shift)
     exact = []
@@ -413,7 +410,7 @@ def test_criterion_11_reed_solomon_interpolation():
         assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_12_benchmark_smoke():
+def test_criterion_12_benchmark_smoke(tmp_path):
     with criterion(12, "benchmark report"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -430,4 +427,4 @@ def test_criterion_12_benchmark_smoke():
             assert engine in ("dnc", "lin", "oracle")
             assert int(m) == 4 and int(sigma) in (256, 512, 1024, 2048)
             float(seconds)
-        (REPO_ROOT / "bench_report.csv").write_text(text)
+        (tmp_path / "bench_report.csv").write_text(text)

@@ -21,9 +21,7 @@ def hp_jordan_instance(f: PolyMatrix, orders):
         for e_poly, o in zip(row, orders):
             packed.extend((e_poly + [0] * o)[:o])
         e.append(packed)
-    rep, perm = jordan.normalize(field, [(0, o) for o in orders])
-    e = [[row[c] for c in perm] for row in e]
-    return e, rep
+    return e, jordan.JordanRep(field, tuple((0, o) for o in orders))
 
 
 def check_order_conditions(basis: PolyMatrix, f: PolyMatrix, orders):

@@ -297,3 +297,53 @@ def test_interp_dense_mulmat_lin(tmp_path):
         ["interp", "--algo", "lin", "--evals", str(f), "--dense-mulmat", str(f), "-o", str(out)]
     ) == 0
     assert read_polymat(out).nrows == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["interp", "--algo", algo] for algo in ("lin", "dnc", "oracle")]
+    + [["check", "--interpolant"]],
+)
+def test_column_count_must_match_the_order_of_m(tmp_path, capsys, command):
+    # three evaluation columns against a Jordan matrix of order 2: no engine
+    # and no check may silently drop the third column
+    solved = tmp_path / "two.txt"
+    solved.write_text("field p=97\nmat 2 2\n1 2\n4 5\njordan 1\n0 2\n")
+    basis = tmp_path / "basis.txt"
+    assert main(["interp", "--algo", "lin", "--evals", str(solved), "-o", str(basis)]) == 0
+    inst = tmp_path / "three.txt"
+    inst.write_text("field p=97\nmat 2 3\n1 2 3\n4 5 6\njordan 1\n0 2\n")
+    args = command + ["--evals", str(inst)]
+    if command[0] == "check":
+        args += ["--matrix", str(basis)]
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: column count of E must match the order of M\n"
+    assert captured.out == ""
+
+
+def test_column_count_must_match_a_dense_m(tmp_path, capsys):
+    f = tmp_path / "inst.txt"
+    f.write_text("field p=97\nmat 1 3\n1 2 3\nmat 2 2\n0 1\n0 0\n")
+    for algo in ("lin", "oracle"):
+        assert main(["interp", "--algo", algo, "--evals", str(f), "--dense-mulmat", str(f)]) == 1
+        assert capsys.readouterr().err == "error: column count of E must match the order of M\n"
+
+
+def test_zero_column_sections_round_trip():
+    text = "field p=97\nmat 2 0\npolymat 3 0\njordan 0\n"
+    doc = textio.parse_document(text)
+    assert doc.first("mat") == [[], []] and doc.first("polymat") == [[], [], []]
+    assert textio.serialize_document(doc) == text
+    empty = textio.Document(97, [textio.polymat_section(PolyMatrix(F97, [[], []], 0))])
+    assert textio.serialize_document(empty) == "field p=97\npolymat 2 0\n"
+
+
+@pytest.mark.parametrize("algo", ["lin", "dnc", "oracle"])
+def test_interp_sigma_zero_prints_identity(tmp_path, capsys, algo):
+    # no interpolation conditions: the identity is the basis
+    f = tmp_path / "empty.txt"
+    f.write_text("field p=97\nmat 2 0\njordan 0\n")
+    assert main(["interp", "--algo", algo, "--evals", str(f)]) == 0
+    assert capsys.readouterr().out == "field p=97\npolymat 2 2\n1;0\n0;1\n"

@@ -24,8 +24,7 @@ EVALS = [
 
 
 def nilpotent3():
-    rep, _ = jordan.normalize(F97, [(0, 3)])
-    return rep
+    return jordan.JordanRep(F97, ((0, 3),))
 
 
 def rand_jordan(rng, field, sigma, eig_pool=5):
@@ -35,7 +34,7 @@ def rand_jordan(rng, field, sigma, eig_pool=5):
         s = rng.randrange(1, left + 1)
         pairs.append((rng.randrange(min(field.p, eig_pool)), s))
         left -= s
-    return jordan.normalize(field, pairs)[0]
+    return jordan.JordanRep(field, tuple(pairs))
 
 
 def certify_output(basis, e, j, s, field):
@@ -66,7 +65,7 @@ def test_base_case_matches_linearization_popov():
 
 
 def test_zero_evals_gives_identity():
-    j, _ = jordan.normalize(F97, [(3, 2), (1, 2)])
+    j = jordan.JordanRep(F97, ((3, 2), (1, 2)))
     basis = interpolation_basis([[0, 0, 0, 0]] * 2, j, [0, 5], F97)
     assert basis == PolyMatrix.identity(F97, 2)
 
@@ -126,7 +125,7 @@ def test_extreme_shifts(points, shift):
     rng = random.Random(6)
     m, sigma = len(shift), 32
     blocks = [(0, sigma)] if points == "nilpotent" else [(x, 1) for x in range(sigma)]
-    j, _ = jordan.normalize(F97, blocks)
+    j = jordan.JordanRep(F97, tuple(blocks))
     e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
     basis = interpolation_basis(e, j, shift, F97)
     certify_output(basis, e, j, shift, F97)
@@ -150,7 +149,7 @@ def test_differential_fuzz_against_oracle(data):
         x = data.draw(eig)
         more = st.tuples(st.sampled_from([x, (x + 1) % field.p]), st.integers(1, 4))
         blocks = [(x, 1), (x, 2)] + data.draw(st.lists(more, max_size=5))
-    j, _ = jordan.normalize(field, blocks)
+    j = jordan.JordanRep(field, tuple(data.draw(st.permutations(blocks))))
     sigma = j.order
     s = data.draw(
         st.lists(st.sampled_from([0, 1, 2, 5, 10**6]), min_size=m, max_size=m)
@@ -164,6 +163,19 @@ def test_differential_fuzz_against_oracle(data):
     assert sorted(polymat.shifted_row_degree(basis, s)) == sorted(
         polymat.shifted_row_degree(popov, s)
     )
+
+
+def test_blocks_of_one_eigenvalue_apart_and_growing():
+    # eigenvalue 3 has blocks of sizes 1, 2, 4 with blocks of 5 between them;
+    # the basis must span the same module as the oracle's on this layout
+    rng = random.Random(9)
+    j = jordan.JordanRep(F97, ((3, 1), (5, 2), (3, 2), (5, 1), (3, 4), (0, 3)))
+    for m, s in ((2, [0, 0]), (3, [0, 4, 1])):
+        e = [[rng.randrange(97) for _ in range(j.order)] for _ in range(m)]
+        basis = interpolation_basis(e, j, s, F97)
+        certify_output(basis, e, j, s, F97)
+        popov, _ = oracle.oracle_popov(e, j, s, F97)
+        assert oracle.module_equivalent(basis, popov, e, j, s)
 
 
 def test_dimension_validation():
@@ -195,7 +207,7 @@ def test_right_residual_equals_right_half_of_full_residual(data):
     blocks += [(x, data.draw(st.integers(min_value=1, max_value=4))) for x in rare]
     rest = sum(s for _, s in blocks)
     blocks.append((data.draw(eig), 2 * rest + data.draw(st.integers(min_value=0, max_value=6))))
-    j, _ = jordan.normalize(field, blocks)
+    j = jordan.JordanRep(field, tuple(data.draw(st.permutations(blocks))))
     sigma = j.order
     k = data.draw(st.integers(min_value=1, max_value=sigma - 1))
     e = [data.draw(st.lists(eig, min_size=sigma, max_size=sigma)) for _ in range(m)]
@@ -231,7 +243,7 @@ def corrupted(b, a, xi):
 
 dnc.unbalanced_mul = corrupted
 field = PrimeField(97)
-j, _ = jordan.normalize(field, [(x, 1) for x in range(1, 9)])
+j = jordan.JordanRep(field, tuple((x, 1) for x in range(1, 9)))
 e = [[(7 * r + 3 * c + 1) % 97 for c in range(8)] for r in range(2)]
 try:
     dnc.interpolation_basis(e, j, [0, 0], field)

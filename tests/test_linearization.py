@@ -18,8 +18,7 @@ EVALS = [
 
 
 def nilpotent3():
-    rep, _ = jordan.normalize(F97, [(0, 3)])
-    return rep
+    return jordan.JordanRep(F97, ((0, 3),))
 
 
 def rand_jordan(rng, field, sigma):
@@ -29,7 +28,7 @@ def rand_jordan(rng, field, sigma):
         s = rng.randrange(1, left + 1)
         pairs.append((rng.randrange(min(field.p, 6)), s))
         left -= s
-    return jordan.normalize(field, pairs)[0]
+    return jordan.JordanRep(field, tuple(pairs))
 
 
 def priority_order(shift, delta):
@@ -277,7 +276,7 @@ def test_lin_interp_basis_large_prime_object_kernel():
     # integers end to end
     big = PrimeField((1 << 61) - 1)
     rng = random.Random(6)
-    j, _ = jordan.normalize(big, [(rng.randrange(big.p), 2), (rng.randrange(big.p), 2)])
+    j = jordan.JordanRep(big, ((rng.randrange(big.p), 2), (rng.randrange(big.p), 2)))
     e = [[rng.randrange(big.p) for _ in range(4)] for _ in range(2)]
     s = [1, 0]
     basis, mindeg = lin.lin_interp_basis(e, j, s, 4, big)
@@ -290,7 +289,7 @@ def test_lin_interp_basis_large_prime_object_kernel():
 
 def test_lin_interp_basis_wide_matrix():
     # more rows than columns: constant relations appear explicitly
-    j, _ = jordan.normalize(F97, [(5, 1), (9, 1)])
+    j = jordan.JordanRep(F97, ((5, 1), (9, 1)))
     e = [[1, 1], [2, 3], [3, 4]]
     basis, mindeg = lin.lin_interp_basis(e, j, [0, 0, 0], 2, F97)
     assert sum(mindeg) == 2

@@ -56,7 +56,7 @@ def oracle_minimal_degree_sum(f: PolyMatrix, shift):
         e.append(packed)
     from mibasis import jordan
 
-    rep, _ = jordan.normalize(field, [(0, bound)] * f.ncols)
+    rep = jordan.JordanRep(field, ((0, bound),) * f.ncols)
     popov, mindeg = oracle.oracle_popov(e, rep, shift, field)
     degs = polymat.shifted_row_degree(popov, shift)
     exact = []

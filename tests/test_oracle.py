@@ -23,8 +23,7 @@ REFERENCE_BASIS = [
 
 
 def nilpotent3():
-    rep, _ = jordan.normalize(F97, [(0, 3)])
-    return rep
+    return jordan.JordanRep(F97, ((0, 3),))
 
 
 def test_striped_krylov_uniform_display():
@@ -94,13 +93,40 @@ def test_oracle_order_and_assembly_match_lin_on_random_shifts():
             size = rng.randrange(1, left + 1)
             pairs.append((rng.randrange(4), size))
             left -= size
-        j, _ = jordan.normalize(F97, pairs)
+        j = jordan.JordanRep(F97, tuple(pairs))
         e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
         delta = 1 << (sigma - 1).bit_length()
         expected = lin.lin_interp_basis(e, j, s, delta, F97)
         assert oracle.oracle_popov(e, j, s, F97) == expected
         assert oracle.oracle_popov(e, jordan.to_dense(j), s, F97) == expected
         assert polymat.is_popov(expected[0], s)
+
+
+@pytest.mark.parametrize("engine", ["dnc", "lin", "oracle"])
+@pytest.mark.parametrize(
+    "e, message",
+    [
+        ([], "at least one evaluation row is required"),
+        ([[1, 2]], "column count of E must match the order of M"),
+        ([[1, 2, 3, 4]], "column count of E must match the order of M"),
+        ([[1, 2, 3], [4, 5]], "column count of E must match the order of M"),
+    ],
+)
+def test_engines_give_the_same_domain_errors(engine, e, message):
+    from mibasis.dnc import interpolation_basis
+    from mibasis.linearization import lin_interp_basis
+
+    j = nilpotent3()
+    shift = [0] * len(e)
+    # lin and the oracle take a dense M as well
+    for mulmat in (j,) if engine == "dnc" else (j, jordan.to_dense(j)):
+        with pytest.raises(ValueError, match=message):
+            if engine == "dnc":
+                interpolation_basis(e, mulmat, shift, F97)
+            elif engine == "lin":
+                lin_interp_basis(e, mulmat, shift, 4, F97)
+            else:
+                oracle.oracle_popov(e, mulmat, shift, F97)
 
 
 def test_sigma_zero_gives_identity_on_every_engine():

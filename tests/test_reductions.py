@@ -65,22 +65,17 @@ def test_mpade_zero_points_match_hermite_pade():
 
 def test_mpade_size_one_blocks_are_evaluations():
     rng = random.Random(2)
-    pts = [1, 3, 5, 6]
+    pts = [5, 1, 6, 3]
     f = PolyMatrix.from_entries(
         F7, [[[rng.randrange(7)] for _ in range(4)] for _ in range(2)]
     )
     # wait: columns must have degree < 1, i.e. constants; use varied constants
     inst = reductions.mpade_instance(f, pts, [1, 1, 1, 1])
+    # the blocks, and so the evaluation columns, follow the points as given
+    assert inst.mulmat.blocks == tuple((x, 1) for x in pts)
     for i, row in enumerate(f.rows):
         for jcol, x in enumerate(pts):
-            expected = F7.poly_eval(row[jcol], x)
-            # find the instance column of the (x, 1) block
-            off = 0
-            for (ev, s), o in zip(inst.mulmat.blocks, inst.mulmat.column_offsets()):
-                if ev == x:
-                    off = o
-                    break
-            assert inst.evals[i][off] == expected
+            assert inst.evals[i][jcol] == F7.poly_eval(row[jcol], x)
 
 
 def test_mpade_congruence_conditions():
@@ -149,7 +144,7 @@ def test_multivariate_single_point_mixed_support():
         q_row = [[], []]
         q_row[g] = [1]
         row = interp.evals[g]
-        # layout after normalize: block (x,2) is columns 0..1 (j=0, i=0..1),
+        # layout as built: block (x,2) is columns 0..1 (j=0, i=0..1),
         # block (x,1) is column 2 (j=1, i=0)
         cells = [(0, 0, 0), (1, 1, 0), (2, 0, 1)]
         for col, i, j in cells:
@@ -179,22 +174,18 @@ def test_multivariate_matches_brute_force_expansion():
         sigma = interp.mulmat.order
         assert sigma == sum(len(mu) for mu in supports)
         assert shift == [2 * t for t in range(mm)]
-        # brute-force every evaluation entry through the dense layout
-        offsets = interp.mulmat.column_offsets()
-        # rebuild the layout exactly as the builder orders it, then apply
-        # the normalization permutation by comparing against a fresh pack
+        # every evaluation entry, in the builder's layout: per point, per
+        # auxiliary exponent j ascending, per X-exponent i
         for g in range(mm):
             q_row = [[] for _ in range(mm)]
             q_row[g] = [1]
-            # check the vanishing-condition residual for basis rows instead:
-            # every column equals some functional value; verify via totals
-            row = interp.evals[g]
-            # total of all entries is invariant under column permutation
-            total = 0
-            for (x, (y,)), mu in zip(pts, supports):
-                for (i, (j,)) in mu:
-                    total += bivariate_shift_coefficient(F97, q_row, x, y, i, j)
-            assert sum(row) % 97 == total % 97
+            expected = [
+                bivariate_shift_coefficient(F97, q_row, x, y, i, j)
+                for (x, (y,)), mu in zip(pts, supports)
+                for j in sorted({j for _, (j,) in mu})
+                for i in range(max(i for i, (jj,) in mu if jj == j) + 1)
+            ]
+            assert interp.evals[g] == expected
 
 
 def test_multivariate_validation():

@@ -23,8 +23,7 @@ REFERENCE_BASIS = [
 
 
 def nilpotent3():
-    rep, _ = jordan.normalize(F97, [(0, 3)])
-    return rep
+    return jordan.JordanRep(F97, ((0, 3),))
 
 
 def rand_jordan(rng, field, sigma, few_eigs=True):
@@ -35,7 +34,7 @@ def rand_jordan(rng, field, sigma, few_eigs=True):
         s = rng.randrange(1, left + 1)
         pairs.append((rng.choice(list(pool)), s))
         left -= s
-    return jordan.normalize(field, pairs)[0]
+    return jordan.JordanRep(field, tuple(pairs))
 
 
 def rand_pmat(rng, field, rows, cols, deg):
@@ -82,7 +81,7 @@ def test_plan_partitions_all_columns():
 def test_shift_strategy_single_eigenvalue_zero():
     # one repeated nilpotent eigenvalue reduces to truncated products
     rng = random.Random(2)
-    j, _ = jordan.normalize(F7, [(0, 2)] * 3)
+    j = jordan.JordanRep(F7, ((0, 2),) * 3)
     e = [[rng.randrange(7) for _ in range(6)] for _ in range(2)]
     p = rand_pmat(rng, F7, 2, 2, 2)
     out = [[0] * 6 for _ in range(2)]
@@ -92,7 +91,7 @@ def test_shift_strategy_single_eigenvalue_zero():
 
 def test_shift_strategy_constant_p():
     rng = random.Random(3)
-    j, _ = jordan.normalize(F7, [(3, 2)] * 4)
+    j = jordan.JordanRep(F7, ((3, 2),) * 4)
     e = [[rng.randrange(7) for _ in range(8)] for _ in range(2)]
     p = PolyMatrix.from_entries(F7, [[[2], [1]], [[0], [5]]])
     out = [[0] * 8 for _ in range(2)]
@@ -103,7 +102,7 @@ def test_shift_strategy_constant_p():
 def test_crt_strategy_distinct_points_constant_p():
     rng = random.Random(4)
     pts = [1, 2, 4, 5]
-    j, _ = jordan.normalize(F7, [(x, 1) for x in pts])
+    j = jordan.JordanRep(F7, tuple((x, 1) for x in pts))
     e = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
     p = PolyMatrix.from_entries(F7, [[[2], [0], [1]], [[3], [1], []], [[], [], [4]]])
     out = [[0] * 4 for _ in range(3)]
@@ -115,7 +114,7 @@ def test_crt_strategy_distinct_points_constant_p():
 
 def test_crt_equals_shift_on_single_nilpotent_block():
     rng = random.Random(5)
-    j, _ = jordan.normalize(F7, [(0, 5)])
+    j = jordan.JordanRep(F7, ((0, 5),))
     e = [[rng.randrange(7) for _ in range(5)] for _ in range(2)]
     p = rand_pmat(rng, F7, 2, 2, 3)
     out1 = [[0] * 5 for _ in range(2)]
@@ -127,7 +126,7 @@ def test_crt_equals_shift_on_single_nilpotent_block():
 
 def test_crt_strategy_mixed_bucket():
     rng = random.Random(6)
-    j, _ = jordan.normalize(F97, [(3, 2), (3, 2), (11, 2), (20, 1)])
+    j = jordan.JordanRep(F97, ((3, 2), (3, 2), (11, 2), (20, 1)))
     e = [[rng.randrange(97) for _ in range(7)] for _ in range(2)]
     p = rand_pmat(rng, F97, 2, 2, 3)
     got = residual.compute_residuals(j, p, e)
@@ -158,7 +157,7 @@ def test_dispatcher_covers_both_paths_and_matches_naive():
                 s = rng.randrange(1, left + 1)
                 pairs.append((rng.randrange(4), s))
                 left -= s
-        j, _ = jordan.normalize(F7, pairs)
+        j = jordan.JordanRep(F7, tuple(pairs))
         sigma = j.order
         e = [[rng.randrange(7) for _ in range(sigma)] for _ in range(m)]
         p = rand_pmat(rng, F7, m, m, 3)

@@ -82,7 +82,7 @@ def test_jordan_lin_eliminates_once_per_doubling_step_and_once_to_solve():
     # no elimination of E alone and no column profile: delta = 4 takes two
     # doubling steps and one relation solve
     field = mb.PrimeField(97)
-    rep, _ = jordan.normalize(field, [(0, 4)])
+    rep = jordan.JordanRep(field, ((0, 4),))
     rng = random.Random(5)
     e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
