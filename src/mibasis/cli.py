@@ -129,7 +129,7 @@ def _cmd_hermite_pade(args) -> int:
     # bundled layout: polymat, then shift #0 = orders, shift #1 = shift
     doc = _load(args.input)
     field = doc.field()
-    fmat = textio.polymat_from_section(doc.first("polymat"), field)
+    fmat = textio.polymat_from_section(doc.section("polymat"), field)
     orders = _orders_from(args, doc)
     shift = _shift_from(args, doc, fmat.nrows, skip=0 if args.orders else 1)
     inst = reductions.hermite_pade_instance(fmat, orders)
@@ -142,7 +142,7 @@ def _cmd_mpade(args) -> int:
     # bundled layout: polymat, mat of points (one row), orders, then shift
     doc = _load(args.input)
     field = doc.field()
-    fmat = textio.polymat_from_section(doc.first("polymat"), field)
+    fmat = textio.polymat_from_section(doc.section("polymat"), field)
     points = doc.first("mat")[0]
     orders = _orders_from(args, doc)
     shift = _shift_from(args, doc, fmat.nrows, skip=0 if args.orders else 1)
@@ -210,7 +210,7 @@ def _cmd_rs_interp(args) -> int:
 def _cmd_nullspace(args) -> int:
     doc = _load(args.input)
     field = doc.field()
-    fmat = textio.polymat_from_section(doc.first("polymat"), field)
+    fmat = textio.polymat_from_section(doc.section("polymat"), field)
     shift = _shift_from(args, doc, fmat.nrows)
     basis, _ = minimal_nullspace_basis(fmat, shift)
     _emit(Document(field.p, [textio.polymat_section(basis)]), args.output)
@@ -221,7 +221,7 @@ def _cmd_shift_change(args) -> int:
     # bundled layout: polymat, shift #0 = base shift, shift #1 = extra shift
     doc = _load(args.input)
     field = doc.field()
-    pmat = textio.polymat_from_section(doc.first("polymat"), field)
+    pmat = textio.polymat_from_section(doc.section("polymat"), field)
     if args.shift:
         sdoc = _load(args.shift)
         _same_prime(doc, sdoc)
@@ -245,7 +245,7 @@ def _cmd_shift_change(args) -> int:
 def _cmd_check(args) -> int:
     doc = _load(args.matrix)
     field = doc.field()
-    mat = textio.polymat_from_section(doc.first("polymat"), field)
+    mat = textio.polymat_from_section(doc.section("polymat"), field)
     if args.mode in ("popov", "reduced"):
         shift = _shift_from(args, doc, mat.ncols)
         ok = (
@@ -268,14 +268,24 @@ def _cmd_check(args) -> int:
         else:
             odoc = _load(args.matrix2)
             _same_prime(doc, odoc)
-            other = textio.polymat_from_section(odoc.first("polymat"), field)
+            other = textio.polymat_from_section(odoc.section("polymat"), field)
             shift = _shift_from(args, edoc, mat.nrows)
             ok = oracle.module_equivalent(mat, other, evals, mulmat, shift)
     print("ok" if ok else "failed")
     return 0 if ok else 1
 
 
-def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random):
+def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, shape: str):
+    """hermite-pade: one nilpotent block of order sigma; multipoint: m rows
+    of order-1 data at sigma distinct nonzero points."""
+    if shape == "multipoint":
+        if sigma >= field.p:
+            raise ValueError("the multipoint shape needs sigma < p distinct nonzero points")
+        points = rng.sample(range(1, field.p), sigma)
+        fmat = PolyMatrix.from_entries(
+            field, [[[rng.randrange(field.p)] for _ in range(sigma)] for _ in range(m)]
+        )
+        return reductions.mpade_instance(fmat, points, [1] * sigma)
     fmat = PolyMatrix.from_entries(
         field, [[[rng.randrange(field.p) for _ in range(sigma)]] for _ in range(m)]
     )
@@ -292,7 +302,7 @@ def _cmd_bench(args) -> int:
     rng = random.Random(args.seed)
     print("engine,m,sigma,seconds")
     for sigma in sizes:
-        inst = _bench_instance(field, args.m, sigma, rng)
+        inst = _bench_instance(field, args.m, sigma, rng, args.shape)
         shift = [0] * args.m
         for engine in engines:
             start = time.perf_counter()
@@ -388,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", type=int, default=65537)
     p.add_argument("--engines", default="dnc,lin,oracle")
+    p.add_argument("--shape", choices=("hermite-pade", "multipoint"), default="hermite-pade")
     p.set_defaults(func=_cmd_bench)
 
     return parser

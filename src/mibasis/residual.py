@@ -1,26 +1,44 @@
 """Residuals P applied to E for a Jordan multiplication matrix.
 
-Per Jordan block of eigenvalue x and size s, the result columns are the
-first s coefficients of P(X+x) times the polynomial encoding of the block's
-columns, taken mod X^s.  Blocks come in any order.  They are dispatched by
-dyadic size class and by how often their eigenvalue repeats inside the
-class, wherever its blocks sit: frequently repeating eigenvalues amortize
-one truncated shift of P across many blocks, rare ones are batched through
-Chinese remaindering so that a single polynomial-matrix product serves
-every eigenvalue at once.  The moduli (X - x)^s of a CRT slot,
-like those of a shifting bucket's eigenvalues, depend on the blocks alone:
-one subproduct tree, with its CRT cofactors, is built per slot of two or more
-moduli and shared by every row lifted up it and every product reduced back
-down it.  A single modulus needs no tree.
+The residual of P on E is sum_d P_d * (E * J^d), d up to D = deg P.  Blocks
+come in any order.  They are sorted by dyadic size class, relative to the
+column count divided by the row count of E (``build_residual_plan``).
+
+Blocks of the small classes go through the linearization: the striped
+Krylov rows S = [E; E*J; ...; E*J^D] on their columns, built by
+ceil(log2(D+1)) doublings of ``jordan.act_power``, and the coefficient
+matrix C of P (column d*m + c holds the coefficients of X^d of column c),
+so that the residual on those columns is one scalar product C * S.  S holds
+m(D+1) rows, so it is built in chunks of whole blocks, each of at most
+_CHUNK_WORDS words; a block wider than that on its own joins the tail.
+
+Blocks of the tail class (large next to the column count per row) go
+through Chinese remaindering, so that one polynomial-matrix product serves
+every eigenvalue at once: on a single nilpotent block this is one Kronecker
+product, with memory linear in the order.  The moduli (X - x)^s of a CRT
+slot, like those of a shifting bucket's eigenvalues, depend on the blocks
+alone: one subproduct tree, with its CRT cofactors, is built per slot of
+two or more moduli and shared by every row lifted up it and every product
+reduced back down it.  A single modulus needs no tree.  The plan still
+labels the small classes ``shift`` (eigenvalues repeating more often than
+the row count) or ``crt``; ``residual_by_shifting`` implements the former
+and is kept for direct callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import PrimeField, SubproductTree
-from .jordan import JordanRep
+import numpy as _np
+
+from . import modmat
+from .field import MINUS_INF, PrimeField, SubproductTree
+from .jordan import JordanRep, act_power
 from .polymat import PolyMatrix, mat_mul
+
+# Most words of one chunk of striped Krylov rows: m(D+1) rows times the
+# chunk's columns.
+_CHUNK_WORDS = 1 << 20
 
 
 @dataclass
@@ -185,21 +203,85 @@ def residual_by_crt(
                     row[off + t] = rem[t] if t < len(rem) else 0
 
 
+def _coefficient_matrix(pmat: PolyMatrix, top: int, dt) -> _np.ndarray:
+    """C with C[r, d*m + c] the coefficient of X^d in P[r][c], d <= top."""
+    m = pmat.ncols
+    c = _np.zeros((pmat.nrows, top + 1, m), dtype=dt)
+    for r, row in enumerate(pmat.rows):
+        for col, e in enumerate(row):
+            if e:
+                c[r, : len(e), col] = e
+    return c.reshape(pmat.nrows, (top + 1) * m)
+
+
+def _striped_krylov(e: _np.ndarray, j: JordanRep, stripes: int) -> _np.ndarray:
+    """[E; E*J; ...; E*J^(stripes-1)] by doubling: each step multiplies the
+    first stripes by J^(stripes so far), the last step only those needed."""
+    m = len(e)
+    s = _np.empty((stripes * m, e.shape[1]), dtype=e.dtype)
+    s[:m] = e
+    have = 1
+    while have < stripes:
+        take = min(have, stripes - have)
+        s[have * m : (have + take) * m] = act_power(s[: take * m], j, have)
+        have += take
+    return s
+
+
+def _chunks(entries, rows: int):
+    """Runs of consecutive entries whose columns times rows fit _CHUNK_WORDS."""
+    chunk, width = [], 0
+    for entry in entries:
+        if chunk and (width + entry[1]) * rows > _CHUNK_WORDS:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append(entry)
+        width += entry[1]
+    if chunk:
+        yield chunk
+
+
+def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int) -> _np.ndarray:
+    """The residual on the columns of the given blocks, zero elsewhere.
+
+    P is nonzero of degree top, and each block times the m(top+1) rows of S
+    fits _CHUNK_WORDS.  Per chunk of whole blocks, one product C * S.
+    """
+    field = pmat.field
+    rows = pmat.ncols * (top + 1)
+    dt = modmat._words(modmat._dtype_for(field.p, rows))
+    out = _np.zeros((pmat.nrows, sigma), dtype=dt)
+    e = modmat.reduce(e_rows, field.p, dt).reshape(len(e_rows), sigma)
+    c = _coefficient_matrix(pmat, top, dt)
+    for chunk in _chunks(entries, rows):
+        cols = [off + t for _, s, off in chunk for t in range(s)]
+        jc = JordanRep(field, tuple((x, s) for x, s, _ in chunk))
+        out[:, cols] = modmat.mat_mul(c, _striped_krylov(e[:, cols], jc, top + 1), field.p)
+    return out
+
+
 def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -> list[list[int]]:
-    """P applied to E, dispatching blocks to the shifting or CRT strategy."""
+    """P applied to E: small blocks by the Krylov product, the tail by CRT."""
     m = len(e_rows)
     if pmat.ncols != m:
         raise ValueError("column count of P must match the row count of E")
     sigma = j.order
     if m and len(e_rows[0]) != sigma:
         raise ValueError("column count of E must match the Jordan order")
-    out = [[0] * sigma for _ in range(pmat.nrows)]
-    if m == 0:
-        return out
-    plan = build_residual_plan(j, m)
-    for bucket in plan.buckets:
-        if bucket.strategy == "shift":
-            residual_by_shifting(bucket.entries, pmat, e_rows, out)
-        else:
-            residual_by_crt(bucket.entries, pmat, e_rows, out)
+    top = pmat.degree()
+    if m == 0 or top == MINUS_INF:
+        return [[0] * sigma for _ in range(pmat.nrows)]
+    rows = m * (top + 1)
+    small, tail = [], []
+    for bucket in build_residual_plan(j, m).buckets:
+        for entry in bucket.entries:
+            fits = bucket.size_class != "inf" and entry[1] * rows <= _CHUNK_WORDS
+            (small if fits else tail).append(entry)
+    if not small:
+        out = [[0] * sigma for _ in range(pmat.nrows)]
+    else:
+        small.sort(key=lambda entry: entry[2])
+        out = _residual_by_krylov(small, pmat, top, e_rows, sigma).tolist()
+    if tail:
+        residual_by_crt(tail, pmat, e_rows, out)
     return out

@@ -11,7 +11,9 @@ sections.  Sections:
     jordan <nblocks>       lines of `<eigenvalue> <size>`
     shift <len>            one line of space-separated nonnegative integers
 
-A `mat` or `polymat` section with zero columns has no row lines.
+A `mat` or `polymat` section with zero columns has no row lines, and a
+`shift` section of length zero has no value line.  Sections carry their
+column count, so matrices with zero rows keep it.
 
 Serialization is canonical (zero polynomials print as `0`), so parsing a
 serialized document and serializing again is byte-identical.
@@ -35,6 +37,7 @@ class ParseError(ValueError):
 class Section:
     kind: str  # "mat" | "polymat" | "jordan" | "shift"
     data: object
+    cols: int | None = None  # column count of a mat or polymat section
 
 
 @dataclass
@@ -45,11 +48,14 @@ class Document:
     def field(self) -> PrimeField:
         return PrimeField(self.p)
 
-    def first(self, kind: str, skip: int = 0):
+    def section(self, kind: str, skip: int = 0) -> Section:
         found = [s for s in self.sections if s.kind == kind]
         if len(found) <= skip:
             raise ValueError(f"document has no {kind} section (index {skip})")
-        return found[skip].data
+        return found[skip]
+
+    def first(self, kind: str, skip: int = 0):
+        return self.section(kind, skip).data
 
 
 def _ints(text: str, count: int | None, line: int) -> list[int]:
@@ -111,7 +117,7 @@ def parse_document(text: str) -> Document:
                 [v % p for v in _ints(body, cols, rln)]
                 for rln, body in take_rows(rows, cols)
             ]
-            sections.append(Section("mat", data))
+            sections.append(Section("mat", data, cols))
         elif kind == "polymat":
             if len(words) != 3:
                 raise ParseError("usage: polymat <rows> <cols>", ln)
@@ -126,7 +132,7 @@ def parse_document(text: str) -> Document:
                     ent = ent.strip()
                     row.append([] if not ent else _ints(ent.replace(",", " "), None, rln))
                 grid.append(row)
-            sections.append(Section("polymat", grid))
+            sections.append(Section("polymat", grid, cols))
         elif kind == "jordan":
             if len(words) != 2:
                 raise ParseError("usage: jordan <nblocks>", ln)
@@ -142,7 +148,7 @@ def parse_document(text: str) -> Document:
             if len(words) != 2:
                 raise ParseError("usage: shift <len>", ln)
             (count,) = _ints(words[1], 1, ln)
-            rln, body = take_rows(1)[0]
+            rln, body = take_rows(1, count)[0]
             vals = _ints(body, count, rln)
             if any(v < 0 for v in vals):
                 raise ParseError("shift entries must be nonnegative", rln)
@@ -159,30 +165,29 @@ def _poly_str(coeffs: list[int]) -> str:
 def serialize_document(doc: Document) -> str:
     out = [f"field p={doc.p}"]
     for sec in doc.sections:
+        if sec.kind in ("mat", "polymat") and sec.cols is None:
+            raise ValueError(f"{sec.kind} section without its column count")
         if sec.kind == "mat":
-            rows = sec.data
-            cols = len(rows[0]) if rows else 0
-            out.append(f"mat {len(rows)} {cols}")
-            out.extend(" ".join(str(v) for v in row) for row in rows if cols)
+            out.append(f"mat {len(sec.data)} {sec.cols}")
+            out.extend(" ".join(str(v) for v in row) for row in sec.data if sec.cols)
         elif sec.kind == "polymat":
-            rows = sec.data
-            cols = len(rows[0]) if rows else 0
-            out.append(f"polymat {len(rows)} {cols}")
-            out.extend(";".join(_poly_str(e) for e in row) for row in rows if cols)
+            out.append(f"polymat {len(sec.data)} {sec.cols}")
+            out.extend(";".join(_poly_str(e) for e in row) for row in sec.data if sec.cols)
         elif sec.kind == "jordan":
             out.append(f"jordan {len(sec.data)}")
             out.extend(f"{ev} {size}" for ev, size in sec.data)
         elif sec.kind == "shift":
             out.append(f"shift {len(sec.data)}")
-            out.append(" ".join(str(v) for v in sec.data))
+            if sec.data:
+                out.append(" ".join(str(v) for v in sec.data))
         else:
             raise ValueError(f"unknown section kind '{sec.kind}'")
     return "\n".join(out) + "\n"
 
 
 def polymat_section(mat: PolyMatrix) -> Section:
-    return Section("polymat", [[e[:] for e in row] for row in mat.rows])
+    return Section("polymat", [[e[:] for e in row] for row in mat.rows], mat.ncols)
 
 
-def polymat_from_section(data, field: PrimeField) -> PolyMatrix:
-    return PolyMatrix.from_entries(field, data)
+def polymat_from_section(sec: Section, field: PrimeField) -> PolyMatrix:
+    return PolyMatrix(field, [[field.poly(e) for e in row] for row in sec.data], sec.cols)

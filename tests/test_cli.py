@@ -28,7 +28,7 @@ EXPECTED_POPOV = PolyMatrix.from_entries(
 
 def read_polymat(path, skip=0):
     doc = textio.parse_document(pathlib.Path(path).read_text())
-    return textio.polymat_from_section(doc.first("polymat", skip), doc.field())
+    return textio.polymat_from_section(doc.section("polymat", skip), doc.field())
 
 
 def test_golden_file_round_trip_is_byte_identical():
@@ -181,6 +181,14 @@ def test_nullspace_subcommand(tmp_path):
     assert main(["nullspace", str(inp), "-o", str(out)]) == 0
     n = read_polymat(out)
     assert n.nrows == 1 and n.ncols == 2
+
+
+def test_nullspace_of_a_full_rank_matrix_keeps_its_column_count(tmp_path, capsys):
+    # the kernel of the identity is 0 x 2, not 0 x 0
+    inp = tmp_path / "ns.txt"
+    inp.write_text("field p=7\npolymat 2 2\n1;0\n0;1\n")
+    assert main(["nullspace", str(inp)]) == 0
+    assert capsys.readouterr().out == "field p=7\npolymat 0 2\n"
 
 
 def test_shift_change_subcommand(tmp_path):
@@ -340,6 +348,24 @@ def test_zero_column_sections_round_trip():
     assert textio.serialize_document(empty) == "field p=97\npolymat 2 0\n"
 
 
+def test_zero_row_sections_keep_their_column_count():
+    text = textio.serialize_document(
+        textio.Document(7, [textio.polymat_section(PolyMatrix(PrimeField(7), [], 3))])
+    )
+    assert text == "field p=7\npolymat 0 3\n"
+    doc = textio.parse_document(text + "mat 0 2\n")
+    back = textio.polymat_from_section(doc.section("polymat"), doc.field())
+    assert (back.nrows, back.ncols) == (0, 3)
+    assert textio.serialize_document(doc) == text + "mat 0 2\n"
+
+
+def test_empty_shift_round_trips():
+    text = "field p=7\nshift 0\nmat 1 1\n3\nshift 0\n"
+    doc = textio.parse_document(text)
+    assert [s.data for s in doc.sections] == [[], [[3]], []]
+    assert textio.serialize_document(doc) == text
+
+
 @pytest.mark.parametrize("algo", ["lin", "dnc", "oracle"])
 def test_interp_sigma_zero_prints_identity(tmp_path, capsys, algo):
     # no interpolation conditions: the identity is the basis
@@ -347,3 +373,16 @@ def test_interp_sigma_zero_prints_identity(tmp_path, capsys, algo):
     f.write_text("field p=97\nmat 2 0\njordan 0\n")
     assert main(["interp", "--algo", algo, "--evals", str(f)]) == 0
     assert capsys.readouterr().out == "field p=97\npolymat 2 2\n1;0\n0;1\n"
+
+
+def test_bench_multipoint_shape(capsys):
+    args = ["bench", "--sizes", "8,16", "--m", "2", "--shape", "multipoint"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "engine,m,sigma,seconds"
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+        f"{e},2,{s}" for s in (8, 16) for e in ("dnc", "lin", "oracle")
+    ]
+    # sigma distinct nonzero points need sigma < p
+    assert main(args + ["--field", "7"]) == 1
+    assert "sigma < p" in capsys.readouterr().err

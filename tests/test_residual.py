@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mibasis.field import PrimeField
 from mibasis import jordan, oracle, residual
@@ -133,7 +134,10 @@ def test_crt_strategy_mixed_bucket():
     assert got == oracle.naive_residual(j, p, e)
 
 
-def test_dispatcher_covers_both_paths_and_matches_naive():
+@pytest.mark.parametrize("p", [7, 65537, 2**61 - 1])
+def test_dispatcher_covers_both_paths_and_matches_naive(p):
+    # 2**61 - 1 takes the object arrays of act_power and mat_mul
+    field = PrimeField(p)
     rng = random.Random(7)
     for trial in range(80):
         m = rng.randrange(1, 4)
@@ -157,11 +161,43 @@ def test_dispatcher_covers_both_paths_and_matches_naive():
                 s = rng.randrange(1, left + 1)
                 pairs.append((rng.randrange(4), s))
                 left -= s
-        j = jordan.JordanRep(F7, tuple(pairs))
+        j = jordan.JordanRep(field, tuple(pairs))
         sigma = j.order
-        e = [[rng.randrange(7) for _ in range(sigma)] for _ in range(m)]
-        p = rand_pmat(rng, F7, m, m, 3)
-        assert residual.compute_residuals(j, p, e) == oracle.naive_residual(j, p, e)
+        e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+        pmat = rand_pmat(rng, field, m, m, 3)
+        assert residual.compute_residuals(j, pmat, e) == oracle.naive_residual(j, pmat, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_krylov_chunks_match_naive(data):
+    # blocks in any order, an eigenvalue's blocks apart; P zero, constant or
+    # of any degree; chunks of at most `width` columns, so that a solve spans
+    # several chunks and wider small blocks join the tail
+    p = data.draw(st.sampled_from([7, 65537, 2**31 - 1, 2**61 - 1]))
+    field = PrimeField(p)
+    m = data.draw(st.integers(1, 3))
+    blocks = data.draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=1, max_size=12)
+    )
+    j = jordan.JordanRep(field, tuple(blocks))
+    coeff = st.integers(0, p - 1)
+    e_row = st.lists(coeff, min_size=j.order, max_size=j.order)
+    e = data.draw(st.lists(e_row, min_size=m, max_size=m))
+    top = data.draw(st.integers(-1, 6))
+    nrows = data.draw(st.integers(0, 3))
+    entries = [
+        [data.draw(st.lists(coeff, max_size=top + 1)) for _ in range(m)] for _ in range(nrows)
+    ]
+    if top >= 0 and nrows:
+        entries[0][0] = entries[0][0] + [0] * (top + 1 - len(entries[0][0]))
+        entries[0][0][top] = data.draw(st.integers(1, p - 1))
+    pmat = PolyMatrix(field, [[field.poly(c) for c in row] for row in entries], m)
+    width = data.draw(st.integers(1, 6))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residual, "_CHUNK_WORDS", m * (max(top, 0) + 1) * width)
+        got = residual.compute_residuals(j, pmat, e)
+    assert got == oracle.naive_residual(j, pmat, e)
 
 
 def test_linearity_in_p():
