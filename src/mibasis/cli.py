@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import sys
 import time
 
@@ -277,7 +278,12 @@ def _cmd_check(args) -> int:
 
 def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, shape: str):
     """hermite-pade: one nilpotent block of order sigma; multipoint: m rows
-    of order-1 data at sigma distinct nonzero points."""
+    of order-1 data at sigma distinct nonzero points; dense: m random rows
+    and a random dense sigma x sigma M, as (evals, mulmat)."""
+    if shape == "dense":
+        evals = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(m)]
+        dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
+        return evals, dense
     if shape == "multipoint":
         if sigma >= field.p:
             raise ValueError("the multipoint shape needs sigma < p distinct nonzero points")
@@ -285,36 +291,45 @@ def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, s
         fmat = PolyMatrix.from_entries(
             field, [[[rng.randrange(field.p)] for _ in range(sigma)] for _ in range(m)]
         )
-        return reductions.mpade_instance(fmat, points, [1] * sigma)
-    fmat = PolyMatrix.from_entries(
-        field, [[[rng.randrange(field.p) for _ in range(sigma)]] for _ in range(m)]
-    )
-    return reductions.hermite_pade_instance(fmat, [sigma])
+        inst = reductions.mpade_instance(fmat, points, [1] * sigma)
+    else:
+        fmat = PolyMatrix.from_entries(
+            field, [[[rng.randrange(field.p) for _ in range(sigma)]] for _ in range(m)]
+        )
+        inst = reductions.hermite_pade_instance(fmat, [sigma])
+    return inst.evals, inst.mulmat
 
 
 def _cmd_bench(args) -> int:
     field = PrimeField(args.field)
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    engines = [e for e in args.engines.split(",") if e]
+    default = "lin,oracle" if args.shape == "dense" else "dnc,lin,oracle"
+    engines = [e for e in (args.engines or default).split(",") if e]
     for e in engines:
         if e not in ("dnc", "lin", "oracle"):
             raise UsageError(f"unknown engine '{e}'")
+    if args.shape == "dense" and "dnc" in engines:
+        raise UsageError("dnc needs a Jordan multiplication matrix, not the dense shape")
+    if args.repeats < 1:
+        raise UsageError("--repeats must be at least 1")
     rng = random.Random(args.seed)
     print("engine,m,sigma,seconds")
     for sigma in sizes:
-        inst = _bench_instance(field, args.m, sigma, rng, args.shape)
+        evals, mulmat = _bench_instance(field, args.m, sigma, rng, args.shape)
         shift = [0] * args.m
         for engine in engines:
-            start = time.perf_counter()
-            if engine == "dnc":
-                interpolation_basis(inst.evals, inst.mulmat, shift, field)
-            elif engine == "lin":
-                delta = _krylov_delta(inst.mulmat, sigma)
-                lin_interp_basis(inst.evals, inst.mulmat, shift, delta, field)
-            else:
-                oracle.oracle_popov(inst.evals, inst.mulmat, shift, field)
-            elapsed = time.perf_counter() - start
-            print(f"{engine},{args.m},{sigma},{elapsed:.6f}")
+            times = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                if engine == "dnc":
+                    interpolation_basis(evals, mulmat, shift, field)
+                elif engine == "lin":
+                    delta = _krylov_delta(mulmat, sigma)
+                    lin_interp_basis(evals, mulmat, shift, delta, field)
+                else:
+                    oracle.oracle_popov(evals, mulmat, shift, field)
+                times.append(time.perf_counter() - start)
+            print(f"{engine},{args.m},{sigma},{statistics.median(times):.6f}")
             sys.stdout.flush()
     return 0
 
@@ -397,8 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", type=int, default=65537)
-    p.add_argument("--engines", default="dnc,lin,oracle")
-    p.add_argument("--shape", choices=("hermite-pade", "multipoint"), default="hermite-pade")
+    p.add_argument("--engines", help="default dnc,lin,oracle; lin,oracle on the dense shape")
+    p.add_argument(
+        "--shape", choices=("hermite-pade", "multipoint", "dense"), default="hermite-pade"
+    )
+    p.add_argument("--repeats", type=int, default=1, help="print the median of N runs")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -5,10 +5,13 @@ the rows of a striped Krylov matrix (the stack of E, E*M, ..., E*M^delta),
 with rows permuted so that relations found among early rows have small
 shifted row degree.  The engine computes the row rank profile of that
 matrix by degree doubling: the first elimination takes the 2m rows of E and
-E*M, each later one at most 2*rank rows, and delta = 1 is one elimination
-of E.  One product by M takes the last profile row of each column to its
-target row, and one linear solve, of the profile rows against the targets,
-gives the unique interpolation basis in shifted Popov form.
+E*M, and delta = 1 is one elimination of E.  A later step whose new rows
+all sort after the kept ones resumes from the kept rows' reduced form and
+eliminates only the new rows; the doubling stops early once the kept rows
+span F^sigma and the next step's rows would all follow them.  One product
+by M takes the last profile row of each column to its target row, and one
+linear solve, of the profile rows against the targets, gives the unique
+interpolation basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -98,14 +101,31 @@ def krylov_rank_profile(
     polynomial of the multiplication matrix.  The loop starts from all rows
     of E in priority order; each doubling step merges the kept rows with
     their images under M^step and eliminates once, so delta = 1 is one
-    elimination of E and delta > 1 takes log2(delta) eliminations, of at most
-    2m rows first and 2*rank afterwards.  A row that depends on earlier rows
-    in degree d still does in degree d + step, as the priority order is
-    compatible with multiplication by M, so dropped rows never change which
-    later rows are independent.  Reported indices refer to the degree-delta
-    row ordering.  E and a dense M are lists of rows, reduced and converted
-    here, or arrays already reduced mod p as lin_interp_basis passes them.
+    elimination of E and delta > 1 takes at most log2(delta) eliminations.
+    A row that depends on earlier rows in degree d still does in degree
+    d + step, as the priority order is compatible with multiplication by M,
+    so dropped rows never change which later rows are independent.
+
+    When every new row (c, d + step) sorts after every kept row, as it
+    always does for a uniform shift, the kept rows are a prefix of the
+    merged stack.  They are independent and their reduced rows are known
+    from the previous elimination, so `modmat.rref` resumes from those and
+    eliminates only the new rows; the result is the elimination of the
+    whole stack.  Otherwise the merged stack is eliminated from scratch.
+    Once the kept rows have rank sigma and the next step's rows all sort
+    after them, doubling stops and the profile is final.  The kept rows of
+    column c have the degrees 0..d_c, and the rows examined so far all
+    degrees below some D.  A row (c, d) with d >= D either lies past a
+    dropped row (c, d_c + 1), so it depends on earlier rows, or has
+    d_c = D - 1 and sorts no earlier than the next step's row (c, D), so it
+    follows rows spanning F^sigma and is dependent as well.
+
+    Reported indices refer to the degree-delta row ordering.  E and a dense
+    M are lists of rows, reduced and converted here, or arrays already
+    reduced mod p as lin_interp_basis passes them.
     """
+    if isinstance(mulmat, _jordan.JordanRep) and mulmat.field != field:
+        raise ValueError("field does not match the Jordan matrix")
     p = field.p
     if isinstance(e_rows, _np.ndarray):
         e = e_rows
@@ -120,6 +140,7 @@ def krylov_rank_profile(
 
     pairs = [(c, 0) for c in sorted(range(m), key=lambda c: (shift[c], c))]
     rows = e.take([c for c, _ in pairs], 0)
+    reduced = None  # (pivot columns, reduced rows) of the kept rows
     pow_cache = {"mat": mulmat, "exp": 1}
     step = 1
     while True:
@@ -127,14 +148,21 @@ def krylov_rank_profile(
             new_rows = _rows_times_power(rows, mulmat, step, p, pow_cache)
             merged = pairs + [(c, d + step) for c, d in pairs]
             order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
+            if order[: len(pairs)] != list(range(len(pairs))):
+                reduced = None  # new rows interleave: the kept ones are no prefix
             pairs = [merged[i] for i in order]
             rows = _np.concatenate([rows, new_rows]).take(order, 0)
-        _, kept = modmat.row_rank_profile(rows, p)
+        kept, pivcols, red = modmat.rref(rows, p, reduced)
         pairs = [pairs[i] for i in kept]
         rows = rows.take(kept, 0)
+        reduced = (pivcols, red)
         step *= 2
         if step >= delta or not pairs:
             break
+        if len(pairs) == sigma:
+            # the kept rows span F^sigma: final once the next step's rows follow
+            if min(key((c, d + step)) for c, d in pairs) > key(pairs[-1]):
+                break
 
     indices = [priority_index(shift, delta, c, d) for c, d in pairs]
     return RankProfile(len(pairs), indices, pairs, rows)
@@ -193,8 +221,6 @@ def lin_interp_basis(
     the diagonal degrees are the minimal degrees of the instance and the sum
     of the output column degrees is at most the column count of E.
     """
-    if isinstance(mulmat, _jordan.JordanRep) and mulmat.field != field:
-        raise ValueError("field does not match the Jordan matrix")
     p = field.p
     e, mulmat = _operands(e_rows, mulmat, p)
     m = len(e)

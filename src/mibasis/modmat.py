@@ -67,13 +67,19 @@ def mat_mul(a, b, p: int) -> _np.ndarray:
     return prod.astype(_words(dt), copy=False) % p
 
 
-def rref(mat, p: int):
+def rref(mat, p: int, reduced=None):
     """Row-order Gauss-Jordan elimination.
 
     Processes the rows top to bottom without swapping them, so the selected
     pivot rows form the (lexicographically first) row rank profile.  Returns
     (pivot_row_indices, pivot_cols, reduced_rows), the last an array whose
     rows are unit at their own pivot column and zero at every other one.
+
+    `reduced` resumes an elimination: it is the (pivot_cols, reduced_rows)
+    that rref returned for the first r = len(pivot_cols) rows of mat, which
+    must all have been pivot rows.  Those rows are then not eliminated
+    again; the loop starts at row r from their reduced rows, and the result
+    is the one a fresh call returns, pivot rows 0..r-1 included.
 
     The elimination is blocked.  The reduced rows R found so far stay fully
     reduced, and each block of rows is pre-reduced against them with one
@@ -98,8 +104,11 @@ def rref(mat, p: int):
     H = _np.zeros((kmax, ncols), dtype=dt)
     G = _np.zeros((ncols, kmax), dtype=dt)
     pivcols: list[int] = []
-    pivrows: list[int] = []
-    i = 0
+    if reduced is not None:
+        pivcols = list(reduced[0])
+        R[: len(pivcols)] = reduced[1]
+    pivrows = list(range(len(pivcols)))
+    i = len(pivcols)
     while i < nrows and len(pivcols) < ncols:
         r = len(pivcols)
         blk = A[i : i + _BLOCK] % p

@@ -386,3 +386,21 @@ def test_bench_multipoint_shape(capsys):
     # sigma distinct nonzero points need sigma < p
     assert main(args + ["--field", "7"]) == 1
     assert "sigma < p" in capsys.readouterr().err
+
+
+def test_bench_dense_shape_and_repeats(capsys):
+    # the dense shape times lin and oracle only; --repeats prints one median
+    # per (engine, sigma) in the same columns
+    args = ["bench", "--sizes", "8,16", "--m", "2", "--shape", "dense", "--repeats", "3"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "engine,m,sigma,seconds"
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+        f"{e},2,{s}" for s in (8, 16) for e in ("lin", "oracle")
+    ]
+    assert all(float(ln.rsplit(",", 1)[1]) >= 0 for ln in lines[1:])
+    # dnc needs a Jordan matrix, and a median needs at least one run
+    assert main(args + ["--engines", "dnc,lin"]) == 2
+    assert "dnc" in capsys.readouterr().err
+    assert main(["bench", "--sizes", "8", "--repeats", "0"]) == 2
+    assert "--repeats" in capsys.readouterr().err

@@ -171,6 +171,70 @@ def test_krylov_matches_dense_reference_jordan_and_dense():
         assert prof.row_indices == _dense_rank_profile_reference(e, dense, s, delta, F7)
 
 
+def _profile_and_eliminations(monkeypatch, *args):
+    """krylov_rank_profile, and for each elimination whether it resumed."""
+    resumed = []
+    rref = modmat.rref
+
+    def spy(mat, p, reduced=None):
+        resumed.append(reduced is not None)
+        return rref(mat, p, reduced)
+
+    monkeypatch.setattr(modmat, "rref", spy)
+    return lin.krylov_rank_profile(*args), resumed
+
+
+def test_krylov_stops_once_the_kept_rows_span(monkeypatch):
+    # uniform shift: every step after the first resumes, and the 6 rows of E
+    # reach rank sigma = 48 at the step by M^4; the steps by M^8, M^16 and
+    # M^32 that delta = 64 asks for are skipped
+    field = PrimeField(65537)
+    rng = random.Random(11)
+    sigma = 48
+    e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(6)]
+    dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
+    expected = _dense_rank_profile_reference(e, dense, [0] * 6, 64, field)
+    prof, resumed = _profile_and_eliminations(monkeypatch, e, dense, [0] * 6, 64, field)
+    assert resumed == [False, True, True]
+    assert prof.rank == sigma
+    assert prof.row_indices == expected
+
+
+def test_krylov_interleaving_rows_neither_resume_nor_stop(monkeypatch):
+    # a shift spread of 5 exceeds every step below delta = 8, so the new
+    # rows of column 0 sort before kept rows of column 1: each step
+    # eliminates from scratch, and rank sigma after the step by M^2 does
+    # not end the loop, as rows (0, 4), (0, 5), (0, 6) still enter the profile
+    rng = random.Random(12)
+    sigma = 8
+    e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(2)]
+    dense = [[rng.randrange(97) for _ in range(sigma)] for _ in range(sigma)]
+    expected = _dense_rank_profile_reference(e, dense, [0, 5], 8, F97)
+    prof, resumed = _profile_and_eliminations(monkeypatch, e, dense, [0, 5], 8, F97)
+    assert resumed == [False, False, False]
+    assert prof.row_indices == expected
+    assert (0, 6) in prof.decoded
+
+
+def test_krylov_rank_below_sigma_runs_every_step(monkeypatch):
+    # M = diag(A, B) and E supported on A's coordinates: the Krylov space
+    # has rank 6 < sigma = 12, so the loop must not stop before delta = 16
+    big = PrimeField((1 << 61) - 1)
+    rng = random.Random(13)
+    sigma, half = 12, 6
+    e = [[rng.randrange(big.p) for _ in range(half)] + [0] * half for _ in range(2)]
+    dense = [[0] * sigma for _ in range(sigma)]
+    for lo in (0, half):
+        for i in range(lo, lo + half):
+            for j in range(lo, lo + half):
+                dense[i][j] = rng.randrange(big.p)
+    expected = _dense_rank_profile_reference(e, dense, [0, 0], 16, big)
+    prof, resumed = _profile_and_eliminations(monkeypatch, e, dense, [0, 0], 16, big)
+    assert resumed == [False, True, True, True]
+    assert prof.rank == half
+    assert prof.row_indices == expected
+
+
 EXPECTED_POPOV = [
     [[82, 40, 1], [76], []],
     [[13, 3], [57, 1], []],
@@ -199,6 +263,9 @@ def test_lin_interp_basis_staircase_shift():
 def test_lin_interp_basis_field_mismatch_rejected():
     with pytest.raises(ValueError, match="field"):
         lin.lin_interp_basis(EVALS, nilpotent3(), [0, 0, 0], 4, F7)
+    # the profile alone too: it would multiply mod 7 and eliminate mod 97
+    with pytest.raises(ValueError, match="field"):
+        lin.krylov_rank_profile([[1, 2, 3]], jordan.JordanRep(F7, ((1, 3),)), [0], 4, F97)
 
 
 def test_lin_interp_basis_zero_evals():

@@ -112,6 +112,27 @@ def test_large_blocked_path_agrees_with_reference():
     assert rref_lists(mat, 97) == rref_reference(mat, 97)
 
 
+@pytest.mark.parametrize("p", [7, P26, P61])
+@pytest.mark.parametrize("k", [5, 32, 40])
+def test_rref_resumed_from_a_prefix_matches_a_fresh_call(p, k):
+    # k independent rows, inside the first block or across the block size,
+    # then a rank-deficient tail: planted combinations of earlier tail rows
+    # and one combination of head rows; p runs float64, int64 and object
+    rng = random.Random(k)
+    cols = 48
+    head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+    tail = random_matrix(rng, p, 30, cols, small=True)
+    tail[4] = [(3 * x + 5 * y) % p for x, y in zip(head[0], head[-1])]
+    pivrows, pivcols, reduced = modmat.rref(head, p)
+    assert pivrows == list(range(k))
+    fresh = modmat.rref(head + tail, p)
+    resumed = modmat.rref(head + tail, p, (pivcols, reduced))
+    assert resumed[:2] == fresh[:2]
+    assert resumed[2].dtype == fresh[2].dtype
+    assert np.array_equal(resumed[2], fresh[2])
+    assert fresh[:2] == rref_reference(head + tail, p)[:2]
+
+
 def test_mat_mul_against_naive():
     rng = random.Random(12)
     seen = set()

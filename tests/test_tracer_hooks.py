@@ -71,19 +71,22 @@ def test_dense_lin_reaches_the_scalar_layers():
     e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(3)]
     dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field))
-    # six doubling steps (delta = 64) eliminate once each, and one solve
-    # gives the relations; six products by powers of M, five squarings and
-    # one product for the target rows
-    assert stats["modmat.rref"].calls == 7
-    assert stats["modmat.mat_mul"].calls == 12
+    # the steps by M, M^2, M^4 and M^8 keep 6, 12, 24 and then 40 = sigma
+    # rows, and the rows of the step by M^16 would all follow them, so
+    # doubling stops before delta = 64: four eliminations and one solve for
+    # the relations; four products by powers of M, three squarings and one
+    # product for the target rows
+    assert stats["modmat.rref"].calls == 5
+    assert stats["modmat.mat_mul"].calls == 8
 
 
 def test_jordan_lin_eliminates_once_per_doubling_step_and_once_to_solve():
-    # no elimination of E alone and no column profile: delta = 4 takes two
-    # doubling steps and one relation solve
+    # no elimination of E alone and no column profile: the step by M keeps
+    # 4 = sigma rows, and the rows of the step by M^2 would all follow them,
+    # so delta = 4 takes one doubling step and one relation solve
     field = mb.PrimeField(97)
     rep = jordan.JordanRep(field, ((0, 4),))
     rng = random.Random(5)
     e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
-    assert stats["modmat.rref"].calls == 3
+    assert stats["modmat.rref"].calls == 2
