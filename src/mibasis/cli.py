@@ -313,21 +313,29 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
     rng = random.Random(args.seed)
+    shift = [0] * args.m
+
+    def solve(engine, evals, mulmat, sigma):
+        if engine == "dnc":
+            interpolation_basis(evals, mulmat, shift, field)
+        elif engine == "lin":
+            lin_interp_basis(evals, mulmat, shift, _krylov_delta(mulmat, sigma), field)
+        else:
+            oracle.oracle_popov(evals, mulmat, shift, field)
+
     print("engine,m,sigma,seconds")
-    for sigma in sizes:
+    for n, sigma in enumerate(sizes):
         evals, mulmat = _bench_instance(field, args.m, sigma, rng, args.shape)
-        shift = [0] * args.m
+        if n == 0:
+            # untimed warm-up: the first solves of a process pay for imports,
+            # numpy's first calls and cold caches
+            for engine in engines:
+                solve(engine, evals, mulmat, sigma)
         for engine in engines:
             times = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                if engine == "dnc":
-                    interpolation_basis(evals, mulmat, shift, field)
-                elif engine == "lin":
-                    delta = _krylov_delta(mulmat, sigma)
-                    lin_interp_basis(evals, mulmat, shift, delta, field)
-                else:
-                    oracle.oracle_popov(evals, mulmat, shift, field)
+                solve(engine, evals, mulmat, sigma)
                 times.append(time.perf_counter() - start)
             print(f"{engine},{args.m},{sigma},{statistics.median(times):.6f}")
             sys.stdout.flush()

@@ -5,7 +5,8 @@ PM-basis does for approximant bases: solve the left half at shift s,
 propagate the surviving right-half columns of the residual, solve those at
 shift t = rdeg_s(P1), and multiply.  P2*P1 is then s-reduced with
 rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node re-reduces.
-Column counts at or below the row count go to the linearization engine.
+Nodes of at most max(8m, 64) columns, m the row count, go to the
+linearization engine.
 The halves are the leading and trailing columns with their blocks in the
 order given; a block that straddles the cut splits in two.
 
@@ -24,6 +25,13 @@ from .linearization import lin_interp_basis
 from .polymat import PolyMatrix, shifted_row_degree
 from .residual import compute_residuals
 from .unbalanced import unbalanced_mul
+
+
+# A node of sigma <= max(_LEAF_PER_ROW * m, _LEAF) columns goes to the
+# linearization engine: on smaller nodes numpy's per-call overhead, not
+# arithmetic, would bound the time of the recursion.
+_LEAF = 64
+_LEAF_PER_ROW = 8
 
 
 def _base_delta(sigma: int) -> int:
@@ -58,7 +66,7 @@ def interpolation_basis_rec(
     """s-reduced interpolation basis; shifted row degree sum <= order + sum(s)."""
     m = len(e_rows)
     sigma = j.order
-    if sigma <= m:
+    if sigma <= max(_LEAF_PER_ROW * m, _LEAF):
         basis, _ = lin_interp_basis(e_rows, j, shift, _base_delta(sigma), field)
         return basis
     half = sigma // 2

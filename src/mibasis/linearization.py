@@ -9,9 +9,11 @@ E*M, and delta = 1 is one elimination of E.  A later step whose new rows
 all sort after the kept ones resumes from the kept rows' reduced form and
 eliminates only the new rows; the doubling stops early once the kept rows
 span F^sigma and the next step's rows would all follow them.  One product
-by M takes the last profile row of each column to its target row, and one
-linear solve, of the profile rows against the targets, gives the unique
-interpolation basis in shifted Popov form.
+by M takes the last profile row of each column to its target row.  Each
+elimination also carries T, the transform of the profile rows C to their
+reduced form R = T C, so the relations X C = D, D the targets, take no
+elimination: one product checks D = D[:, pivots] R, and X = D[:, pivots] T
+gives the unique interpolation basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -19,7 +21,7 @@ enables the fast blockwise row updates.
 The engine runs on numpy arrays from entry to exit.  E is converted once,
 reduced mod p, into the int64 (or object) words of `modmat`; a dense M is
 converted once, reduced mod p, into the dtype of its products.  The Krylov
-rows, the powers of M, the target rows and the linear system stay arrays;
+rows, the powers of M, the target rows and the relations stay arrays;
 lists appear again only when the PolyMatrix is assembled.
 """
 
@@ -48,10 +50,15 @@ def priority_index(shift: list[int], delta: int, c: int, d: int) -> int:
 
 @dataclass
 class RankProfile:
+    """The profile rows, as (column, degree) pairs and as rows of the Krylov
+    matrix, with `reduced` = (pivot_cols, R, T) of their elimination by
+    `modmat.rref`: R = T pivot_rows is their reduced form."""
+
     rank: int
     row_indices: list[int]
     decoded: list[tuple[int, int]]
     pivot_rows: _np.ndarray
+    reduced: tuple
 
 
 def _is_pow2(n: int) -> bool:
@@ -108,10 +115,10 @@ def krylov_rank_profile(
 
     When every new row (c, d + step) sorts after every kept row, as it
     always does for a uniform shift, the kept rows are a prefix of the
-    merged stack.  They are independent and their reduced rows are known
-    from the previous elimination, so `modmat.rref` resumes from those and
-    eliminates only the new rows; the result is the elimination of the
-    whole stack.  Otherwise the merged stack is eliminated from scratch.
+    merged stack.  They are independent and their reduced rows and their
+    transform are known from the previous elimination, so `modmat.rref`
+    resumes from those and eliminates only the new rows; the result is the
+    elimination of the whole stack.  Otherwise the merged stack is eliminated from scratch.
     Once the kept rows have rank sigma and the next step's rows all sort
     after them, doubling stops and the profile is final.  The kept rows of
     column c have the degrees 0..d_c, and the rows examined so far all
@@ -140,7 +147,7 @@ def krylov_rank_profile(
 
     pairs = [(c, 0) for c in sorted(range(m), key=lambda c: (shift[c], c))]
     rows = e.take([c for c, _ in pairs], 0)
-    reduced = None  # (pivot columns, reduced rows) of the kept rows
+    reduced = None  # (pivot columns, reduced rows, transform) of the kept rows
     pow_cache = {"mat": mulmat, "exp": 1}
     step = 1
     while True:
@@ -152,10 +159,9 @@ def krylov_rank_profile(
                 reduced = None  # new rows interleave: the kept ones are no prefix
             pairs = [merged[i] for i in order]
             rows = _np.concatenate([rows, new_rows]).take(order, 0)
-        kept, pivcols, red = modmat.rref(rows, p, reduced)
+        kept, *reduced = modmat.rref(rows, p, reduced, transform=True)
         pairs = [pairs[i] for i in kept]
         rows = rows.take(kept, 0)
-        reduced = (pivcols, red)
         step *= 2
         if step >= delta or not pairs:
             break
@@ -165,7 +171,7 @@ def krylov_rank_profile(
                 break
 
     indices = [priority_index(shift, delta, c, d) for c, d in pairs]
-    return RankProfile(len(pairs), indices, pairs, rows)
+    return RankProfile(len(pairs), indices, pairs, rows, tuple(reduced))
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:
@@ -219,7 +225,9 @@ def lin_interp_basis(
 
     Every output row r satisfies sum_c r_c acting on row c of E equal zero;
     the diagonal degrees are the minimal degrees of the instance and the sum
-    of the output column degrees is at most the column count of E.
+    of the output column degrees is at most the column count of E.  Raises
+    ValueError when a target row is not in the span of the profile rows,
+    as when delta does not bound the degree of M's minimal polynomial.
     """
     p = field.p
     e, mulmat = _operands(e_rows, mulmat, p)
@@ -227,6 +235,10 @@ def lin_interp_basis(
     profile = krylov_rank_profile(e, mulmat, shift, delta, field)
     mindeg = minimal_degree(profile, m)
     targets = _target_rows(e, mulmat, profile, mindeg, p)
-    relation = modmat.solve_right(profile.pivot_rows, targets, p)
+    pivcols, red, transform = profile.reduced
+    coords = targets[:, pivcols]
+    if not _np.array_equal(modmat.mat_mul(coords, red, p), targets):
+        raise ValueError("a target row is not in the span of the profile rows")
+    relation = modmat.mat_mul(coords, transform, p)
     basis = _assemble_popov(field, m, mindeg, profile.decoded, relation.tolist())
     return basis, mindeg

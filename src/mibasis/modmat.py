@@ -8,7 +8,10 @@ every sum of products fits their 53 bits, then in int64 words, and
 otherwise in object arrays, which are exact for any modulus below 2**62.
 Remainders of float64 products are taken in int64, where `%` is several
 times cheaper.  Every elimination goes through `rref`: row rank profiles,
-and `solve_right`, which solves a full-row-rank system with one call.
+the Krylov eliminations of the linearization engine, which ask it for the
+transform T of their pivot rows and solve their relations with it, and
+`solve_right`, which solves a full-row-rank system with one call for the
+oracle.
 """
 
 from __future__ import annotations
@@ -67,63 +70,83 @@ def mat_mul(a, b, p: int) -> _np.ndarray:
     return prod.astype(_words(dt), copy=False) % p
 
 
-def rref(mat, p: int, reduced=None):
+def rref(mat, p: int, reduced=None, transform: bool = False):
     """Row-order Gauss-Jordan elimination.
 
     Processes the rows top to bottom without swapping them, so the selected
     pivot rows form the (lexicographically first) row rank profile.  Returns
-    (pivot_row_indices, pivot_cols, reduced_rows), the last an array whose
+    (pivot_row_indices, pivot_cols, reduced_rows), the last an array R whose
     rows are unit at their own pivot column and zero at every other one.
+    With transform=True it also returns the r x r matrix T, r the rank, with
+    R = T C for the pivot rows C = mat[pivot_row_indices]; T is the inverse
+    of C[:, pivot_cols].  Then X C = D has the solution X = D[:, pivot_cols] T
+    exactly when D = D[:, pivot_cols] R.
 
-    `reduced` resumes an elimination: it is the (pivot_cols, reduced_rows)
-    that rref returned for the first r = len(pivot_cols) rows of mat, which
-    must all have been pivot rows.  Those rows are then not eliminated
-    again; the loop starts at row r from their reduced rows, and the result
-    is the one a fresh call returns, pivot rows 0..r-1 included.
+    `reduced` resumes an elimination: it is the (pivot_cols, reduced_rows),
+    or with transform the (pivot_cols, reduced_rows, T), that rref returned
+    for the first r = len(pivot_cols) rows of mat, which must all have been
+    pivot rows.  Those rows are then not eliminated again; the loop starts
+    at row r from their reduced rows, and the result is the one a fresh call
+    returns, pivot rows 0..r-1 included.
 
     The elimination is blocked.  The reduced rows R found so far stay fully
     reduced, and each block of rows is pre-reduced against them with one
     product.  Inside a block the new pivot rows H are kept in echelon form
     only: zero at the block's earlier pivot columns.  Their entries at the
-    block's pivot columns form an upper-triangular matrix T, and G holds
-    the inverse of T in the rows of those columns (zero elsewhere), so that
+    block's pivot columns form an upper-triangular matrix U, and G holds
+    the inverse of U in the rows of those columns (zero elsewhere), so that
     H G = I.  An incoming row v is reduced by c = v G and v - c H: a pivot
     costs products of one row, not an update of the whole block.  A new
     pivot row h, of pivot column j, adds the column (e_j - G H[:, j]) / h_j
-    to G.  At the end of the block, T^-1 H are its fully reduced rows, and
+    to G.  At the end of the block, U^-1 H are its fully reduced rows, and
     one product folds them into R.
+
+    T rides along as min(rows, cols) extra columns of every working row,
+    indexed by pivot number: a row that may become pivot k carries e_k
+    there, and every row operation acts on those columns too, so that each
+    working row is its T part times the pivot rows.
     """
     nrows, ncols = _dims(mat)
     if not nrows or not ncols:
-        return [], [], _np.zeros((0, ncols), dtype=_np.int64)
-    dt = _dtype_for(p, min(nrows, ncols) + 1)
+        empty = _np.zeros((0, ncols), dtype=_np.int64)
+        if transform:
+            return [], [], empty, _np.zeros((0, 0), dtype=_np.int64)
+        return [], [], empty
+    cap = min(nrows, ncols)
+    dt = _dtype_for(p, cap + 1)
     wd = _words(dt)
     A = _np.asarray(mat, dtype=wd)
-    kmax = min(_BLOCK, nrows, ncols)
-    R = _np.zeros((min(nrows, ncols), ncols), dtype=dt)
-    H = _np.zeros((kmax, ncols), dtype=dt)
+    width = ncols + cap if transform else ncols
+    kmax = min(_BLOCK, cap)
+    R = _np.zeros((cap, width), dtype=dt)  # reduced rows, with T beside them
+    H = _np.zeros((kmax, width), dtype=dt)
     G = _np.zeros((ncols, kmax), dtype=dt)
     pivcols: list[int] = []
     if reduced is not None:
         pivcols = list(reduced[0])
-        R[: len(pivcols)] = reduced[1]
+        R[: len(pivcols), :ncols] = reduced[1]
+        if transform:
+            R[: len(pivcols), ncols : ncols + len(pivcols)] = reduced[2]
     pivrows = list(range(len(pivcols)))
     i = len(pivcols)
     while i < nrows and len(pivcols) < ncols:
         r = len(pivcols)
-        blk = A[i : i + _BLOCK] % p
+        blk = _np.zeros((min(_BLOCK, nrows - i), width), dtype=wd)
+        _np.remainder(A[i : i + _BLOCK], p, out=blk[:, :ncols])
         if r:
             blk = (blk - blk[:, pivcols] @ R[:r]).astype(wd, copy=False) % p
         loc: list[int] = []
         for bi in range(blk.shape[0]):
             k = len(loc)
+            if transform:
+                blk[bi, ncols + r + k] = 1
             v = blk[bi]
             if k:
                 g = G[:, :k]
                 h = H[:k]
-                c = (v @ g).astype(wd, copy=False) % p
+                c = (v[:ncols] @ g).astype(wd, copy=False) % p
                 v = (v - c @ h).astype(wd, copy=False) % p
-            nz = v.nonzero()[0]
+            nz = v[:ncols].nonzero()[0]
             if nz.size == 0:
                 continue
             j = int(nz[0])
@@ -142,11 +165,22 @@ def rref(mat, p: int, reduced=None):
             k = len(loc)
             red = (G.take(loc, 0)[:, :k] @ H[:k]).astype(wd, copy=False) % p
             if r:
-                R[:r] = (R[:r] - R[:r, loc] @ red).astype(wd, copy=False) % p
+                # the reduced rows and T apart, T up to its last live column,
+                # so that no r-row temporary is wider than the input
+                coef = R[:r, loc]
+                spans = [slice(0, ncols)]
+                if transform:
+                    spans.append(slice(ncols, ncols + r + k))
+                for cols in spans:
+                    R[:r, cols] = (R[:r, cols] - coef @ red[:, cols]).astype(wd, copy=False) % p
             R[r : r + k] = red
             pivcols.extend(loc)
         i += _BLOCK
-    return pivrows, pivcols, R[: len(pivcols)].astype(wd, copy=False)
+    r = len(pivcols)
+    out = R[:r, :ncols].astype(wd, copy=False)
+    if transform:
+        return pivrows, pivcols, out, R[:r, ncols : ncols + r].astype(wd, copy=False)
+    return pivrows, pivcols, out
 
 
 def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:
@@ -195,7 +229,7 @@ def det(mat, p: int) -> int:
             sign = -sign
         pv = a[col][col] % p
         result = result * pv % p
-        inv = pow(pv, p - 2, p)
+        inv = pow(pv, -1, p)
         for r in range(col + 1, n):
             f = a[r][col] * inv % p
             if f:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import jordan, oracle, polymat, residual
+from mibasis import dnc, jordan, oracle, polymat, residual
 from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
 from mibasis.polymat import PolyMatrix
 
@@ -44,11 +45,12 @@ def certify_output(basis, e, j, s, field):
     degs = polymat.shifted_row_degree(basis, s)
     assert all(d != MINUS_INF for d in degs)
     assert polymat.is_reduced(basis, s)
-    _, mindeg = oracle.oracle_popov(e, j, s, field)
+    popov, mindeg = oracle.oracle_popov(e, j, s, field)
     assert polymat.degree_sum(degs) - sum(s) == sum(mindeg)
     # degree bounds
     smin = min(s)
     assert polymat.degree_sum(degs) <= j.order + sum(x - smin for x in s) + sum(s)
+    return popov
 
 
 def test_base_case_matches_linearization_popov():
@@ -178,6 +180,66 @@ def test_blocks_of_one_eigenvalue_apart_and_growing():
         assert oracle.module_equivalent(basis, popov, e, j, s)
 
 
+def leaf_size(m):
+    return max(dnc._LEAF_PER_ROW * m, dnc._LEAF)
+
+
+def past_leaf_blocks(shape, sigma, p, rng):
+    """Jordan blocks of order sigma: one nilpotent block, distinct points
+    (blocks of the same small size when F_p has fewer than sigma points), or
+    one eigenvalue in blocks of 7, 5 and 11 with blocks of another between."""
+    if shape == "nilpotent":
+        return [(0, sigma)]
+    if shape == "distinct":
+        size = -(-sigma // p)
+        count = -(-sigma // size)
+        points = rng.sample(range(p), count)
+        return [(x, min(size, sigma - i * size)) for i, x in enumerate(points)]
+    x = rng.randrange(p)
+    blocks, left = [], sigma
+    for size, y in itertools.cycle([(7, x), (5, x), (3, (x + 1) % p), (11, x)]):
+        if not left:
+            return blocks
+        blocks.append((y, min(size, left)))
+        left -= blocks[-1][1]
+
+
+# p = 2^61 - 1 runs object words, where the oracle is slow: those cases stay
+# just past the leaf, and m = 16 takes one shape there.
+PAST_LEAF_CASES = [
+    (p, m, shape, shift)
+    for p in (97, (1 << 61) - 1)
+    for m in (1, 4, 16)
+    for shape in ("nilpotent", "distinct", "repeated")
+    for shift in ("uniform", "extreme")
+    if p == 97 or m < 16 or (shape, shift) == ("repeated", "extreme")
+]
+
+
+@pytest.mark.parametrize("p, m, shape, shift", PAST_LEAF_CASES)
+def test_recursion_past_the_leaf_matches_oracle(p, m, shape, shift):
+    # sigma from leaf + 1 to 3 * leaf, so that at least one node is cut and
+    # its halves multiplied; the repeated eigenvalue's blocks straddle cuts
+    field = PrimeField(p)
+    rng = random.Random(f"{p} {m} {shape} {shift}")
+    leaf = leaf_size(m)
+    span = 2 * leaf if p == 97 else leaf // 4
+    sigma = leaf + 1 + rng.randrange(span)
+    j = jordan.JordanRep(field, tuple(past_leaf_blocks(shape, sigma, p, rng)))
+    while shape == "repeated" and sigma // 2 in j.column_offsets():
+        sigma += 1  # let a block straddle the first cut
+        j = jordan.JordanRep(field, tuple(past_leaf_blocks(shape, sigma, p, rng)))
+    assert j.order == sigma > leaf
+    s = [0] * m if shift == "uniform" else [(0, 10**6, 5)[i % 3] for i in range(m)]
+    e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+    basis = interpolation_basis(e, j, s, field)
+    popov = certify_output(basis, e, j, s, field)
+    assert oracle.module_equivalent(basis, popov, e, j, s)
+    assert sorted(polymat.shifted_row_degree(basis, s)) == sorted(
+        polymat.shifted_row_degree(popov, s)
+    )
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         interpolation_basis([[1, 2]], nilpotent3(), [0], F97)
@@ -224,7 +286,8 @@ def test_right_residual_equals_right_half_of_full_residual(data):
 
 # Corrupts one coefficient of every product of two halves, so that the basis
 # no longer interpolates; distinct points mean no block straddles a cut, so
-# only the final check in interpolation_basis can see it.
+# only the final check in interpolation_basis can see it.  80 points are more
+# than a leaf of the recursion takes, so the instance is cut and multiplied.
 _CORRUPT_UNDER_O = """
 import sys
 from mibasis import cli, dnc, jordan
@@ -243,8 +306,8 @@ def corrupted(b, a, xi):
 
 dnc.unbalanced_mul = corrupted
 field = PrimeField(97)
-j = jordan.JordanRep(field, tuple((x, 1) for x in range(1, 9)))
-e = [[(7 * r + 3 * c + 1) % 97 for c in range(8)] for r in range(2)]
+j = jordan.JordanRep(field, tuple((x, 1) for x in range(1, 81)))
+e = [[(7 * r + 3 * c + 1) % 97 for c in range(80)] for r in range(2)]
 try:
     dnc.interpolation_basis(e, j, [0, 0], field)
     print("returned")
@@ -258,9 +321,9 @@ sys.exit(cli.main(["interp", "--algo", "dnc", "--evals", sys.argv[1]]))
 def test_invariant_holds_under_optimize(tmp_path):
     inst = tmp_path / "points.txt"
     inst.write_text(
-        "field p=97\nmat 2 8\n"
-        + "".join(" ".join(str((7 * r + 3 * c + 1) % 97) for c in range(8)) + "\n" for r in range(2))
-        + "jordan 8\n" + "".join(f"{x} 1\n" for x in range(1, 9))
+        "field p=97\nmat 2 80\n"
+        + "".join(" ".join(str((7 * r + 3 * c + 1) % 97) for c in range(80)) + "\n" for r in range(2))
+        + "jordan 80\n" + "".join(f"{x} 1\n" for x in range(1, 81))
         + "shift 2\n0 0\n"
     )
     env = dict(os.environ)

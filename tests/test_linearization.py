@@ -176,9 +176,9 @@ def _profile_and_eliminations(monkeypatch, *args):
     resumed = []
     rref = modmat.rref
 
-    def spy(mat, p, reduced=None):
+    def spy(mat, p, reduced=None, **kwargs):
         resumed.append(reduced is not None)
-        return rref(mat, p, reduced)
+        return rref(mat, p, reduced, **kwargs)
 
     monkeypatch.setattr(modmat, "rref", spy)
     return lin.krylov_rank_profile(*args), resumed
@@ -320,6 +320,66 @@ def test_lin_dense_differential_fuzz_against_oracle(data):
     popov, oracle_mindeg = oracle.oracle_popov(e, dense, s, field)
     assert basis == popov
     assert mindeg == oracle_mindeg
+
+
+@pytest.mark.parametrize("p", [97, 65537, (1 << 61) - 1])
+def test_lin_relations_read_off_the_transform_match_oracle_bytes(monkeypatch, p):
+    # Shift spreads wider than the first doubling steps make new rows
+    # interleave the kept ones, so steps after the first eliminate from
+    # scratch; a block-diagonal M with E on one block, or a Jordan M with
+    # dependent rows of E, gives a profile of rank below sigma.  The Popov
+    # basis is unique, so the relations must give the oracle's exact bytes.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    resumed = []
+    rref = modmat.rref
+
+    def spy(mat, q, reduced=None, **kwargs):
+        resumed.append(reduced is not None)
+        return rref(mat, q, reduced, **kwargs)
+
+    monkeypatch.setattr(modmat, "rref", spy)
+    from_scratch, deficient = [], []
+    for trial in range(12):
+        m = 2 + trial % 3
+        sigma = 6 + 2 * (trial % 4)
+        s = [rng.choice([0, 3, 7, 12]) for _ in range(m)]
+        s[trial % m] = 0
+        s[(trial + 1) % m] = 9
+        if trial % 3 == 0:
+            j = rand_jordan(rng, field, sigma)
+            e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+            e[-1] = [(2 * x + 3 * y) % p for x, y in zip(e[0], e[1])]
+            mulmat, delta = j, 1
+            while delta < jordan.minpoly_degree(j):
+                delta *= 2
+        else:
+            half = sigma // 2 if trial % 3 == 1 else sigma
+            mulmat = [[0] * sigma for _ in range(sigma)]
+            for lo in sorted({0, half} - {sigma}):
+                hi = half if lo == 0 else sigma
+                for i in range(lo, hi):
+                    mulmat[i][lo:hi] = [rng.randrange(p) for _ in range(lo, hi)]
+            e = [[rng.randrange(p) for _ in range(half)] + [0] * (sigma - half) for _ in range(m)]
+            delta = 1
+            while delta < sigma:
+                delta *= 2
+        del resumed[:]
+        basis, mindeg = lin.lin_interp_basis(e, mulmat, s, delta, field)
+        from_scratch.append(not all(resumed[1:]))
+        popov, oracle_mindeg = oracle.oracle_popov(e, mulmat, s, field)
+        assert repr(basis.rows) == repr(popov.rows)
+        assert mindeg == oracle_mindeg
+        deficient.append(sum(mindeg) < sigma)
+    assert sum(from_scratch) >= 6 and sum(deficient) >= 4
+
+
+def test_lin_interp_basis_rejects_delta_below_the_minimal_polynomial():
+    # one nilpotent block of order 4 and delta = 2: the profile rows have
+    # degrees 0 and 1, and the target row E*M^2 is not in their span
+    j = jordan.JordanRep(F97, ((0, 4),))
+    with pytest.raises(ValueError, match="span"):
+        lin.lin_interp_basis([[1, 2, 3, 4]], j, [0], 2, F97)
 
 
 def test_lin_interp_basis_shift_translation_invariance():

@@ -133,6 +133,59 @@ def test_rref_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     assert fresh[:2] == rref_reference(head + tail, p)[:2]
 
 
+def mod_product(a, b, p):
+    """a b mod p on Python integers."""
+    return ((np.array(a, dtype=object) @ np.array(b, dtype=object)) % p).tolist()
+
+
+def check_transform(mat, p, reduced=None, plain_reduced=None):
+    """rref with T against rref without it, and T mat[pivrows] = R."""
+    pivrows, pivcols, red, t = modmat.rref(mat, p, reduced, transform=True)
+    plain = modmat.rref(mat, p, plain_reduced)
+    assert (pivrows, pivcols) == plain[:2]
+    assert red.dtype == plain[2].dtype and np.array_equal(red, plain[2])
+    assert t.shape == (len(pivrows), len(pivrows))
+    assert t.dtype == red.dtype
+    if pivrows:
+        assert mod_product(t.tolist(), [mat[i] for i in pivrows], p) == red.tolist()
+    return pivrows, pivcols, red, t
+
+
+@pytest.mark.parametrize("p", [7, 65537, P26, P61])
+def test_rref_transform_maps_pivot_rows_to_reduced_rows(p):
+    # float64 words (7, 65537), int64 (P26) and object (P61); square and
+    # rectangular, full rank and rank deficient, inside one block and across
+    rng = random.Random(p + 1)
+    deficient = 0
+    for rows, cols, small in ((6, 6, False), (9, 5, False), (5, 9, True),
+                              (12, 12, True), (70, 40, False), (45, 60, True)):
+        mat = random_matrix(rng, p, rows, cols, small)
+        deficient += len(check_transform(mat, p)[0]) < min(rows, cols)
+    assert deficient >= 2
+    full = [[rng.randrange(p) for _ in range(40)] for _ in range(40)]
+    assert len(check_transform(full, p)[0]) == 40
+    assert check_transform([[0] * 5] * 3, p)[3].shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", [7, 65537, P26, P61])
+@pytest.mark.parametrize("k", [5, 32, 40])
+def test_rref_transform_resumed_from_a_prefix_matches_a_fresh_call(p, k):
+    # k independent head rows, then a rank-deficient tail that also holds a
+    # combination of head rows; T of the resumed call covers the head too
+    rng = random.Random(1000 + k)
+    cols = 48
+    head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+    tail = random_matrix(rng, p, 30, cols, small=True)
+    tail[4] = [(3 * x + 5 * y) % p for x, y in zip(head[0], head[-1])]
+    pivrows, pivcols, red, t = check_transform(head, p)
+    assert pivrows == list(range(k))
+    fresh = check_transform(head + tail, p)
+    resumed = check_transform(head + tail, p, (pivcols, red, t), (pivcols, red))
+    assert resumed[:2] == fresh[:2]
+    assert np.array_equal(resumed[2], fresh[2]) and np.array_equal(resumed[3], fresh[3])
+    assert len(fresh[0]) < len(head + tail)
+
+
 def test_mat_mul_against_naive():
     rng = random.Random(12)
     seen = set()

@@ -73,20 +73,22 @@ def test_dense_lin_reaches_the_scalar_layers():
     stats = traced_stats(lambda: mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field))
     # the steps by M, M^2, M^4 and M^8 keep 6, 12, 24 and then 40 = sigma
     # rows, and the rows of the step by M^16 would all follow them, so
-    # doubling stops before delta = 64: four eliminations and one solve for
-    # the relations; four products by powers of M, three squarings and one
-    # product for the target rows
-    assert stats["modmat.rref"].calls == 5
-    assert stats["modmat.mat_mul"].calls == 8
+    # doubling stops before delta = 64: four eliminations, whose transform
+    # gives the relations without a fifth; four products by powers of M,
+    # three squarings, one product for the target rows and two for the
+    # relations (the check of the targets against R, and the product by T)
+    assert stats["modmat.rref"].calls == 4
+    assert stats["modmat.mat_mul"].calls == 10
 
 
-def test_jordan_lin_eliminates_once_per_doubling_step_and_once_to_solve():
+def test_jordan_lin_eliminates_once_per_doubling_step_and_not_to_solve():
     # no elimination of E alone and no column profile: the step by M keeps
     # 4 = sigma rows, and the rows of the step by M^2 would all follow them,
-    # so delta = 4 takes one doubling step and one relation solve
+    # so delta = 4 takes one doubling step, and the relations are read off
+    # its transform without a second elimination
     field = mb.PrimeField(97)
     rep = jordan.JordanRep(field, ((0, 4),))
     rng = random.Random(5)
     e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
-    assert stats["modmat.rref"].calls == 2
+    assert stats["modmat.rref"].calls == 1
