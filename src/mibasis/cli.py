@@ -276,14 +276,33 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+# rs-list bench instances: points of multiplicity 2, weight 15, as in the
+# rs-list workload of perfbench; each point costs 3 conditions
+_RS_MULT, _RS_WEIGHT = 2, 15
+
+
 def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, shape: str):
     """hermite-pade: one nilpotent block of order sigma; multipoint: m rows
     of order-1 data at sigma distinct nonzero points; dense: m random rows
-    and a random dense sigma x sigma M, as (evals, mulmat)."""
+    and a random dense sigma x sigma M; rs-list: list-decoding
+    interpolation at sigma // 3 distinct random points of multiplicity 2,
+    its m the Guruswami-Sudan list size.  Returns (evals, mulmat, shift)."""
     if shape == "dense":
         evals = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(m)]
         dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
-        return evals, dense
+        return evals, dense, [0] * m
+    if shape == "rs-list":
+        npoints = sigma // 3
+        if npoints > field.p:
+            raise ValueError("the rs-list shape needs sigma // 3 <= p distinct points")
+        xs = rng.sample(range(field.p), npoints)
+        points = [(x, rng.randrange(field.p)) for x in xs]
+        cost = npoints * _RS_MULT * (_RS_MULT + 1) // 2
+        list_size = reductions.guruswami_sudan_list_size(cost, _RS_WEIGHT)
+        inst, shift = reductions.rs_instance(
+            field, points, [_RS_MULT] * npoints, _RS_WEIGHT, list_size
+        )
+        return inst.evals, inst.mulmat, shift
     if shape == "multipoint":
         if sigma >= field.p:
             raise ValueError("the multipoint shape needs sigma < p distinct nonzero points")
@@ -297,7 +316,7 @@ def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, s
             field, [[[rng.randrange(field.p) for _ in range(sigma)]] for _ in range(m)]
         )
         inst = reductions.hermite_pade_instance(fmat, [sigma])
-    return inst.evals, inst.mulmat
+    return inst.evals, inst.mulmat, [0] * m
 
 
 def _cmd_bench(args) -> int:
@@ -313,9 +332,8 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
     rng = random.Random(args.seed)
-    shift = [0] * args.m
 
-    def solve(engine, evals, mulmat, sigma):
+    def solve(engine, evals, mulmat, shift, sigma):
         if engine == "dnc":
             interpolation_basis(evals, mulmat, shift, field)
         elif engine == "lin":
@@ -324,20 +342,22 @@ def _cmd_bench(args) -> int:
             oracle.oracle_popov(evals, mulmat, shift, field)
 
     print("engine,m,sigma,seconds")
-    for n, sigma in enumerate(sizes):
-        evals, mulmat = _bench_instance(field, args.m, sigma, rng, args.shape)
+    for n, size in enumerate(sizes):
+        evals, mulmat, shift = _bench_instance(field, args.m, size, rng, args.shape)
+        # the m and sigma solved, which the rs-list shape derives from size
+        m, sigma = len(evals), len(evals[0]) if evals else 0
         if n == 0:
             # untimed warm-up: the first solves of a process pay for imports,
             # numpy's first calls and cold caches
             for engine in engines:
-                solve(engine, evals, mulmat, sigma)
+                solve(engine, evals, mulmat, shift, sigma)
         for engine in engines:
             times = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                solve(engine, evals, mulmat, sigma)
+                solve(engine, evals, mulmat, shift, sigma)
                 times.append(time.perf_counter() - start)
-            print(f"{engine},{args.m},{sigma},{statistics.median(times):.6f}")
+            print(f"{engine},{m},{sigma},{statistics.median(times):.6f}")
             sys.stdout.flush()
     return 0
 
@@ -422,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, default=65537)
     p.add_argument("--engines", help="default dnc,lin,oracle; lin,oracle on the dense shape")
     p.add_argument(
-        "--shape", choices=("hermite-pade", "multipoint", "dense"), default="hermite-pade"
+        "--shape",
+        choices=("hermite-pade", "multipoint", "rs-list", "dense"),
+        default="hermite-pade",
     )
     p.add_argument("--repeats", type=int, default=1, help="print the median of N runs")
     p.set_defaults(func=_cmd_bench)

@@ -3,15 +3,37 @@
 A JordanRep lists (eigenvalue, block size) pairs in any order; the columns
 of an evaluation matrix line up with the blocks as listed, block i taking
 the next block-size columns.
+
+Powers of J act on E column by column: `act_power` reads a column table,
+built once per rep, that gives each column its eigenvalue and its position
+in its block, so one numpy update per shift t covers every block at once and
+its cost grows with the columns and the largest block, not with the block
+count.  `act` is the plain blockwise action, kept in pure Python as an
+independent reference.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as _field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as _np
 
 from .field import PrimeField
+
+
+def _dtype(p: int):
+    """int64 while p + (p-1)^2 fits, object arrays of Python integers beyond."""
+    return _np.int64 if (p - 1) * (p - 1) < 1 << 62 else object
+
+
+class _ColumnTable(NamedTuple):
+    eig: _np.ndarray  # eigenvalue of each column, in the kernel's dtype
+    pos: _np.ndarray  # position of each column in its block, -1 if nilpotent
+    nilpotent: list[tuple[int, int]]  # (offset, size) of each nilpotent block
+    top: int  # largest size of a block with nonzero eigenvalue, 0 if none
 
 
 @dataclass(frozen=True)
@@ -22,12 +44,20 @@ class JordanRep:
 
     def __post_init__(self):
         p = self.field.p
+        blocks, order = [], 0
         for x, s in self.blocks:
+            try:
+                x, s = operator.index(x), operator.index(s)
+            except TypeError:
+                raise ValueError("eigenvalues and block sizes must be integers") from None
             if s <= 0:
                 raise ValueError("block sizes must be positive")
             if not 0 <= x < p:
                 raise ValueError("eigenvalues must lie in [0, p)")
-        object.__setattr__(self, "order", sum(s for _, s in self.blocks))
+            blocks.append((x, s))
+            order += s
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "order", order)
 
     def column_offsets(self) -> list[int]:
         offs = []
@@ -36,6 +66,24 @@ class JordanRep:
             offs.append(pos)
             pos += s
         return offs
+
+    @cached_property
+    def _columns(self) -> _ColumnTable:
+        """The column table of `act_power`, computed on first use.  It lives
+        in the instance dict, outside the dataclass fields, so that it takes
+        no part in ==, hash or repr."""
+        nilpotent, top, off = [], 0, 0
+        for x, s in self.blocks:
+            if not x:
+                nilpotent.append((off, s))
+            elif s > top:
+                top = s
+            off += s
+        sizes = _np.array([s for _, s in self.blocks], dtype=_np.int64)
+        eig = _np.repeat(_np.array([x for x, _ in self.blocks], dtype=_dtype(self.field.p)), sizes)
+        pos = _np.arange(self.order, dtype=_np.int64) - _np.repeat(_np.cumsum(sizes) - sizes, sizes)
+        pos[eig == 0] = -1
+        return _ColumnTable(eig, pos, nilpotent, top)
 
 
 def check_evaluations(e_rows, mulmat) -> None:
@@ -85,17 +133,21 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     E is a list of rows or an array, reduced mod p here; the result is an
     array.  Within a block of eigenvalue x and size s, column k of the
     result is sum_t C(n, t) x^(n-t) times input column k-t.  Nilpotent
-    blocks shift their columns by n.  The other blocks are summed per shift
-    t, all blocks at once, with one weight per column, so that many small
-    blocks cost one numpy update per t.  The arrays are int64 while
-    (p-1)^2 < 2^62, so that p + (p-1)^2 fits, and object arrays of Python
-    integers beyond.
+    blocks shift their columns by n.  The other columns are summed per
+    shift t over the rep's column table: x^(n-t) of every column comes from
+    one vector square-and-multiply and one multiplication by x per t, and
+    the weight vector C(n, t) x^(n-t), zero on columns at positions below t
+    in their blocks, enters one update of all columns (at t = 0 the weight
+    is x^n, zero on the nilpotent columns as their x is).  The Python work per
+    call is one step per nilpotent block and one per shift t below the
+    largest block size.  The arrays are int64 while (p-1)^2 < 2^62, so that
+    p + (p-1)^2 fits, and object arrays of Python integers beyond.
     """
     if n < 0:
         raise ValueError("negative power")
     f = j.field
     p = f.p
-    dt = _np.int64 if (p - 1) * (p - 1) < 1 << 62 else object
+    dt = _dtype(p)
     if not len(e_rows):
         return _np.zeros((0, j.order), dtype=dt)
     arr = _np.asarray(e_rows, dtype=dt) % p
@@ -103,23 +155,30 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
         raise ValueError("column count does not match the Jordan order")
     if n == 0:
         return arr
+    eig, pos, nilpotent, top = j._columns
     out = _np.zeros(arr.shape, dtype=dt)
-    # weights[t][c]: the coefficient of input column c - t in output column c
-    weights: dict[int, list[int]] = {}
-    pos = 0
-    for x, s in j.blocks:
-        if x == 0:
-            if n < s:
-                out[:, pos + n : pos + s] = arr[:, pos : pos + s - n]
-        else:
-            for t in range(min(s - 1, n) + 1):
-                w = f.binomial(n, t) * pow(x, n - t, p) % p
-                if w:
-                    weights.setdefault(t, [0] * j.order)[pos + t : pos + s] = [w] * (s - t)
-        pos += s
-    for t, w in weights.items():
-        out[:, t:] = (out[:, t:] + arr[:, : j.order - t] * _np.asarray(w[t:], dtype=dt)) % p
-    return out
+    for off, s in nilpotent:
+        if n < s:
+            out[:, off + n : off + s] = arr[:, off : off + s - n]
+    if not top:
+        return out
+    tmax = min(top - 1, n)
+    # xp = x^(n - tmax) per column, by square and multiply from the top bit
+    k = n - tmax
+    xp = eig if k else _np.ones(j.order, dtype=dt)
+    for bit in bin(k)[3:]:
+        xp = xp * xp % p
+        if bit == "1":
+            xp = xp * eig % p
+    sigma = j.order
+    for t in range(tmax, 0, -1):
+        b = f.binomial(n, t)
+        if b:
+            w = _np.where(pos[t:] >= t, xp[t:] * b % p, 0)
+            out[:, t:] = (out[:, t:] + arr[:, : sigma - t] * w) % p
+        xp = xp * eig % p
+    # t = 0: C(n, 0) = 1, and x^n vanishes on the nilpotent columns
+    return (out + arr * xp) % p
 
 
 def minpoly_degree(j: JordanRep) -> int:

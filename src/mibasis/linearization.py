@@ -28,6 +28,7 @@ lists appear again only when the PolyMatrix is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as _np
 
@@ -52,13 +53,21 @@ def priority_index(shift: list[int], delta: int, c: int, d: int) -> int:
 class RankProfile:
     """The profile rows, as (column, degree) pairs and as rows of the Krylov
     matrix, with `reduced` = (pivot_cols, R, T) of their elimination by
-    `modmat.rref`: R = T pivot_rows is their reduced form."""
+    `modmat.rref`: R = T pivot_rows is their reduced form.  `shift` and
+    `delta` are those of the striped Krylov matrix."""
 
     rank: int
-    row_indices: list[int]
     decoded: list[tuple[int, int]]
     pivot_rows: _np.ndarray
     reduced: tuple
+    shift: list[int]
+    delta: int
+
+    @cached_property
+    def row_indices(self) -> list[int]:
+        """The profile rows' indices in the degree-delta row ordering,
+        computed on first read: no engine needs them."""
+        return [priority_index(self.shift, self.delta, c, d) for c, d in self.decoded]
 
 
 def _is_pow2(n: int) -> bool:
@@ -127,7 +136,7 @@ def krylov_rank_profile(
     d_c = D - 1 and sorts no earlier than the next step's row (c, D), so it
     follows rows spanning F^sigma and is dependent as well.
 
-    Reported indices refer to the degree-delta row ordering.  E and a dense
+    `row_indices` refer to the degree-delta row ordering.  E and a dense
     M are lists of rows, reduced and converted here, or arrays already
     reduced mod p as lin_interp_basis passes them.
     """
@@ -170,8 +179,7 @@ def krylov_rank_profile(
             if min(key((c, d + step)) for c, d in pairs) > key(pairs[-1]):
                 break
 
-    indices = [priority_index(shift, delta, c, d) for c, d in pairs]
-    return RankProfile(len(pairs), indices, pairs, rows, tuple(reduced))
+    return RankProfile(len(pairs), pairs, rows, tuple(reduced), list(shift), delta)
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:

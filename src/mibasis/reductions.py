@@ -232,19 +232,18 @@ class ListInterpolationResult:
     instance: InterpolationInstance
 
 
-def rs_interpolation(
+def rs_instance(
     fld: PrimeField,
     points,
     multiplicities,
     weight: int,
     list_bound: int,
-) -> ListInterpolationResult:
-    """Bivariate list-decoding interpolation with per-point multiplicities.
+) -> tuple[InterpolationInstance, list[int]]:
+    """(interpolation instance, shift) of bivariate list-decoding interpolation.
 
-    Builds supports {(i, j): i + j < b_k}, the shift (0, w, 2w, ...), runs
-    the divide-and-conquer engine, and returns both the full basis and the
-    row of smallest shifted degree (ties to the lowest row index) as the
-    coefficient row of the interpolation polynomial in the list variable.
+    The supports are {(i, j): i + j < b_k} for the multiplicity b_k of
+    point k, one row per power Y^t, t < list_bound, and the shift is
+    (0, w, 2w, ...).
     """
     if list_bound < 1:
         raise ValueError("list bound must be at least 1")
@@ -266,7 +265,24 @@ def rs_interpolation(
         supports,
         (weight,),
     )
-    interp, shift = multivariate_instance(inst)
+    return multivariate_instance(inst)
+
+
+def rs_interpolation(
+    fld: PrimeField,
+    points,
+    multiplicities,
+    weight: int,
+    list_bound: int,
+) -> ListInterpolationResult:
+    """Bivariate list-decoding interpolation with per-point multiplicities.
+
+    Builds the instance and shift of `rs_instance`, runs the
+    divide-and-conquer engine, and returns both the full basis and the row
+    of smallest shifted degree (ties to the lowest row index) as the
+    coefficient row of the interpolation polynomial in the list variable.
+    """
+    interp, shift = rs_instance(fld, points, multiplicities, weight, list_bound)
     basis = interpolation_basis(interp.evals, interp.mulmat, shift, fld)
     degs = shifted_row_degree(basis, shift)
     best = min(range(basis.nrows), key=lambda i: (degs[i], i))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mibasis import textio
+from mibasis import reductions, textio
 from mibasis.cli import main
 from mibasis.field import PrimeField
 from mibasis.polymat import PolyMatrix
@@ -386,6 +386,22 @@ def test_bench_multipoint_shape(capsys):
     # sigma distinct nonzero points need sigma < p
     assert main(args + ["--field", "7"]) == 1
     assert "sigma < p" in capsys.readouterr().err
+
+
+def test_bench_rs_list_shape(capsys):
+    # sigma // 3 points of multiplicity 2: the lines give the sigma solved and
+    # the list size m of the builder, whatever --m says
+    args = ["bench", "--sizes", "26,48", "--m", "2", "--shape", "rs-list"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "engine,m,sigma,seconds"
+    ms = {s: reductions.guruswami_sudan_list_size(s, 15) for s in (24, 48)}
+    assert ms == {24: 2, 48: 3}
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+        f"{e},{ms[s]},{s}" for s in (24, 48) for e in ("dnc", "lin", "oracle")
+    ]
+    assert main(args + ["--field", "3", "--sizes", "12"]) == 1
+    assert "sigma // 3 <= p" in capsys.readouterr().err
 
 
 def test_bench_dense_shape_and_repeats(capsys):

@@ -47,6 +47,17 @@ def test_rep_rejects_unreduced_eigenvalues():
     assert jordan.JordanRep(F7, ((6, 2),)).blocks == ((6, 2),)
 
 
+def test_rep_rejects_non_integers_and_stores_python_ints():
+    # an int64 eigenvalue vector would truncate 1.5 to 1 without this check
+    for blocks in (((1.5, 2),), ((1, 2.0),), (("3", 1),), ((None, 1),)):
+        with pytest.raises(ValueError, match="integers"):
+            jordan.JordanRep(F7, blocks)
+    rep = jordan.JordanRep(F7, ((np.int64(3), np.int32(2)), (np.uint8(0), 1)))
+    assert rep.blocks == ((3, 2), (0, 1)) and rep.order == 3
+    assert all(type(v) is int for block in rep.blocks for v in block)
+    assert rep == jordan.JordanRep(F7, ((3, 2), (0, 1)))
+
+
 def test_act_nilpotent_shift():
     rep = jordan.JordanRep(F7, ((0, 3),))
     assert jordan.act([[1, 2, 3]], rep) == [[0, 1, 2]]
@@ -108,6 +119,61 @@ def test_act_power_matches_repeated_act():
         done = power
         assert jordan.act_power(e, rep, power).tolist() == expected
     assert jordan.act_power([], rep, 3).shape == (0, 256)
+
+
+def _act_repeated(e, rep, power):
+    for _ in range(power):
+        e = jordan.act(e, rep)
+    return e
+
+
+def test_act_power_past_the_characteristic():
+    # n >= p takes the digit-product path of binomial; C(7, t) = 0 mod 7 for
+    # 0 < t < 7, so J^7 acts on each block as x^7 = x plus the shift by 7
+    rng = random.Random(5)
+    rep = jordan.JordanRep(F7, ((3, 9), (0, 8), (1, 1), (6, 12), (2, 2), (0, 1)))
+    e = [[rng.randrange(7) for _ in range(rep.order)] for _ in range(3)]
+    for power in (7, 8, 13, 49, 50):
+        assert jordan.act_power(e, rep, power).tolist() == _act_repeated(e, rep, power)
+
+
+def test_act_power_dtype_boundary():
+    # (p-1)^2 < 2^62 keeps int64 words; one prime above needs Python integers
+    rng = random.Random(6)
+    for p, dt in ((2**31 - 1, np.int64), (2147483659, object)):
+        field = PrimeField(p)
+        rep = jordan.JordanRep(field, ((p - 1, 3), (0, 2), (5, 1), (p - 2, 4)))
+        e = [[rng.randrange(p) for _ in range(rep.order)] for _ in range(2)]
+        for power in (1, 2, 5, 11):
+            got = jordan.act_power(e, rep, power)
+            assert got.dtype == dt
+            assert got.tolist() == _act_repeated(e, rep, power)
+
+
+def test_act_power_reuses_the_column_table():
+    # one rep across rising and falling powers, interleaved with another rep;
+    # the table filled on first use leaves ==, hash and repr as they were
+    rng = random.Random(7)
+    a = jordan.JordanRep(F97, ((4, 3), (0, 2), (9, 1), (4, 2)))
+    b = jordan.JordanRep(F97, ((0, 5), (1, 4)))
+    ea = [[rng.randrange(97) for _ in range(a.order)] for _ in range(2)]
+    eb = [[rng.randrange(97) for _ in range(b.order)] for _ in range(3)]
+    twin = jordan.JordanRep(F97, a.blocks)
+    before = (hash(a), repr(a))
+    for power in (1, 2, 6, 3, 0, 10, 1):
+        assert jordan.act_power(ea, a, power).tolist() == _act_repeated(ea, a, power)
+        assert jordan.act_power(eb, b, power + 1).tolist() == _act_repeated(eb, b, power + 1)
+    assert "_columns" in vars(a) and "_columns" not in vars(twin)
+    assert a == twin and hash(a) == hash(twin) and (hash(a), repr(a)) == before
+    assert {a: 1}[twin] == 1
+
+
+def test_act_power_order_zero():
+    rep = jordan.JordanRep(F7, ())
+    for power in (0, 1, 5):
+        got = jordan.act_power([[], []], rep, power)
+        assert got.shape == (2, 0)
+    assert jordan.act_power([], rep, 3).shape == (0, 0)
 
 
 def test_minpoly_degree():
