@@ -15,7 +15,10 @@ regime                                         kernel
 ``poly_mul``, (p-1)^2 * min(len f, len g)      numpy int64 convolution; no
 below 2^63                                     coefficient sum can overflow
 ``poly_mul``, larger bound (62-bit primes)     Kronecker substitution
-``polymat.mat_mul``, any p                     Kronecker substitution, inner
+``polymat.mat_mul``, limbs certified by        one batched float64 FFT of the
+``polymat.fft_limbs`` (every p at any          entries' limbs, rounded
+size reached in practice)                      exactly
+``polymat.mat_mul``, no limbs certified        Kronecker substitution, inner
                                                sums taken on packed integers
 =============================================  ===============================
 
@@ -84,7 +87,7 @@ def kron_unpack(n: int, width: int, p: int) -> list[int]:
 class PrimeField:
     """Arithmetic context for F_p with p an odd prime below 2**62."""
 
-    __slots__ = ("p", "_fact", "_inv_fact")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -94,8 +97,6 @@ class PrimeField:
         if p >= 1 << 62:
             raise ValueError("p must fit in 62 bits")
         self.p = p
-        self._fact = None
-        self._inv_fact = None
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -338,24 +339,13 @@ class PrimeField:
         return acc
 
     def _binom_small(self, n: int, k: int) -> int:
+        """C(n, k) mod p for n < p, by the product formula."""
         if k < 0 or k > n:
             return 0
         p = self.p
-        if self._fact is not None and n < len(self._fact):
-            return self._fact[n] * self._inv_fact[k] % p * self._inv_fact[n - k] % p
-        if p <= 1 << 20 and self._fact is None:
-            fact = [1] * p
-            for i in range(1, p):
-                fact[i] = fact[i - 1] * i % p
-            inv_fact = [1] * p
-            inv_fact[p - 1] = pow(fact[p - 1], -1, p)
-            for i in range(p - 1, 0, -1):
-                inv_fact[i - 1] = inv_fact[i] * i % p
-            self._fact, self._inv_fact = fact, inv_fact
-            return self._binom_small(n, k)
         num = den = 1
         for t in range(1, min(k, n - k) + 1):
-            num = num * ((n - t + 1) % p) % p
+            num = num * (n - t + 1) % p
             den = den * t % p
         return num * pow(den, -1, p) % p
 

@@ -127,6 +127,29 @@ def act(e_rows: list[list[int]], j: JordanRep) -> list[list[int]]:
     return out
 
 
+def _binomials(f: PrimeField, n: int, tmax: int) -> list[int]:
+    """C(n, t) mod p for t = 0..tmax.
+
+    For tmax < p, Lucas' theorem gives C(n, t) = C(n mod p, t), and one
+    multiplicative recurrence with a single inversion of tmax! yields them
+    all; beyond, each comes from ``binomial``'s digit product.
+    """
+    p = f.p
+    if tmax >= p:
+        return [f.binomial(n, t) for t in range(tmax + 1)]
+    n %= p
+    num = [1] * (tmax + 1)  # n (n-1) ... (n-t+1)
+    den = 1
+    for t in range(1, tmax + 1):
+        num[t] = num[t - 1] * (n - t + 1) % p
+        den = den * t % p
+    inv = pow(den, -1, p)  # 1 / t! for t = tmax, tmax-1, ...
+    for t in range(tmax, 0, -1):
+        num[t] = num[t] * inv % p
+        inv = inv * t % p
+    return num
+
+
 def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     """E * J^n via the binomial closed form of Jordan block powers.
 
@@ -171,8 +194,9 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
         if bit == "1":
             xp = xp * eig % p
     sigma = j.order
+    binoms = _binomials(f, n, tmax)
     for t in range(tmax, 0, -1):
-        b = f.binomial(n, t)
+        b = binoms[t]
         if b:
             w = _np.where(pos[t:] >= t, xp[t:] * b % p, 0)
             out[:, t:] = (out[:, t:] + arr[:, : sigma - t] * w) % p

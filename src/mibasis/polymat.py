@@ -7,10 +7,16 @@ degree vectors may contain MINUS_INF entries, which mark zero rows.
 
 from __future__ import annotations
 
+import math
 import operator
+from typing import NamedTuple
+
+import numpy as _np
 
 from .field import MINUS_INF, PrimeField, digit_bytes, kron_pack, kron_unpack
 from . import modmat
+
+_EPS = 2.0 ** -53  # unit round-off of float64
 
 
 class PolyMatrix:
@@ -249,17 +255,144 @@ def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix
     return PolyMatrix(f, rows, a.ncols)
 
 
-def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
-    """Product b*a, mod X^trunc when trunc is given, by Kronecker substitution.
+class Limbs(NamedTuple):
+    width: int  # bits per limb
+    count: int  # limbs per coefficient
+    bound: float  # certified round-off of every output of the transform
 
-    Each entry is packed at its own length, so a low-degree row stays cheap
-    beside a high-degree one and operands of unbalanced degrees need no
-    splitting.
+
+def fft_limbs(p: int, inner: int, shorter: int, length: int) -> Limbs | None:
+    """The fewest limbs that make the float64 FFT product exact, or None.
+
+    Coefficients in [0, p) split into `count` unsigned limbs of `width`
+    bits, so every limb is at most B = 2^width - 1.  A product sums
+    q = inner * count limb convolutions per output (inner products, and up
+    to `count` limb pairs of the same weight) in the frequency domain,
+    between rfft and irfft of `length` = 2^n points.  Each convolution of x
+    and y, the shorter of length `shorter`, so that |x|_2 |y|_2 <=
+    B^2 sqrt(shorter * length), has round-off below
+
+        |x|_2 |y|_2 ((1+e)^(3n) (1+e sqrt 5)^(3n+1) (1+b)^(3n) - 1)
+
+    with e = 2^-53 and b the error of the twiddle factors (the bound of
+    Percival, "Rapid multiplication modulo the sum and difference of highly
+    composite numbers", Math. Comp. 2003, for radix-2 transforms; numpy's
+    pocketfft is taken to meet it, and the kernel checks the outcome).
+    Taking b = e, and a factor (1+e)^q for the q-term sums of the spectra,
+    every output is within
+
+        bound = q B^2 sqrt(shorter * length) ((1+e)^(6n+q) (1+e sqrt 5)^(3n+1) - 1)
+
+    of its integer value.  A regime is admitted when bound < 1/4, well
+    inside the 1/2 at which rounding stays exact, so that the kernel's check
+    that every output lies within 1/4 of an integer never fires.  The exact
+    sums stay below 2^51, where float64 holds every integer.
+    """
+    n = max(length - 1, 0).bit_length()
+    bits = (p - 1).bit_length()
+    for count in range(1, bits + 1):
+        width = -(-bits // count)
+        q = inner * count
+        growth = math.expm1(
+            (6 * n + q) * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+        )
+        bound = q * ((1 << width) - 1) ** 2 * math.sqrt(shorter * length) * growth
+        if bound < 0.25:
+            return Limbs(width, count, bound)
+    return None
+
+
+def _limb_spectra(rows, length: int, n: int, limbs: Limbs) -> _np.ndarray:
+    """rfft over n points of every limb of every entry, the entries cut to
+    `length` coefficients: an array (count, rows, cols, n // 2 + 1)."""
+    coeffs = _np.zeros((len(rows), len(rows[0]), length), dtype=_np.int64)
+    for i, row in enumerate(rows):
+        for k, e in enumerate(row):
+            if e:
+                coeffs[i, k, : len(e)] = e if len(e) <= length else e[:length]
+    shifts = _np.arange(0, limbs.width * limbs.count, limbs.width).reshape(-1, 1, 1, 1)
+    parts = (coeffs >> shifts) & ((1 << limbs.width) - 1)
+    return _np.fft.rfft(parts.astype(_np.float64), n, axis=-1)
+
+
+def _shift_add_mod(acc: _np.ndarray, d: _np.ndarray, width: int, p: int) -> _np.ndarray:
+    """(acc * 2^width + d) mod p for int64 arrays with entries in [0, p).
+
+    Exact in int64 words while (p-1)(2^width + 1) < 2^63.  Beyond, for any
+    p < 2^62 and width <= 50: the quotient q of acc * 2^width by p comes
+    from float64, off by at most one as its relative error is a few units of
+    2^-53, and acc * 2^width - q p, taken modulo 2^64 in uint64 words, lies
+    in [-p, 2p), which int64 holds.
+    """
+    if (p - 1) * ((1 << width) + 1) < 1 << 63:
+        return ((acc << width) + d) % p
+    q = (acc * ((1 << width) / p)).astype(_np.uint64)
+    r = (acc.astype(_np.uint64) * _np.uint64(1 << width) - q * _np.uint64(p)).view(_np.int64)
+    r += _np.where(r < 0, p, _np.where(r >= p, -p, 0)) + d
+    return r - _np.where(r >= p, p, 0)
+
+
+def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: int, limbs: Limbs):
+    """b*a mod X^size, the entries of b and a cut to lb and la coefficients,
+    by one batched float64 FFT of their limbs over n points (see fft_limbs)."""
+    f = b.field
+    p = f.p
+    count = limbs.count
+    spec = _np.einsum(
+        "uikf,vkjf->uvijf", _limb_spectra(b.rows, lb, n, limbs), _limb_spectra(a.rows, la, n, limbs)
+    )
+    # limb pairs (u, v) of the same weight 2^(width * (u + v)) add up before
+    # the inverse transform
+    sums = spec[0]
+    if count > 1:
+        sums = _np.zeros((2 * count - 1,) + spec.shape[2:], dtype=spec.dtype)
+        for u in range(count):
+            sums[u : u + count] += spec[u]
+    vals = _np.fft.irfft(sums, n, axis=-1)[..., :size]
+    digits = _np.rint(vals)
+    if _np.abs(vals - digits).max() > 0.25:
+        raise ArithmeticError("FFT product exceeded its certified round-off")
+    digits = digits.astype(_np.int64) % p
+    out = digits[-1]
+    for d in digits[-2::-1]:
+        out = _shift_add_mod(out, d, limbs.width, p)
+    nonzero = out != 0
+    lengths = _np.where(nonzero.any(axis=-1), size - _np.argmax(nonzero[..., ::-1], axis=-1), 0)
+    return PolyMatrix(
+        f,
+        [[e[:k] for e, k in zip(row, krow)] for row, krow in zip(out.tolist(), lengths.tolist())],
+        a.ncols,
+    )
+
+
+def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
+    """Product b*a, mod X^trunc when trunc is given.
+
+    One batched float64 FFT over n points, n the power of two at or above
+    the product length (both cut to trunc): every entry is padded to the
+    longest entry of its operand and transformed once per limb, the inner
+    products run as one einsum over the n/2 + 1 frequencies, and each output
+    entry is transformed back once per limb weight.  With L limbs, the cost
+    is L (rows*inner + inner*cols) + (2L - 1) rows*cols real transforms of
+    n points and L^2 rows*inner*cols*(n/2 + 1) complex products, whatever
+    the degrees of the shorter entries: a low-degree row costs as much as
+    the longest one.  fft_limbs chooses L from p, the inner dimension and
+    the lengths; where it certifies none, Kronecker substitution, which
+    packs each entry at its own length.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")
     if b.ncols != a.nrows:
         raise ValueError("dimension mismatch in mat_mul")
-    if b.degree() == MINUS_INF or a.degree() == MINUS_INF:
+    db, da = b.degree(), a.degree()
+    if db == MINUS_INF or da == MINUS_INF or (trunc is not None and trunc <= 0):
         return PolyMatrix.zeros(b.field, b.nrows, a.ncols)
-    return _mat_mul_kron(b, a, trunc)
+    lb, la = int(db) + 1, int(da) + 1
+    size = lb + la - 1
+    if trunc is not None:
+        lb, la, size = min(lb, trunc), min(la, trunc), min(size, trunc)
+    n = 1 << (lb + la - 2).bit_length()
+    limbs = fft_limbs(b.field.p, b.ncols, min(lb, la), n)
+    if limbs is None:
+        return _mat_mul_kron(b, a, trunc)
+    return _mat_mul_fft(b, a, lb, la, size, n, limbs)

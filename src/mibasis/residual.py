@@ -14,8 +14,8 @@ _CHUNK_WORDS words; a block wider than that on its own joins the tail.
 
 Blocks of the tail class (large next to the column count per row) go
 through Chinese remaindering, so that one polynomial-matrix product serves
-every eigenvalue at once: on a single nilpotent block this is one Kronecker
-product, with memory linear in the order.  The moduli (X - x)^s of a CRT
+every eigenvalue at once: on a single nilpotent block this is one
+``polymat.mat_mul``, with memory linear in the order.  The moduli (X - x)^s of a CRT
 slot, like those of a shifting bucket's eigenvalues, depend on the blocks
 alone: one subproduct tree, with its CRT cofactors, is built per slot of
 two or more moduli and shared by every row lifted up it and every product

@@ -33,9 +33,9 @@ def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:
     Requires xi >= the working square dimension, sum of the finite row
     degrees of a at most xi, and the same for the rdeg(a)-shifted row
     degrees of b.  A violation signals a caller bug and raises.  The
-    product itself is one polymat.mat_mul, whose Kronecker substitution
-    packs each entry at its own length, so high-degree rows need no
-    splitting.
+    product itself is one polymat.mat_mul, with no splitting of high-degree
+    rows: its FFT pads every entry to the longest of its operand, whose
+    cost model the mat_mul docstring states.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")

@@ -258,6 +258,19 @@ def test_binomial_lucas():
             assert big.binomial(n, k) == comb(n, k) % big.p
 
 
+@pytest.mark.parametrize("p", [7, 65537])
+def test_binomial_matches_comb_below_and_past_p(p):
+    from math import comb
+
+    fld = PrimeField(p)
+    rng = random.Random(p)
+    for n in [rng.randrange(p) for _ in range(30)] + [rng.randrange(p, 3 * p * p) for _ in range(30)]:
+        for k in (0, 1, 2, n // 3, n % p, n - 1, n, rng.randrange(n + 1)):
+            if 0 <= k <= n and (n < p or min(k, n - k) <= 2000):
+                assert fld.binomial(n, k) == comb(n, k) % p
+        assert fld.binomial(n, n + 1) == 0 and fld.binomial(n, -1) == 0
+
+
 @pytest.mark.parametrize("p", [65537, (1 << 61) - 1, 4611686018427322369])
 def test_inv_round_trip(p):
     field = PrimeField(p)

@@ -135,6 +135,11 @@ def test_act_power_past_the_characteristic():
     e = [[rng.randrange(7) for _ in range(rep.order)] for _ in range(3)]
     for power in (7, 8, 13, 49, 50):
         assert jordan.act_power(e, rep, power).tolist() == _act_repeated(e, rep, power)
+    # blocks below p take C(n, t) = C(n mod p, t) from one recurrence
+    small = jordan.JordanRep(F7, ((3, 6), (0, 4), (5, 5), (1, 2)))
+    e = [[rng.randrange(7) for _ in range(small.order)] for _ in range(3)]
+    for power in (4, 7, 9, 12, 20, 51):
+        assert jordan.act_power(e, small, power).tolist() == _act_repeated(e, small, power)
 
 
 def test_act_power_dtype_boundary():

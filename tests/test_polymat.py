@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mibasis.field import MINUS_INF, PrimeField
@@ -179,56 +180,162 @@ def test_naive_mul_two_by_two_by_hand():
     assert prod.rows[1] == [[0, 1, 1], [0, 2]]
 
 
-def test_mat_mul_matches_naive_balanced_and_unbalanced():
-    rng = random.Random(4)
-    big = PrimeField(65537)
-    huge = PrimeField((1 << 61) - 1)
-    # (field, degree, rows, inner, cols)
-    cases = ((F7, 3, 4, 3, 2), (big, 40, 4, 3, 2), (huge, 40, 4, 3, 2), (big, 40, 4, 4, 4))
-    for field, deg, r, k, c in cases:
-        a = rand_matrix(rng, field, k, c, deg)
-        b = rand_matrix(rng, field, r, k, deg)
-        assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
-    # every coefficient p - 1: the inner sums reach the Kronecker digit bound
-    for field in (big, huge):
-        a = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 2] * 3)
-        b = PolyMatrix.from_entries(field, [[[field.p - 1] * 41] * 3] * 4)
-        assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
-    # unbalanced operands: a row of degree 0 beside one of degree ~300, zero
-    # entries and a zero row, as the residual products of dnc pass them
-    def poly(d):
-        return [rng.randrange(field.p) for _ in range(d)] + [rng.randrange(1, field.p)]
+# p = 7, 65537, both sides of 2^31, 2^61 - 1 and the largest prime below 2^62
+PRIMES = (7, 65537, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**62 - 57)
 
-    for field in (F97, big, huge):
-        b = PolyMatrix(field, [
-            [poly(0), poly(0), poly(0)],
-            [poly(300), [], poly(297)],
-            [[], [], []],
-        ])
-        a = PolyMatrix(field, [
-            [poly(0), poly(301), [], poly(2)],
-            [poly(5), [], [], poly(0)],
-            [[], poly(0), [], poly(7)],
-        ])
+
+def _refuse(*args):
+    raise AssertionError("the other product kernel ran")
+
+
+@pytest.fixture(params=["fft", "kron"])
+def kernel(request, monkeypatch):
+    """mat_mul held to one kernel at every prime: the FFT kernel, or
+    Kronecker substitution as when fft_limbs certifies no limbs."""
+    if request.param == "fft":
+        monkeypatch.setattr(polymat, "_mat_mul_kron", _refuse)
+    else:
+        monkeypatch.setattr(polymat, "fft_limbs", lambda *args: None)
+        monkeypatch.setattr(polymat, "_mat_mul_fft", _refuse)
+    return request.param
+
+
+def _truncated(prod, k):
+    return [[prod.field.poly_trunc(e, k) for e in row] for row in prod.rows]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_mul_matches_naive(p, kernel):
+    field = PrimeField(p)
+    rng = random.Random(p)
+
+    def poly(d):
+        return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+
+    def check(b, a):
         full = polymat.naive_mul(b, a)
         assert polymat.mat_mul(b, a) == full
-        for k in (1, 7):
-            want = [[field.poly_trunc(e, k) for e in row] for row in full.rows]
-            assert polymat.mat_mul(b, a, trunc=k).rows == want
+        size = b.degree() + a.degree() + 1
+        for k in (0, 1, size // 2, size - 1, size, size + 3):
+            assert polymat.mat_mul(b, a, trunc=k).rows == _truncated(full, k)
+
+    # a row of degree 0 beside one of degree ~300, zero entries and a zero
+    # row, as the residual products of dnc pass them
+    b = PolyMatrix(field, [
+        [poly(0), poly(0), poly(0)],
+        [poly(300), [], poly(297)],
+        [[], [], []],
+    ])
+    a = PolyMatrix(field, [
+        [poly(0), poly(301), [], poly(2)],
+        [poly(5), [], [], poly(0)],
+        [[], poly(0), [], poly(7)],
+    ])
+    check(b, a)
+    # inner dimensions 1 and 33
+    for inner in (1, 33):
+        check(rand_matrix(rng, field, 2, inner, 12), rand_matrix(rng, field, inner, 3, 20))
+    # product lengths 63, 64 and 65, around the transform length 64
+    for lb, la in ((32, 32), (32, 33), (33, 33)):
+        b = PolyMatrix(field, [[poly(lb - 1), poly(lb - 1)]])
+        a = PolyMatrix(field, [[poly(la - 1)], [poly(la - 1)]])
+        check(b, a)
+    zero = PolyMatrix.zeros(field, 2, 2)
+    assert polymat.mat_mul(zero, a) == PolyMatrix.zeros(field, 2, 1)
 
 
-def test_mat_mul_truncated():
-    rng = random.Random(5)
-    deg = 5
-    for field in (F7, PrimeField((1 << 61) - 1)):
-        a = rand_matrix(rng, field, 2, 2, deg)
-        b = rand_matrix(rng, field, 2, 2, deg)
-        full = polymat.naive_mul(b, a)
-        for k in (0, 1, 3, deg + 1):
-            trunc = polymat.mat_mul(b, a, trunc=k)
-            for ra, rb in zip(full.rows, trunc.rows):
-                for ea, eb in zip(ra, rb):
-                    assert field.poly_trunc(ea, k) == eb
+@pytest.mark.parametrize("p", PRIMES)
+def test_fft_product_of_largest_coefficients(p, monkeypatch):
+    # every coefficient p - 1, at the longest transform (up to 2^12) that the
+    # fewest limbs admit, where the certified round-off is largest
+    monkeypatch.setattr(polymat, "_mat_mul_kron", _refuse)
+    field = PrimeField(p)
+    for inner in (1, 4):
+        fewest = polymat.fft_limbs(p, inner, 1, 2).count
+        n = 2
+        while n < 1 << 12 and polymat.fft_limbs(p, inner, n, 2 * n).count == fewest:
+            n *= 2
+        if polymat.fft_limbs(p, inner, n // 2, n).count == fewest:
+            n //= 2
+        b = PolyMatrix(field, [[[p - 1] * n] * inner])
+        a = PolyMatrix(field, [[[p - 1] * n]] * inner)
+        # coefficient t of the product: inner * (p-1)^2 times the pairs i + j = t
+        want = [inner * (min(t, 2 * n - 2 - t) + 1) % p for t in range(2 * n - 1)]
+        assert polymat.mat_mul(b, a).rows == [[field.normalize(want)]]
+
+
+def test_fft_limbs_certify_round_off_below_one_half():
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 60
+    eps = Decimal(2) ** -53
+
+    def bound(width, count, inner, shorter, logn):
+        """The bound of the fft_limbs docstring, in 60-digit decimals."""
+        q = inner * count
+        growth = (1 + eps) ** (6 * logn + q) * (1 + eps * Decimal(5).sqrt()) ** (3 * logn + 1) - 1
+        return q * (2**width - 1) ** 2 * (Decimal(shorter) * 2**logn).sqrt() * growth
+
+    refused = 0
+    for p in PRIMES:
+        bits = (p - 1).bit_length()
+        for inner in (1, 4, 33, 1000):
+            for logn in (0, 1, 5, 10, 16, 24):
+                length = 1 << logn
+                for shorter in {1, max(length // 2, 1), length}:
+                    limbs = polymat.fft_limbs(p, inner, shorter, length)
+                    if limbs is None:
+                        # not even one-bit limbs are certified: Kronecker
+                        assert bound(1, bits, inner, shorter, logn) >= Decimal("0.25")
+                        refused += 1
+                        continue
+                    assert limbs.width * limbs.count >= bits
+                    assert limbs.width * (limbs.count - 1) < bits
+                    want = bound(limbs.width, limbs.count, inner, shorter, logn)
+                    assert abs(Decimal(limbs.bound) - want) <= want * Decimal("1e-9")
+                    assert limbs.bound < 0.25 < 0.5
+                    if limbs.count > 1:
+                        fewer = -(-bits // (limbs.count - 1))
+                        assert bound(fewer, limbs.count - 1, inner, shorter, logn) >= Decimal("0.25")
+    assert refused
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_shift_add_mod_matches_python_integers(p):
+    rng = random.Random(p + 1)
+    edge = [0, 1, p - 2, p - 1]
+    acc = edge * 4 + [rng.randrange(p) for _ in range(200)]
+    d = [x for x in edge for _ in range(4)] + [rng.randrange(p) for _ in range(200)]
+    for width in (1, 9, 13, 16, 21, 31, 50):
+        # acc * 2^width just above and just below multiples of p, where the
+        # float64 quotient may round either way
+        ks = [rng.randrange(1, 2**width) for _ in range(100)]
+        near = [min(-(-k * p >> width), p - 1) for k in ks] + [k * p >> width for k in ks]
+        xs, ys = acc + near, d + d[: len(near)]
+        got = polymat._shift_add_mod(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), width, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [(x * 2**width + y) % p for x, y in zip(xs, ys)]
+
+
+def test_mat_mul_routes_to_kronecker_without_limbs(monkeypatch):
+    rng = random.Random(8)
+    field = PrimeField(65537)
+    b = rand_matrix(rng, field, 3, 2, 9)
+    a = rand_matrix(rng, field, 2, 2, 9)
+    monkeypatch.setattr(polymat, "fft_limbs", lambda *args: None)
+    monkeypatch.setattr(polymat, "_mat_mul_fft", _refuse)
+    assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
+
+
+def test_fft_kernel_raises_off_integer_outputs(monkeypatch):
+    # the exactness check is a raise, not an assert, so it holds under -O
+    rng = random.Random(9)
+    b = rand_matrix(rng, F97, 2, 2, 6)
+    a = rand_matrix(rng, F97, 2, 2, 6)
+    irfft = polymat._np.fft.irfft
+    monkeypatch.setattr(polymat._np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(ArithmeticError):
+        polymat.mat_mul(b, a)
 
 
 def test_reduced_degree_sum_equals_det_degree():
