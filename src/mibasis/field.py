@@ -17,8 +17,9 @@ below 2^63                                     coefficient sum can overflow
 ``poly_mul``, larger bound (62-bit primes)     Kronecker substitution
 ``polymat.mat_mul``, limbs certified by        one batched float64 FFT of the
 ``polymat.fft_limbs`` (every p at any          entries' limbs, rounded
-size reached in practice)                      exactly
-``polymat.mat_mul``, no limbs certified        Kronecker substitution, inner
+size reached in practice), padding below       exactly
+``polymat.FFT_MAX_PADDING``
+``polymat.mat_mul``, otherwise                 Kronecker substitution, inner
                                                sums taken on packed integers
 =============================================  ===============================
 

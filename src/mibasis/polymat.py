@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
 
 import numpy as _np
 
@@ -17,6 +16,15 @@ from .field import MINUS_INF, PrimeField, digit_bytes, kron_pack, kron_unpack
 from . import modmat
 
 _EPS = 2.0 ** -53  # unit round-off of float64
+
+# mat_mul leaves a product to Kronecker substitution once padding every
+# entry to the longest of its operand makes the operands this many times
+# their stored coefficients.  Replayed products of dnc, change_shift and
+# nullspace solves (p = 65537 and 2^61 - 1, sigma 256 and 1024) put the FFT
+# kernel up to 11x behind Kronecker at padding 31 (nullspace bases whose
+# row degrees run from 0 to sigma); the products of dnc on the benchmark
+# shapes stay below padding 3.
+FFT_MAX_PADDING = 4
 
 
 class PolyMatrix:
@@ -255,14 +263,9 @@ def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix
     return PolyMatrix(f, rows, a.ncols)
 
 
-class Limbs(NamedTuple):
-    width: int  # bits per limb
-    count: int  # limbs per coefficient
-    bound: float  # certified round-off of every output of the transform
-
-
-def fft_limbs(p: int, inner: int, shorter: int, length: int) -> Limbs | None:
-    """The fewest limbs that make the float64 FFT product exact, or None.
+def fft_limbs(p: int, inner: int, shorter: int, length: int) -> tuple[int, int] | None:
+    """(width, count): the fewest limbs that make the float64 FFT product
+    exact, or None.
 
     Coefficients in [0, p) split into `count` unsigned limbs of `width`
     bits, so every limb is at most B = 2^width - 1.  A product sums
@@ -298,11 +301,11 @@ def fft_limbs(p: int, inner: int, shorter: int, length: int) -> Limbs | None:
         )
         bound = q * ((1 << width) - 1) ** 2 * math.sqrt(shorter * length) * growth
         if bound < 0.25:
-            return Limbs(width, count, bound)
+            return width, count
     return None
 
 
-def _limb_spectra(rows, length: int, n: int, limbs: Limbs) -> _np.ndarray:
+def _limb_spectra(rows, length: int, n: int, width: int, count: int) -> _np.ndarray:
     """rfft over n points of every limb of every entry, the entries cut to
     `length` coefficients: an array (count, rows, cols, n // 2 + 1)."""
     coeffs = _np.zeros((len(rows), len(rows[0]), length), dtype=_np.int64)
@@ -310,8 +313,8 @@ def _limb_spectra(rows, length: int, n: int, limbs: Limbs) -> _np.ndarray:
         for k, e in enumerate(row):
             if e:
                 coeffs[i, k, : len(e)] = e if len(e) <= length else e[:length]
-    shifts = _np.arange(0, limbs.width * limbs.count, limbs.width).reshape(-1, 1, 1, 1)
-    parts = (coeffs >> shifts) & ((1 << limbs.width) - 1)
+    shifts = _np.arange(0, width * count, width).reshape(-1, 1, 1, 1)
+    parts = (coeffs >> shifts) & ((1 << width) - 1)
     return _np.fft.rfft(parts.astype(_np.float64), n, axis=-1)
 
 
@@ -332,37 +335,44 @@ def _shift_add_mod(acc: _np.ndarray, d: _np.ndarray, width: int, p: int) -> _np.
     return r - _np.where(r >= p, p, 0)
 
 
-def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: int, limbs: Limbs):
+def _weight_spectra(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, n: int, width: int, count: int):
+    """Spectra of the entries of b*a, one per limb weight 2^(width * w),
+    w < 2 count - 1: the limb pairs (u, v) with u + v = w add up before the
+    inverse transform.  An array (2 count - 1, rows, cols, n // 2 + 1)."""
+    spec_b = _limb_spectra(b.rows, lb, n, width, count)
+    spec_a = _limb_spectra(a.rows, la, n, width, count)
+    sums = _np.zeros((2 * count - 1, b.nrows, a.ncols, n // 2 + 1), dtype=spec_b.dtype)
+    for u in range(count):
+        sums[u : u + count] += _np.einsum("ikf,vkjf->vijf", spec_b[u], spec_a)
+    return sums
+
+
+def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: int, width: int, count: int):
     """b*a mod X^size, the entries of b and a cut to lb and la coefficients,
-    by one batched float64 FFT of their limbs over n points (see fft_limbs)."""
-    f = b.field
-    p = f.p
-    count = limbs.count
-    spec = _np.einsum(
-        "uikf,vkjf->uvijf", _limb_spectra(b.rows, lb, n, limbs), _limb_spectra(a.rows, la, n, limbs)
-    )
-    # limb pairs (u, v) of the same weight 2^(width * (u + v)) add up before
-    # the inverse transform
-    sums = spec[0]
-    if count > 1:
-        sums = _np.zeros((2 * count - 1,) + spec.shape[2:], dtype=spec.dtype)
-        for u in range(count):
-            sums[u : u + count] += spec[u]
-    vals = _np.fft.irfft(sums, n, axis=-1)[..., :size]
-    digits = _np.rint(vals)
-    if _np.abs(vals - digits).max() > 0.25:
-        raise ArithmeticError("FFT product exceeded its certified round-off")
-    digits = digits.astype(_np.int64) % p
-    out = digits[-1]
-    for d in digits[-2::-1]:
-        out = _shift_add_mod(out, d, limbs.width, p)
+    by one batched float64 FFT of their limbs over n points (see fft_limbs).
+    The limb sums are transformed back, rounded and recombined mod p one
+    weight at a time, highest first, so only one weight is held in float64."""
+    p = b.field.p
+    out = None
+    for sums in _weight_spectra(b, a, lb, la, n, width, count)[::-1]:
+        vals = _np.fft.irfft(sums, n, axis=-1)[..., :size]
+        digits = _np.rint(vals)
+        if _np.abs(vals - digits).max() > 0.25:
+            raise ArithmeticError("FFT product exceeded its certified round-off")
+        d = digits.astype(_np.int64) % p
+        out = d if out is None else _shift_add_mod(out, d, width, p)
     nonzero = out != 0
     lengths = _np.where(nonzero.any(axis=-1), size - _np.argmax(nonzero[..., ::-1], axis=-1), 0)
     return PolyMatrix(
-        f,
+        b.field,
         [[e[:k] for e, k in zip(row, krow)] for row, krow in zip(out.tolist(), lengths.tolist())],
         a.ncols,
     )
+
+
+def _stored(rows, length: int) -> int:
+    """Coefficients of the entries of `rows`, each cut to `length`."""
+    return sum(min(len(e), length) for row in rows for e in row)
 
 
 def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
@@ -377,8 +387,10 @@ def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatri
     n points and L^2 rows*inner*cols*(n/2 + 1) complex products, whatever
     the degrees of the shorter entries: a low-degree row costs as much as
     the longest one.  fft_limbs chooses L from p, the inner dimension and
-    the lengths; where it certifies none, Kronecker substitution, which
-    packs each entry at its own length.
+    the lengths.  Kronecker substitution, which packs each entry at its own
+    length, takes the products where fft_limbs certifies no limbs and those
+    whose padded operands hold FFT_MAX_PADDING times their coefficients or
+    more.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")
@@ -391,8 +403,11 @@ def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatri
     size = lb + la - 1
     if trunc is not None:
         lb, la, size = min(lb, trunc), min(la, trunc), min(size, trunc)
+    padded = b.nrows * b.ncols * lb + a.nrows * a.ncols * la
+    if padded >= FFT_MAX_PADDING * (_stored(b.rows, lb) + _stored(a.rows, la)):
+        return _mat_mul_kron(b, a, trunc)
     n = 1 << (lb + la - 2).bit_length()
     limbs = fft_limbs(b.field.p, b.ncols, min(lb, la), n)
     if limbs is None:
         return _mat_mul_kron(b, a, trunc)
-    return _mat_mul_fft(b, a, lb, la, size, n, limbs)
+    return _mat_mul_fft(b, a, lb, la, size, n, *limbs)

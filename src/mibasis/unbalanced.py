@@ -34,8 +34,9 @@ def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:
     degrees of a at most xi, and the same for the rdeg(a)-shifted row
     degrees of b.  A violation signals a caller bug and raises.  The
     product itself is one polymat.mat_mul, with no splitting of high-degree
-    rows: its FFT pads every entry to the longest of its operand, whose
-    cost model the mat_mul docstring states.
+    rows: its FFT pads every entry to the longest of its operand, and it
+    leaves products whose padding reaches FFT_MAX_PADDING to Kronecker
+    substitution, which packs each entry at its own length.
     """
     if b.field != a.field:
         raise ValueError("field mismatch")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -190,9 +191,11 @@ def _refuse(*args):
 
 @pytest.fixture(params=["fft", "kron"])
 def kernel(request, monkeypatch):
-    """mat_mul held to one kernel at every prime: the FFT kernel, or
-    Kronecker substitution as when fft_limbs certifies no limbs."""
+    """mat_mul held to one kernel at every prime: the FFT kernel whatever
+    the padding, or Kronecker substitution as when fft_limbs certifies no
+    limbs."""
     if request.param == "fft":
+        monkeypatch.setattr(polymat, "FFT_MAX_PADDING", math.inf)
         monkeypatch.setattr(polymat, "_mat_mul_kron", _refuse)
     else:
         monkeypatch.setattr(polymat, "fft_limbs", lambda *args: None)
@@ -240,8 +243,12 @@ def test_mat_mul_matches_naive(p, kernel):
         b = PolyMatrix(field, [[poly(lb - 1), poly(lb - 1)]])
         a = PolyMatrix(field, [[poly(la - 1)], [poly(la - 1)]])
         check(b, a)
-    zero = PolyMatrix.zeros(field, 2, 2)
-    assert polymat.mat_mul(zero, a) == PolyMatrix.zeros(field, 2, 1)
+    # every coefficient p - 1: the inner sums reach the Kronecker digit bound
+    b = PolyMatrix(field, [[[p - 1] * 41] * 3] * 4)
+    a = PolyMatrix(field, [[[p - 1] * 41] * 2] * 3)
+    check(b, a)
+    zero = PolyMatrix.zeros(field, 2, 3)
+    assert polymat.mat_mul(zero, a) == PolyMatrix.zeros(field, 2, 2)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -251,11 +258,11 @@ def test_fft_product_of_largest_coefficients(p, monkeypatch):
     monkeypatch.setattr(polymat, "_mat_mul_kron", _refuse)
     field = PrimeField(p)
     for inner in (1, 4):
-        fewest = polymat.fft_limbs(p, inner, 1, 2).count
+        fewest = polymat.fft_limbs(p, inner, 1, 2)[1]
         n = 2
-        while n < 1 << 12 and polymat.fft_limbs(p, inner, n, 2 * n).count == fewest:
+        while n < 1 << 12 and polymat.fft_limbs(p, inner, n, 2 * n)[1] == fewest:
             n *= 2
-        if polymat.fft_limbs(p, inner, n // 2, n).count == fewest:
+        if polymat.fft_limbs(p, inner, n // 2, n)[1] == fewest:
             n //= 2
         b = PolyMatrix(field, [[[p - 1] * n] * inner])
         a = PolyMatrix(field, [[[p - 1] * n]] * inner)
@@ -289,14 +296,13 @@ def test_fft_limbs_certify_round_off_below_one_half():
                         assert bound(1, bits, inner, shorter, logn) >= Decimal("0.25")
                         refused += 1
                         continue
-                    assert limbs.width * limbs.count >= bits
-                    assert limbs.width * (limbs.count - 1) < bits
-                    want = bound(limbs.width, limbs.count, inner, shorter, logn)
-                    assert abs(Decimal(limbs.bound) - want) <= want * Decimal("1e-9")
-                    assert limbs.bound < 0.25 < 0.5
-                    if limbs.count > 1:
-                        fewer = -(-bits // (limbs.count - 1))
-                        assert bound(fewer, limbs.count - 1, inner, shorter, logn) >= Decimal("0.25")
+                    width, count = limbs
+                    assert width * count >= bits
+                    assert width * (count - 1) < bits
+                    assert bound(width, count, inner, shorter, logn) < Decimal("0.25") < Decimal("0.5")
+                    if count > 1:
+                        fewer = -(-bits // (count - 1))
+                        assert bound(fewer, count - 1, inner, shorter, logn) >= Decimal("0.25")
     assert refused
 
 
@@ -317,12 +323,19 @@ def test_shift_add_mod_matches_python_integers(p):
         assert got.tolist() == [(x * 2**width + y) % p for x, y in zip(xs, ys)]
 
 
-def test_mat_mul_routes_to_kronecker_without_limbs(monkeypatch):
+def test_mat_mul_leaves_padded_products_to_kronecker(monkeypatch):
     rng = random.Random(8)
     field = PrimeField(65537)
+    # entries of one length: padding 1, the FFT kernel
     b = rand_matrix(rng, field, 3, 2, 9)
     a = rand_matrix(rng, field, 2, 2, 9)
-    monkeypatch.setattr(polymat, "fft_limbs", lambda *args: None)
+    with monkeypatch.context() as m:
+        m.setattr(polymat, "_mat_mul_kron", _refuse)
+        assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
+    # one entry of length 64 beside seven constants: 8 * 64 padded against
+    # 71 stored coefficients in b, and likewise in a
+    b = PolyMatrix(field, [[[1] * 64] + [[2]] * 7])
+    a = PolyMatrix(field, [[[3]]] * 7 + [[[4] * 64]])
     monkeypatch.setattr(polymat, "_mat_mul_fft", _refuse)
     assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
 
