@@ -5,8 +5,9 @@ PM-basis does for approximant bases: solve the left half at shift s,
 propagate the surviving right-half columns of the residual, solve those at
 shift t = rdeg_s(P1), and multiply.  P2*P1 is then s-reduced with
 rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node re-reduces.
-Nodes of at most max(8m, 64) columns, m the row count, go to the
-linearization engine.
+Nodes of at most max(8m, 128) columns, m the row count, are leaves, solved
+by the iterative kernel ``approx.mbasis_jordan``: one column at a time, a
+constant elimination and one multiplication of the pivot row by X - x.
 The halves are the leading and trailing columns with their blocks in the
 order given; a block that straddles the cut splits in two.
 
@@ -19,26 +20,23 @@ basis, by ``interpolation_basis``.
 
 from __future__ import annotations
 
+from .approx import mbasis_jordan
 from .field import PrimeField
 from .jordan import JordanRep, check_evaluations, split
-from .linearization import lin_interp_basis
+from .linearization import lin_interp_basis  # noqa: F401  (perfbench's tracer wraps this name)
 from .polymat import PolyMatrix, shifted_row_degree
 from .residual import compute_residuals
 from .unbalanced import unbalanced_mul
 
 
-# A node of sigma <= max(_LEAF_PER_ROW * m, _LEAF) columns goes to the
-# linearization engine: on smaller nodes numpy's per-call overhead, not
-# arithmetic, would bound the time of the recursion.
-_LEAF = 64
+# A node of sigma <= max(_LEAF_PER_ROW * m, _LEAF) columns is a leaf, solved
+# by the iterative kernel.  In int64 words its time per column is mostly
+# numpy's per-call overhead, nearly flat in the leaf size, so larger leaves
+# save nodes of the recursion; in object words (large p) it grows with the
+# leaf.  128 beat 64 on every Jordan shape at p = 65537, and 256 lost to 128
+# on distinct points and at large p.
+_LEAF = 128
 _LEAF_PER_ROW = 8
-
-
-def _base_delta(sigma: int) -> int:
-    d = 1
-    while d < sigma:
-        d *= 2
-    return d
 
 
 def right_residual(
@@ -67,8 +65,7 @@ def interpolation_basis_rec(
     m = len(e_rows)
     sigma = j.order
     if sigma <= max(_LEAF_PER_ROW * m, _LEAF):
-        basis, _ = lin_interp_basis(e_rows, j, shift, _base_delta(sigma), field)
-        return basis
+        return mbasis_jordan(e_rows, j, shift, field)
     half = sigma // 2
     j1, j2 = split(j, half)
     p1 = interpolation_basis_rec([row[:half] for row in e_rows], j1, shift, field)

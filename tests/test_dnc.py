@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import dnc, jordan, oracle, polymat, residual
+from mibasis import dnc, jordan, modmat, oracle, polymat, residual
 from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
 from mibasis.polymat import PolyMatrix
 
@@ -53,17 +54,100 @@ def certify_output(basis, e, j, s, field):
     return popov
 
 
-def test_base_case_matches_linearization_popov():
-    basis = interpolation_basis(EVALS, nilpotent3(), [0, 0, 0], F97)
-    expected = PolyMatrix.from_entries(
-        F97,
-        [
-            [[82, 40, 1], [76], []],
-            [[13, 3], [57, 1], []],
-            [[96], [96], [1]],
-        ],
-    )
-    assert basis == expected
+def reference_leaf(e, j, shift, field):
+    """The leaf kernel's step on lists, with jordan.act and no numpy.
+
+    Per column in block order: pivot on the row of least (shifted degree,
+    index) with a nonzero residual there, clear the column from the other
+    rows, then multiply the pivot row by X - x: its residual becomes
+    R J - x R, its entries X P_c - x P_c.
+    """
+    p = field.p
+    m = len(e)
+    basis = [[[1] if c == i else [] for c in range(m)] for i in range(m)]
+    res = [[a % p for a in row] for row in e]
+    u = list(shift)
+    col = 0
+    for x, size in j.blocks:
+        for _ in range(size):
+            live = [i for i in range(m) if res[i][col]]
+            if live:
+                piv = min(live, key=lambda i: (u[i], i))
+                inv = pow(res[piv][col], -1, p)
+                for i in live:
+                    if i != piv:
+                        f = res[i][col] * inv % p
+                        res[i] = [(a - f * b) % p for a, b in zip(res[i], res[piv])]
+                        basis[i] = [
+                            field.poly_sub(a, field.poly_scale(b, f))
+                            for a, b in zip(basis[i], basis[piv])
+                        ]
+                acted = jordan.act([res[piv]], j)[0]
+                res[piv] = [(a - x * b) % p for a, b in zip(acted, res[piv])]
+                basis[piv] = [
+                    field.poly_sub(field.poly_shift_up(a, 1), field.poly_scale(a, x))
+                    for a in basis[piv]
+                ]
+                u[piv] += 1
+            col += 1
+    assert not any(any(row) for row in res)
+    return PolyMatrix(field, basis)
+
+
+LEAF_PRIMES = (97, 65537, (1 << 61) - 1, (1 << 62) - 57)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_matches_list_reference(p):
+    # blocks of several sizes, eigenvalues repeating and zero among them,
+    # shifts up to [0, 10^6]; a leaf is one kernel call, so the dnc output
+    # is the reference's bytes
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for m, shift in ((1, [0]), (2, [0, 10**6]), (3, [4, 0, 1]), (4, [0, 0, 0, 0])):
+        x = rng.randrange(1, p)
+        blocks = [(x, 3), (0, 2), (rng.randrange(p), 1), (x, 5), (p - 1, 4), (0, 1)]
+        j = jordan.JordanRep(field, tuple(rng.sample(blocks, len(blocks))))
+        e = [[rng.randrange(p) for _ in range(j.order)] for _ in range(m)]
+        assert j.order <= leaf_size(m)
+        basis = interpolation_basis(e, j, shift, field)
+        assert basis == reference_leaf(e, j, shift, field)
+        assert dnc.mbasis_jordan(e, j, shift, field) == basis
+        popov = certify_output(basis, e, j, shift, field)
+        assert oracle.module_equivalent(basis, popov, e, j, shift)
+
+
+# The leaf keeps int64 words while (p-1)^2 (sigma + 2) < 2^63 and object
+# words beyond; these primes are the last below and the first above that
+# bound at sigma = 64.
+BELOW_WORD_BOUND, ABOVE_WORD_BOUND = 373828909, 373828957
+
+
+@pytest.mark.parametrize(
+    "p, words", [(BELOW_WORD_BOUND, np.int64), (ABOVE_WORD_BOUND, object)]
+)
+def test_leaf_word_bound(p, words, monkeypatch):
+    # One block of eigenvalue 5: row 0 is the pivot at every column, with
+    # residual p - 1 from the column on, and E1[t] = t + 1 makes every
+    # multiplier of row 1 p - 1, so that row 1, never reduced, reaches
+    # 63 (p-1)^2 in magnitude at column 63, next to the 64 (p-1)^2 + p
+    # that 64 columns allow at most.
+    field = PrimeField(p)
+    assert ((p - 1) ** 2 * 66 < 1 << 63) == (words is np.int64)
+    j = jordan.JordanRep(field, ((5, 64),))
+    e = [[p - 1] * 64, [t + 1 for t in range(64)]]
+    seen = []
+    reduce = modmat.reduce
+
+    def spy(mat, q, dt):
+        seen.append(dt)
+        return reduce(mat, q, dt)
+
+    monkeypatch.setattr(modmat, "reduce", spy)
+    basis = dnc.mbasis_jordan(e, j, [0, 10**6], field)
+    assert seen == [words]
+    assert basis == reference_leaf(e, j, [0, 10**6], field)
+    assert list(polymat.shifted_row_degree(basis, [0, 0])) == [64, 63]
 
 
 def test_zero_evals_gives_identity():
@@ -284,10 +368,12 @@ def test_right_residual_equals_right_half_of_full_residual(data):
     assert lead == [row[start:k] for row in full]
 
 
-# Corrupts one coefficient of every product of two halves, so that the basis
-# no longer interpolates; distinct points mean no block straddles a cut, so
-# only the final check in interpolation_basis can see it.  80 points are more
-# than a leaf of the recursion takes, so the instance is cut and multiplied.
+# Corrupts one coefficient of every output of the dnc function named in
+# argv[2]: the product of two halves, or the leaf kernel.  Either way the
+# basis no longer interpolates; distinct points mean no block straddles a
+# cut, so only the final check in interpolation_basis can see it.  160
+# points are more than a leaf of the recursion takes, so the instance is cut
+# into two leaves whose bases are multiplied.
 _CORRUPT_UNDER_O = """
 import sys
 from mibasis import cli, dnc, jordan
@@ -295,19 +381,20 @@ from mibasis.field import PrimeField
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-product = dnc.unbalanced_mul
+target = sys.argv[2]
+original = getattr(dnc, target)
 
-def corrupted(b, a, xi):
-    out = product(b, a, xi)
+def corrupted(*args):
+    out = original(*args)
     row = out.rows[0]
     c = next(i for i, e in enumerate(row) if len(e) > 1)
     row[c] = [(row[c][0] + 1) % out.field.p] + row[c][1:]
     return out
 
-dnc.unbalanced_mul = corrupted
-field = PrimeField(97)
-j = jordan.JordanRep(field, tuple((x, 1) for x in range(1, 81)))
-e = [[(7 * r + 3 * c + 1) % 97 for c in range(80)] for r in range(2)]
+setattr(dnc, target, corrupted)
+field = PrimeField(257)
+j = jordan.JordanRep(field, tuple((x, 1) for x in range(1, 161)))
+e = [[(7 * r + 3 * c + 1) % 257 for c in range(160)] for r in range(2)]
 try:
     dnc.interpolation_basis(e, j, [0, 0], field)
     print("returned")
@@ -321,18 +408,19 @@ sys.exit(cli.main(["interp", "--algo", "dnc", "--evals", sys.argv[1]]))
 def test_invariant_holds_under_optimize(tmp_path):
     inst = tmp_path / "points.txt"
     inst.write_text(
-        "field p=97\nmat 2 80\n"
-        + "".join(" ".join(str((7 * r + 3 * c + 1) % 97) for c in range(80)) + "\n" for r in range(2))
-        + "jordan 80\n" + "".join(f"{x} 1\n" for x in range(1, 81))
+        "field p=257\nmat 2 160\n"
+        + "".join(" ".join(str((7 * r + 3 * c + 1) % 257) for c in range(160)) + "\n" for r in range(2))
+        + "jordan 160\n" + "".join(f"{x} 1\n" for x in range(1, 161))
         + "shift 2\n0 0\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_UNDER_O, str(inst)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.stdout == "raised\n"
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("internal error: ")
-    assert "Traceback" not in proc.stderr
+    for target in ("unbalanced_mul", "mbasis_jordan"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _CORRUPT_UNDER_O, str(inst), target],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.stdout == "raised\n", target
+        assert proc.returncode == 1, target
+        assert proc.stderr.startswith("internal error: "), target
+        assert "Traceback" not in proc.stderr, target
