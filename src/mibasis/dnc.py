@@ -87,13 +87,17 @@ def interpolation_basis(
     of the output is at most order + sum of the normalized shift.  The
     recursion computes each node's residual on its right half only; one full
     residual of the output, which must vanish, checks every row here, and
-    AssertionError reports a basis that does not interpolate.
+    AssertionError reports a basis that does not interpolate.  A shift of
+    the wrong length or with a non-integer entry raises ValueError, at any
+    order.
     """
     check_evaluations(e_rows, j)
     if field != j.field:
         raise ValueError("field does not match the Jordan matrix")
     if len(shift) != len(e_rows):
         raise ValueError("one shift entry per row required")
+    if not all(isinstance(s, int) for s in shift):
+        raise ValueError("shift entries must be integers")
     smin = min(shift)
     basis = interpolation_basis_rec(e_rows, j, [s - smin for s in shift], field)
     if any(any(row) for row in compute_residuals(j, basis, e_rows)):

@@ -30,7 +30,10 @@ Python integer product then does the whole convolution.  ``kron_pack`` and
 
 Simultaneous reduction (``multi_mod``) and Chinese remaindering (``crt``)
 walk one SubproductTree down and up; a tree built once for fixed moduli
-serves any number of polynomials.
+serves any number of polynomials.  No solve calls ``crt``, ``multi_mod`` or
+``SubproductTree``: residuals on long blocks take one polynomial-matrix
+product and Taylor shifts instead.  They stay because tests cover them and
+perfbench's tracer wraps ``crt`` and ``multi_mod`` by name.
 """
 
 from __future__ import annotations

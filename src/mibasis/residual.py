@@ -1,38 +1,33 @@
 """Residuals P applied to E for a Jordan multiplication matrix.
 
-The residual of P on E is sum_d P_d * (E * J^d), d up to D = deg P.  Blocks
-come in any order.  They are sorted by dyadic size class, relative to the
-column count divided by the row count of E (``build_residual_plan``).
+The residual of P on E is sum_d P_d * (E * J^d), d up to D = deg P; on a
+block (x, s) it is P * e(X) mod (X - x)^s, recentred at x.  Blocks come in
+any order, and each goes one of two ways, by its size s next to the column
+count sigma per row of E, m rows.
 
-Blocks of the small classes go through the linearization: the striped
-Krylov rows S = [E; E*J; ...; E*J^D] on their columns, built by
-ceil(log2(D+1)) doublings of ``jordan.act_power``, and the coefficient
-matrix C of P (column d*m + c holds the coefficients of X^d of column c),
-so that the residual on those columns is one scalar product C * S.  S holds
-m(D+1) rows, so it is built in chunks of whole blocks, each of at most
-_CHUNK_WORDS words; a block wider than that on its own joins the tail.
+Small blocks, floor(log2 s) <= floor(log2(sigma/m)), go through the
+linearization: the striped Krylov rows S = [E; E*J; ...; E*J^D] on their
+columns, built by ceil(log2(D+1)) doublings of ``jordan.act_power``, and the
+coefficient matrix C of P (column d*m + c holds the coefficients of X^d of
+column c), so that the residual on those columns is one scalar product
+C * S.  S holds m(D+1) rows, so it is built in chunks of whole blocks, each
+of at most _CHUNK_WORDS words; a block wider than that on its own joins the
+tail.
 
-Blocks of the tail class (large next to the column count per row) go
-through Chinese remaindering, so that one polynomial-matrix product serves
-every eigenvalue at once: on a single nilpotent block this is one
-``polymat.mat_mul``, with memory linear in the order.  The moduli (X - x)^s of a CRT
-slot, like those of a shifting bucket's eigenvalues, depend on the blocks
-alone: one subproduct tree, with its CRT cofactors, is built per slot of
-two or more moduli and shared by every row lifted up it and every product
-reduced back down it.  A single modulus needs no tree.  The plan still
-labels the small classes ``shift`` (eigenvalues repeating more often than
-the row count) or ``crt``; ``residual_by_shifting`` implements the former
-and is kept for direct callers.
+The tail, blocks longer than sigma/m (fewer than m of them) and those too
+wide for a chunk, goes through one polynomial-matrix product
+``polymat.mat_mul(P, R)``, R having one column per block: the block's columns of E as polynomials, Taylor-shifted by -x.
+Each entry of the product, shifted back by x, gives the block's residual in
+its first s coefficients.  On a single nilpotent block (hermite-pade) this
+is one product with memory linear in the order and no shift at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as _np
 
 from . import modmat
-from .field import MINUS_INF, PrimeField, SubproductTree
+from .field import MINUS_INF
 from .jordan import JordanRep, act_power
 from .polymat import PolyMatrix, mat_mul
 
@@ -41,166 +36,36 @@ from .polymat import PolyMatrix, mat_mul
 _CHUNK_WORDS = 1 << 20
 
 
-@dataclass
-class ResidualBucket:
-    size_class: object  # dyadic exponent k, or "inf" for the tail class
-    strategy: str  # "shift" or "crt"
-    entries: list[tuple[int, int, int]]  # (eigenvalue, block size, column offset)
-
-
-@dataclass
-class ResidualPlan:
-    buckets: list[ResidualBucket]
-
-
-def build_residual_plan(j: JordanRep, m: int) -> ResidualPlan:
-    """Partition the blocks by size class and eigenvalue repetition count."""
-    sigma = j.order
-    k_max = (sigma // m).bit_length() - 1 if sigma >= m else -1
-    offsets = j.column_offsets()
-    classed: dict[object, list[tuple[int, int, int]]] = {}
-    for (x, s), off in zip(j.blocks, offsets):
-        k = s.bit_length() - 1
-        label = k if k <= k_max else "inf"
-        classed.setdefault(label, []).append((x, s, off))
-    buckets = []
-    for k in range(k_max + 1):
-        entries = classed.get(k, [])
-        if not entries:
-            continue
-        reps: dict[int, int] = {}
-        for x, _, _ in entries:
-            reps[x] = reps.get(x, 0) + 1
-        frequent = [e for e in entries if reps[e[0]] > m]
-        rare = [e for e in entries if reps[e[0]] <= m]
-        if frequent:
-            buckets.append(ResidualBucket(k, "shift", frequent))
-        if rare:
-            buckets.append(ResidualBucket(k, "crt", rare))
-    tail = classed.get("inf", [])
-    if tail:
-        buckets.append(ResidualBucket("inf", "crt", tail))
-    return ResidualPlan(buckets)
-
-
-def _group_by_eigenvalue(entries):
-    """(eigenvalue, [(size, offset), ...]) in order of first appearance."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for x, s, off in entries:
-        groups.setdefault(x, []).append((s, off))
-    return list(groups.items())
-
-
-def _column_poly(e_rows, field, off, size):
-    """Columns [off, off+size) of E as one polynomial per row."""
-    return [field.normalize([row[off + t] for t in range(size)]) for row in e_rows]
-
-
-def _store_coeffs(out, col_polys, off, size):
-    for r, e in enumerate(col_polys):
-        row = out[r]
-        for t in range(size):
-            row[off + t] = e[t] if t < len(e) else 0
-
-
-def _point_tree(field: PrimeField, pts_caps) -> SubproductTree:
-    """The subproduct tree of the moduli (X - x)^s, one per (x, s)."""
-    return SubproductTree(field, [field.poly_pow([(-x) % field.p, 1], s) for x, s in pts_caps])
-
-
-def _shifted_remainders(field: PrimeField, f, pts_caps, tree: SubproductTree | None):
-    """For each (x, s): the first s coefficients of f(X + x), batched.
-
-    Equals f mod (X - x)^s recentered at x.  A single point needs one
-    truncated Taylor shift (a plain slice when x is zero) and no tree;
-    several points go down ``tree``, the subproduct tree of their moduli.
-    """
-    if not f:
-        return [[] for _ in pts_caps]
-    if len(pts_caps) == 1:
-        x, s = pts_caps[0]
-        if x == 0:
-            return [field.poly_trunc(f, s)]
-        return [field.poly_trunc(field.taylor_shift(f, x), s)]
-    rems = field.multi_mod(f, tree)
-    return [field.taylor_shift(rem, x) for rem, (x, _) in zip(rems, pts_caps)]
-
-
-def residual_by_shifting(
-    entries: list[tuple[int, int, int]],
-    pmat: PolyMatrix,
-    e_rows: list[list[int]],
-    out: list[list[int]],
-) -> None:
-    """Handle a bucket by shifting P once per (frequent) eigenvalue."""
-    field = pmat.field
-    groups = _group_by_eigenvalue(entries)
-    pts_caps = [(x, max(s for s, _ in blocks)) for x, blocks in groups]
-    tree = _point_tree(field, pts_caps) if len(pts_caps) > 1 else None
-    shifted = [
-        [[None] * pmat.ncols for _ in range(pmat.nrows)] for _ in groups
-    ]
-    for r, prow in enumerate(pmat.rows):
-        for c, e in enumerate(prow):
-            for gi, rem in enumerate(_shifted_remainders(field, e, pts_caps, tree)):
-                shifted[gi][r][c] = rem
-    for gi, (x, blocks) in enumerate(groups):
-        cap = pts_caps[gi][1]
-        p_shift = PolyMatrix(field, shifted[gi], pmat.ncols)
-        rhs = PolyMatrix(
-            field,
-            [list(col) for col in zip(*[_column_poly(e_rows, field, off, s) for s, off in blocks])],
-        )
-        prod = mat_mul(p_shift, rhs, trunc=cap)
-        for jcol, (s, off) in enumerate(blocks):
-            _store_coeffs(out, [prod.rows[r][jcol] for r in range(prod.nrows)], off, s)
-
-
 def residual_by_crt(
     entries: list[tuple[int, int, int]],
     pmat: PolyMatrix,
     e_rows: list[list[int]],
     out: list[list[int]],
 ) -> None:
-    """Handle a bucket by Chinese remaindering across (rare) eigenvalues.
+    """The residual on the blocks (x, s, off) of entries, by one product P*R.
 
-    Slot j collects the j-th block of every eigenvalue; missing slots act as
-    size-zero padding blocks and are simply skipped.  Each slot builds one
-    subproduct tree of its moduli (X - x)^s: every row's residues go up it
-    and every row of the product comes back down it.
+    Column b of R holds block b's columns of E, one polynomial per row,
+    Taylor-shifted by -x; the first s coefficients of f(X + x), f an entry of
+    column b of P*R, are the residual on the block (a plain slice when x is
+    zero).  No Chinese remaindering is done: the name stays because
+    perfbench's tracer wraps it by name.
     """
     field = pmat.field
-    groups = _group_by_eigenvalue(entries)
-    rho = max(len(blocks) for _, blocks in groups)
-    slots = []
-    for slot in range(rho):
-        parts = [(x, blocks[slot]) for x, blocks in groups if slot < len(blocks)]
-        slots.append(parts)
-    rhs_cols = []
-    trees = []
-    for parts in slots:
-        pts_caps = [(x, s) for x, (s, _) in parts]
-        tree = _point_tree(field, pts_caps) if len(parts) > 1 else None
-        residues = [
-            [field.taylor_shift(e, (-x) % field.p) for e in _column_poly(e_rows, field, off, s)]
-            for x, (s, off) in parts
-        ]
-        if len(parts) == 1:
-            rhs_cols.append(residues[0])
-        else:
-            rhs_cols.append(
-                [field.crt([res[r] for res in residues], tree) for r in range(len(e_rows))]
-            )
-        trees.append((pts_caps, tree))
-    rhs = PolyMatrix(field, [list(col) for col in zip(*rhs_cols)])
-    prod = mat_mul(pmat, rhs)
-    for slot, (parts, (pts_caps, tree)) in enumerate(zip(slots, trees)):
-        for r in range(prod.nrows):
-            rems = _shifted_remainders(field, prod.rows[r][slot], pts_caps, tree)
-            row = out[r]
-            for (x, (s, off)), rem in zip(parts, rems):
-                for t in range(s):
-                    row[off + t] = rem[t] if t < len(rem) else 0
+    rhs = [
+        [field.taylor_shift(field.normalize(row[off : off + s]), -x) for row in e_rows]
+        for x, s, off in entries
+    ]
+    prod = mat_mul(pmat, PolyMatrix(field, [list(row) for row in zip(*rhs)]))
+    for b, (x, s, off) in enumerate(entries):
+        for row, prow in zip(out, prod.rows):
+            f = prow[b] if x == 0 else field.taylor_shift(prow[b], x)
+            for t in range(s):
+                row[off + t] = f[t] if t < len(f) else 0
+
+
+def residual_by_shifting(entries, pmat: PolyMatrix, e_rows, out) -> None:
+    """Same as ``residual_by_crt``; the name stays for perfbench's tracer."""
+    residual_by_crt(entries, pmat, e_rows, out)
 
 
 def _coefficient_matrix(pmat: PolyMatrix, top: int, dt) -> _np.ndarray:
@@ -261,7 +126,8 @@ def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int)
 
 
 def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -> list[list[int]]:
-    """P applied to E: small blocks by the Krylov product, the tail by CRT."""
+    """P applied to E: small blocks by the Krylov product C*S, the tail by
+    one polynomial-matrix product (``residual_by_crt``)."""
     m = len(e_rows)
     if pmat.ncols != m:
         raise ValueError("column count of P must match the row count of E")
@@ -273,14 +139,12 @@ def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -
         return [[0] * sigma for _ in range(pmat.nrows)]
     rows = m * (top + 1)
     small, tail = [], []
-    for bucket in build_residual_plan(j, m).buckets:
-        for entry in bucket.entries:
-            fits = bucket.size_class != "inf" and entry[1] * rows <= _CHUNK_WORDS
-            (small if fits else tail).append(entry)
+    for (x, s), off in zip(j.blocks, j.column_offsets()):
+        fits = s.bit_length() <= (sigma // m).bit_length() and s * rows <= _CHUNK_WORDS
+        (small if fits else tail).append((x, s, off))
     if not small:
         out = [[0] * sigma for _ in range(pmat.nrows)]
     else:
-        small.sort(key=lambda entry: entry[2])
         out = _residual_by_krylov(small, pmat, top, e_rows, sigma).tolist()
     if tail:
         residual_by_crt(tail, pmat, e_rows, out)

@@ -10,6 +10,8 @@ import io
 import random
 import time
 
+import pytest
+
 from mibasis.field import MINUS_INF, PrimeField
 from mibasis import jordan, oracle, polymat, reductions, residual, unbalanced
 from mibasis.cli import main as cli_main
@@ -218,7 +220,18 @@ def test_criterion_7_residual_dispatcher():
     with criterion(7, "residuals vs naive x300"):
         start = time.perf_counter()
         rng = random.Random(7007)
-        seen = set()
+        krylov_calls, tails = 0, []
+        krylov, tail = residual._residual_by_krylov, residual.residual_by_crt
+
+        def spy_krylov(*args):
+            nonlocal krylov_calls
+            krylov_calls += 1
+            return krylov(*args)
+
+        def spy_tail(entries, *args):
+            tails.append(list(entries))
+            return tail(entries, *args)
+
         for trial in range(300):
             m = rng.randrange(1, 5)
             kind = trial % 4
@@ -243,8 +256,6 @@ def test_criterion_7_residual_dispatcher():
             pairs = [(x % field.p, s) for x, s in pairs]
             j = jordan.JordanRep(field, tuple(pairs))
             sigma = j.order
-            for bucket in residual.build_residual_plan(j, m).buckets:
-                seen.add((bucket.strategy, bucket.size_class == "inf"))
             e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(m)]
             p = PolyMatrix.from_entries(
                 field,
@@ -256,11 +267,14 @@ def test_criterion_7_residual_dispatcher():
                     for _ in range(m)
                 ],
             )
-            assert residual.compute_residuals(j, p, e) == oracle.naive_residual(j, p, e)
-        # both strategies exercised, and the tail class too
-        assert ("shift", False) in seen
-        assert ("crt", False) in seen
-        assert ("crt", True) in seen
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(residual, "_residual_by_krylov", spy_krylov)
+                mp.setattr(residual, "residual_by_crt", spy_tail)
+                got = residual.compute_residuals(j, p, e)
+            assert got == oracle.naive_residual(j, p, e)
+        # both paths exercised, and a tail of two distinct nonzero eigenvalues
+        assert krylov_calls and tails
+        assert any(len({x for x, _, _ in entries} - {0}) >= 2 for entries in tails)
         assert time.perf_counter() - start < 10.0
 
 

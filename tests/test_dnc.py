@@ -331,6 +331,17 @@ def test_dimension_validation():
         interpolation_basis(EVALS, nilpotent3(), [0, 0], F97)
 
 
+@pytest.mark.parametrize("sigma", [8, 300])
+@pytest.mark.parametrize("shift", [[0, 0.5], [0, "1"], [1.0, 0]])
+def test_non_integer_shift_rejected_at_every_order(sigma, shift):
+    # a leaf (sigma = 8) and a recursion past the leaf (sigma = 300) alike
+    rng = random.Random(sigma)
+    j = jordan.JordanRep(F97, ((0, sigma),))
+    e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(2)]
+    with pytest.raises(ValueError, match="integers"):
+        interpolation_basis(e, j, shift, F97)
+
+
 def test_field_mismatch_rejected():
     # rows that interpolate over F_7 would not interpolate under nilpotent3
     with pytest.raises(ValueError, match="field"):
@@ -340,9 +351,9 @@ def test_field_mismatch_rejected():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_right_residual_equals_right_half_of_full_residual(data):
-    # One eigenvalue with more than m equal blocks (the shift bucket), rare
-    # ones with one block each (the CRT bucket) and a block of at least
-    # 2*sigma/m columns (the tail class); most cuts fall inside that block.
+    # One eigenvalue with more than m equal blocks, rare ones with one block
+    # each and a block of at least 2*sigma/m columns (a tail block, longer
+    # than sigma/m); most cuts fall inside that block.
     field = PrimeField(data.draw(st.sampled_from([97, 65537, (1 << 61) - 1])))
     m = data.draw(st.integers(min_value=3, max_value=4))
     eig = st.integers(min_value=0, max_value=field.p - 1)

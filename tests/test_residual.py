@@ -63,20 +63,51 @@ def test_single_row_dependency_vanishes():
     assert residual.compute_residuals(nilpotent3(), row, EVALS) == [[0, 0, 0]]
 
 
-def test_plan_partitions_all_columns():
+def spy_paths(mp):
+    """Record the entries that compute_residuals hands to each path."""
+    seen = {"krylov": [], "tail": []}
+    krylov, tail = residual._residual_by_krylov, residual.residual_by_crt
+
+    def spy_krylov(entries, *args):
+        seen["krylov"].append(list(entries))
+        return krylov(entries, *args)
+
+    def spy_tail(entries, *args):
+        seen["tail"].append(list(entries))
+        return tail(entries, *args)
+
+    mp.setattr(residual, "_residual_by_krylov", spy_krylov)
+    mp.setattr(residual, "residual_by_crt", spy_tail)
+    return seen
+
+
+def test_paths_partition_all_columns():
+    # every block goes to exactly one path, each path in offset order, and
+    # a block goes to the tail exactly when it is longer than sigma/m
     rng = random.Random(1)
     for _ in range(40):
         sigma = rng.randrange(1, 16)
         m = rng.randrange(1, 5)
         j = rand_jordan(rng, F7, sigma)
-        plan = residual.build_residual_plan(j, m)
-        cols = sorted(
-            off + t
-            for bucket in plan.buckets
-            for (_, s, off) in bucket.entries
-            for t in range(s)
-        )
+        sigma = j.order
+        e = [[rng.randrange(7) for _ in range(sigma)] for _ in range(m)]
+        p = rand_pmat(rng, F7, m, m, 2)
+        if p.is_zero():
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_paths(mp)
+            got = residual.compute_residuals(j, p, e)
+        assert got == oracle.naive_residual(j, p, e)
+        krylov = [entry for call in seen["krylov"] for entry in call]
+        tail = [entry for call in seen["tail"] for entry in call]
+        assert len(seen["krylov"]) <= 1 and len(seen["tail"]) <= 1
+        assert krylov == sorted(krylov, key=lambda entry: entry[2])
+        assert tail == sorted(tail, key=lambda entry: entry[2])
+        cols = sorted(off + t for _, s, off in krylov + tail for t in range(s))
         assert cols == list(range(sigma))
+        k_max = (sigma // m).bit_length() - 1 if sigma >= m else -1
+        assert all(s.bit_length() - 1 > k_max for _, s, _ in tail)
+        assert all(s.bit_length() - 1 <= k_max for _, s, _ in krylov)
 
 
 def test_shift_strategy_single_eigenvalue_zero():
@@ -118,11 +149,38 @@ def test_crt_equals_shift_on_single_nilpotent_block():
     j = jordan.JordanRep(F7, ((0, 5),))
     e = [[rng.randrange(7) for _ in range(5)] for _ in range(2)]
     p = rand_pmat(rng, F7, 2, 2, 3)
-    out1 = [[0] * 5 for _ in range(2)]
-    out2 = [[0] * 5 for _ in range(2)]
-    residual.residual_by_shifting([(0, 5, 0)], p, e, out1)
-    residual.residual_by_crt([(0, 5, 0)], p, e, out2)
-    assert out1 == out2 == oracle.naive_residual(j, p, e)
+    expected = oracle.naive_residual(j, p, e)
+    for path in (residual.residual_by_shifting, residual.residual_by_crt):
+        out = [[0] * 5 for _ in range(2)]
+        path([(0, 5, 0)], p, e, out)
+        assert out == expected
+
+
+@pytest.mark.parametrize("p", [7, 65537, 2**61 - 1])
+def test_tail_of_distinct_nonzero_eigenvalues_one_repeated(p):
+    # three tail blocks of unequal sizes at eigenvalues 3, 5 and 3 again,
+    # and one small block; at 2**61 - 1 the Taylor shifts take the
+    # Kronecker path of poly_mul
+    field = PrimeField(p)
+    rng = random.Random(9)
+    blocks = ((3, 9), (6, 1), (5, 12), (3, 8))
+    j = jordan.JordanRep(field, blocks)
+    m, sigma = 4, j.order
+    e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+    pmat = rand_pmat(rng, field, 3, m, 4)
+    expected = oracle.naive_residual(j, pmat, e)
+    tail = [(3, 9, 0), (5, 12, 10), (3, 8, 22)]
+    for path in (residual.residual_by_crt, residual.residual_by_shifting):
+        out = [row[:] for row in expected]
+        for row in out:
+            for _, s, off in tail:
+                row[off : off + s] = [0] * s
+        path(tail, pmat, e, out)
+        assert out == expected
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_paths(mp)
+        assert residual.compute_residuals(j, pmat, e) == expected
+    assert seen == {"krylov": [[(6, 1, 9)]], "tail": [tail]}
 
 
 def test_crt_strategy_mixed_bucket():
