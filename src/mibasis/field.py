@@ -262,19 +262,31 @@ class PrimeField:
     # -- Taylor shift, simultaneous reduction, Chinese remaindering ---------
 
     def taylor_shift(self, f: list[int], x: int) -> list[int]:
-        """f(X + x), by splitting halves and binary powers of (X + x)."""
+        """f(X + x), by splitting f at powers of two.
+
+        f = lo + X^k hi with k = 2^i < len(f) <= 2^(i+1) gives
+        f(X + x) = lo(X + x) + (X + x)^k hi(X + x); the powers (X + x)^(2^i)
+        come from repeated squaring once per call, and pieces of at most 16
+        coefficients go by Horner's rule.
+        """
         x %= self.p
         if x == 0 or not f:
             return f[:]
-        if len(f) <= 16:
-            out: list[int] = []
-            for c in reversed(f):
-                out = self.poly_add(self.poly_mul(out, [x, 1]), [c] if c else [])
-            return out
-        k = len(f) // 2
-        lo = self.taylor_shift(self.normalize(f[:k]), x)
-        hi = self.taylor_shift(f[k:], x)
-        return self.poly_add(lo, self.poly_mul(self.poly_pow([x, 1], k), hi))
+        powers = [[x, 1]]  # (X + x)^(2^i) for every 2^i < len(f) that a split uses
+        while len(f) > 16 and 1 << len(powers) < len(f):
+            powers.append(self.poly_mul(powers[-1], powers[-1]))
+
+        def shift(g: list[int]) -> list[int]:
+            if len(g) <= 16:
+                out: list[int] = []
+                for c in reversed(g):
+                    out = self.poly_add(self.poly_mul(out, [x, 1]), [c] if c else [])
+                return out
+            i = (len(g) - 1).bit_length() - 1
+            lo = shift(self.normalize(g[: 1 << i]))
+            return self.poly_add(lo, self.poly_mul(powers[i], shift(g[1 << i :])))
+
+        return shift(f)
 
     def multi_mod(self, f: list[int], moduli) -> list[list[int]]:
         """Remainders of f by each modulus, going down a subproduct tree.

@@ -153,17 +153,17 @@ def _binomials(f: PrimeField, n: int, tmax: int) -> list[int]:
 def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     """E * J^n via the binomial closed form of Jordan block powers.
 
-    E is a list of rows or an array, reduced mod p here; the result is an
-    array.  Within a block of eigenvalue x and size s, column k of the
-    result is sum_t C(n, t) x^(n-t) times input column k-t.  Nilpotent
-    blocks shift their columns by n.  The other columns are summed per
-    shift t over the rep's column table: x^(n-t) of every column comes from
-    one vector square-and-multiply and one multiplication by x per t, and
-    the weight vector C(n, t) x^(n-t), zero on columns at positions below t
-    in their blocks, enters one update of all columns (at t = 0 the weight
-    is x^n, zero on the nilpotent columns as their x is).  The Python work per
-    call is one step per nilpotent block and one per shift t below the
-    largest block size.  The arrays are int64 while (p-1)^2 < 2^62, so that
+    E is a list of rows or an array with entries in [0, p), which is not
+    checked or reduced here; the result is a new array.  Within a block of
+    eigenvalue x and size s, column k of the result is sum_t C(n, t) x^(n-t)
+    times input column k-t.  Nilpotent blocks shift their columns by n.  The
+    other columns are summed per shift t over the rep's column table:
+    x^(n-t) of every column comes from one vector square-and-multiply and
+    one multiplication by x per t, and the weight vector C(n, t) x^(n-t),
+    zero on columns at positions below t in their blocks, enters one update
+    of all columns (at t = 0 the weight is x^n, zero on the nilpotent
+    columns as their x is).  The Python work per call is one step per
+    nilpotent block and one per shift t below the largest block size.  The arrays are int64 while (p-1)^2 < 2^62, so that
     p + (p-1)^2 fits, and object arrays of Python integers beyond.
     """
     if n < 0:
@@ -173,11 +173,11 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     dt = _dtype(p)
     if not len(e_rows):
         return _np.zeros((0, j.order), dtype=dt)
-    arr = _np.asarray(e_rows, dtype=dt) % p
+    arr = _np.asarray(e_rows, dtype=dt)
     if arr.ndim != 2 or arr.shape[1] != j.order:
         raise ValueError("column count does not match the Jordan order")
     if n == 0:
-        return arr
+        return arr.copy()
     eig, pos, nilpotent, top = j._columns
     out = _np.zeros(arr.shape, dtype=dt)
     for off, s in nilpotent:

@@ -6,13 +6,17 @@ any order, and each goes one of two ways, by its size s next to the column
 count sigma per row of E, m rows.
 
 Small blocks, floor(log2 s) <= floor(log2(sigma/m)), go through the
-linearization: the striped Krylov rows S = [E; E*J; ...; E*J^D] on their
-columns, built by ceil(log2(D+1)) doublings of ``jordan.act_power``, and the
-coefficient matrix C of P (column d*m + c holds the coefficients of X^d of
-column c), so that the residual on those columns is one scalar product
-C * S.  S holds m(D+1) rows, so it is built in chunks of whole blocks, each
-of at most _CHUNK_WORDS words; a block wider than that on its own joins the
-tail.
+linearization, evaluated as P(J) applied to E by Paterson and Stockmeyer's
+scheme with b = isqrt(D) + 1 baby steps and g = ceil((D+1)/b) giant steps.
+The baby steps are the striped Krylov rows S = [E; E*J; ...; E*J^(b-1)] on
+those blocks' columns, built by ceil(log2 b) doublings of
+``jordan.act_power``.  One scalar product C' * S then gives, for every i < g,
+T_i = sum_r P_(ib+r) * E * J^r, row block i of C' holding the coefficients
+of X^(ib) ... X^(ib+b-1); the giant steps are Horner's rule in J^b,
+R <- R * J^b + T_i from i = g-1 down to 0.  All of the O(m^2 D sigma)
+arithmetic stays in the one product, while S holds mb rows, not m(D+1).
+S is built in chunks of whole blocks, each of at most _CHUNK_WORDS words;
+a block wider than that on its own joins the tail.
 
 The tail, blocks longer than sigma/m (fewer than m of them) and those too
 wide for a chunk, goes through one polynomial-matrix product
@@ -24,6 +28,8 @@ is one product with memory linear in the order and no shift at all.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as _np
 
 from . import modmat
@@ -31,10 +37,9 @@ from .field import MINUS_INF
 from .jordan import JordanRep, act_power
 from .polymat import PolyMatrix, mat_mul
 
-# Most words of one chunk of striped Krylov rows: m(D+1) rows times the
-# chunk's columns.
+# Most words of one chunk of striped Krylov rows: mb rows times the chunk's
+# columns.
 _CHUNK_WORDS = 1 << 20
-
 
 def residual_by_crt(
     entries: list[tuple[int, int, int]],
@@ -68,15 +73,24 @@ def residual_by_shifting(entries, pmat: PolyMatrix, e_rows, out) -> None:
     residual_by_crt(entries, pmat, e_rows, out)
 
 
-def _coefficient_matrix(pmat: PolyMatrix, top: int, dt) -> _np.ndarray:
-    """C with C[r, d*m + c] the coefficient of X^d in P[r][c], d <= top."""
-    m = pmat.ncols
-    c = _np.zeros((pmat.nrows, top + 1, m), dtype=dt)
+def _baby_steps(top: int) -> int:
+    """b = isqrt(D) + 1 stripes for P of degree D = top: b^2 > D."""
+    return isqrt(top) + 1
+
+
+def _coefficient_matrix(pmat: PolyMatrix, b: int, g: int, dt) -> _np.ndarray:
+    """C' with C'[i*nrows + r, k*m + c] the coefficient of X^(ib+k) in P[r][c].
+
+    Row block i holds the coefficients of X^(ib) ... X^(ib+b-1), zero past
+    the degree of P.
+    """
+    m, nrows = pmat.ncols, pmat.nrows
+    c = _np.zeros((nrows, g * b, m), dtype=dt)
     for r, row in enumerate(pmat.rows):
         for col, e in enumerate(row):
             if e:
                 c[r, : len(e), col] = e
-    return c.reshape(pmat.nrows, (top + 1) * m)
+    return c.reshape(nrows, g, b * m).transpose(1, 0, 2).reshape(g * nrows, b * m)
 
 
 def _striped_krylov(e: _np.ndarray, j: JordanRep, stripes: int) -> _np.ndarray:
@@ -109,19 +123,27 @@ def _chunks(entries, rows: int):
 def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int) -> _np.ndarray:
     """The residual on the columns of the given blocks, zero elsewhere.
 
-    P is nonzero of degree top, and each block times the m(top+1) rows of S
-    fits _CHUNK_WORDS.  Per chunk of whole blocks, one product C * S.
+    P is nonzero of degree top, and each block times the mb rows of S fits
+    _CHUNK_WORDS, b = isqrt(top) + 1.  Per chunk of whole blocks, one product
+    T = C' * S and g - 1 giant steps by J^b.
     """
     field = pmat.field
-    rows = pmat.ncols * (top + 1)
-    dt = modmat._words(modmat._dtype_for(field.p, rows))
-    out = _np.zeros((pmat.nrows, sigma), dtype=dt)
-    e = modmat.reduce(e_rows, field.p, dt).reshape(len(e_rows), sigma)
-    c = _coefficient_matrix(pmat, top, dt)
+    p, nrows = field.p, pmat.nrows
+    b = _baby_steps(top)
+    g = -(-(top + 1) // b)
+    rows = pmat.ncols * b
+    dt = modmat._words(modmat._dtype_for(p, rows))
+    out = _np.zeros((nrows, sigma), dtype=dt)
+    e = modmat.reduce(e_rows, p, dt).reshape(len(e_rows), sigma)
+    c = _coefficient_matrix(pmat, b, g, dt)
     for chunk in _chunks(entries, rows):
         cols = [off + t for _, s, off in chunk for t in range(s)]
         jc = JordanRep(field, tuple((x, s) for x, s, _ in chunk))
-        out[:, cols] = modmat.mat_mul(c, _striped_krylov(e[:, cols], jc, top + 1), field.p)
+        t = modmat.mat_mul(c, _striped_krylov(e[:, cols], jc, b), p)
+        r = t[(g - 1) * nrows :]
+        for i in range(g - 2, -1, -1):
+            r = (act_power(r, jc, b) + t[i * nrows : (i + 1) * nrows]) % p
+        out[:, cols] = r
     return out
 
 
@@ -137,7 +159,7 @@ def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -
     top = pmat.degree()
     if m == 0 or top == MINUS_INF:
         return [[0] * sigma for _ in range(pmat.nrows)]
-    rows = m * (top + 1)
+    rows = m * _baby_steps(top)
     small, tail = [], []
     for (x, s), off in zip(j.blocks, j.column_offsets()):
         fits = s.bit_length() <= (sigma // m).bit_length() and s * rows <= _CHUNK_WORDS

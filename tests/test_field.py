@@ -164,6 +164,26 @@ def test_taylor_shift_round_trip_and_degree():
         assert F97.taylor_shift(shifted, (-x) % 97) == f
 
 
+@pytest.mark.parametrize("p", [97, 65537, 2**61 - 1])
+def test_taylor_shift_matches_horner_at_every_length(p):
+    # Horner's rule on g from its top coefficient down holds, after n steps,
+    # the shift of g[300 - n:]: one pass gives the reference for lengths
+    # 1..300, every split point and base case of taylor_shift included;
+    # runs of zeros make the low halves shorter than their split
+    field = PrimeField(p)
+    rng = random.Random(p)
+    g = [rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(299)]
+    g.append(1 + rng.randrange(p - 1))
+    g[100:140] = [0] * 40
+    for x in (1, p - 1, rng.randrange(2, p - 1)):
+        ref: list[int] = []
+        for n in range(1, 301):
+            c = g[300 - n]
+            ref = [(a + x * b) % p for a, b in zip([0] + ref, ref + [0])]
+            ref[0] = (ref[0] + c) % p
+            assert field.taylor_shift(g[300 - n :], x) == ref, (x, n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_taylor_shift_is_ring_homomorphism(data):

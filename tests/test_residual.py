@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,9 +254,50 @@ def test_krylov_chunks_match_naive(data):
     pmat = PolyMatrix(field, [[field.poly(c) for c in row] for row in entries], m)
     width = data.draw(st.integers(1, 6))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(residual, "_CHUNK_WORDS", m * (max(top, 0) + 1) * width)
+        mp.setattr(residual, "_CHUNK_WORDS", m * (isqrt(max(top, 0)) + 1) * width)
         got = residual.compute_residuals(j, pmat, e)
     assert got == oracle.naive_residual(j, pmat, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_paterson_stockmeyer_matches_naive(data):
+    # deg P a perfect square or not, b = isqrt(D) + 1 dividing D + 1 or not;
+    # blocks of mixed sizes at eigenvalue 0 and nonzero; chunks of at most
+    # `width` columns, so that a residual spans several; the spy fails a
+    # kernel that asks for any other number of baby steps than b
+    p = data.draw(st.sampled_from([7, 65537, 2**31 - 1, 2**61 - 1, 4611686018427322369]))
+    field = PrimeField(p)
+    top = data.draw(st.sampled_from([0, 1, 2, 3, 4, 8, 9, 15, 16, 24, 35, 63]))
+    m = data.draw(st.integers(1, 3))
+    nrows = data.draw(st.integers(1, 3))
+    eig = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    blocks = data.draw(st.lists(st.tuples(eig, st.integers(1, 5)), min_size=2, max_size=12))
+    j = jordan.JordanRep(field, tuple(blocks))
+    sigma = j.order
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+    pmat = rand_pmat(rng, field, nrows, m, top)
+    lead = pmat.rows[0][0] + [0] * (top + 1 - len(pmat.rows[0][0]))
+    pmat.rows[0][0] = lead[:top] + [1 + rng.randrange(p - 1)]
+    assert pmat.degree() == top
+    width = data.draw(st.integers(max(s for _, s in blocks), 2 * max(s for _, s in blocks)))
+    b = isqrt(top) + 1
+    asked = []
+    krylov = residual._striped_krylov
+
+    def spy(e, j, stripes):
+        asked.append(stripes)
+        return krylov(e, j, stripes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residual, "_CHUNK_WORDS", m * b * width)
+        mp.setattr(residual, "_striped_krylov", spy)
+        got = residual.compute_residuals(j, pmat, e)
+    assert got == oracle.naive_residual(j, pmat, e)
+    assert set(asked) <= {b}
+    small = sum(s for _, s in blocks if s.bit_length() <= (sigma // m).bit_length())
+    assert len(asked) >= -(-small // width)
 
 
 def test_linearity_in_p():
