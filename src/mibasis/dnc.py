@@ -1,15 +1,17 @@
 """Divide-and-conquer interpolation bases for Jordan multiplication matrices.
 
-The recursion halves the column count and carries the shift down, as
-PM-basis does for approximant bases: solve the left half at shift s,
-propagate the surviving right-half columns of the residual, solve those at
-shift t = rdeg_s(P1), and multiply.  P2*P1 is then s-reduced with
-rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node re-reduces.
-Nodes of at most max(8m, 128) columns, m the row count, are leaves, solved
-by the iterative kernel ``approx.mbasis_jordan``: one column at a time, a
-constant elimination and one multiplication of the pivot row by X - x.
-The halves are the leading and trailing columns with their blocks in the
-order given; a block that straddles the cut splits in two.
+The recursion halves the column count and carries the shift down: solve the
+left half at shift s, propagate the surviving right-half columns of the
+residual, solve those at shift t = rdeg_s(P1), and multiply.  P2*P1 is then
+s-reduced with rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node
+re-reduces.  Nodes of at most max(8m, 128) columns, m the row count, are
+leaves, solved by the iterative kernel ``mbasis_jordan`` (Van Barel and
+Bultheel; Beckermann and Labahn): one column at a time, a constant
+elimination and one multiplication of the pivot row by X - x.  The halves
+are the leading and trailing columns with their blocks in the order given;
+a block that straddles the cut splits in two.  Order bases are the case of
+one nilpotent block per column, so ``approx`` runs this recursion as
+PM-basis and this kernel as M-basis.
 
 A node computes the residual of P1 on the right half only: on the blocks
 that reach past the cut, the left columns of a straddling block included.
@@ -20,7 +22,9 @@ basis, by ``interpolation_basis``.
 
 from __future__ import annotations
 
-from .approx import mbasis_jordan
+import numpy as _np
+
+from . import modmat
 from .field import PrimeField
 from .jordan import JordanRep, check_evaluations, split
 from .linearization import lin_interp_basis  # noqa: F401  (perfbench's tracer wraps this name)
@@ -37,6 +41,79 @@ from .unbalanced import unbalanced_mul
 # on distinct points and at large p.
 _LEAF = 128
 _LEAF_PER_ROW = 8
+
+
+def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
+    """s-reduced basis of the interpolants of E for a Jordan matrix J.
+
+    Takes the columns of E one at a time, in block order.  At column k of a
+    block of eigenvalue x, the rows of P interpolate every earlier column.
+    The pivot is the row of least (shifted degree, index) whose residual is
+    nonzero at k; constant multiples of it clear column k from the other
+    rows, and the pivot row is multiplied by X - x.  Its residual becomes
+    R (J - x): within the current block a shift by one column, which clears
+    column k, and on a later block of eigenvalue y a shift plus (y - x) R.
+    The shifted degree of the pivot row rises by one, that of the others
+    does not, so the shifted row degree sum exceeds sum(shift) by the number
+    of pivots, the degree of det P: P is s-reduced, and every entry has
+    degree at most the order of J.
+
+    Row i of one work array W holds the residual of row i of P on columns
+    [0, order), then the coefficients of row i of P, degree-major: column
+    order + d*m + c holds the coefficient of X^d of entry c.  So one rank-1
+    update covers a row's residual and its coefficients, and multiplying by
+    X - x shifts the coefficients by m columns.  The updates stop at the
+    largest degree reached so far.  A row is reduced mod p when it becomes
+    the pivot; the others take at most one update of magnitude below
+    (p-1)^2 per column, so W holds int64 words while (p-1)^2 (order + 2)
+    < 2^63, and object arrays of Python integers beyond.
+    """
+    p = field.p
+    m, sigma = len(e_rows), j.order
+    dt = modmat._words(modmat._dtype_for(p, sigma + 2))
+    w = _np.zeros((m, sigma + m * (sigma + 1)), dtype=dt)
+    w[:, :sigma] = modmat.reduce(e_rows, p, dt).reshape(m, sigma)
+    w[range(m), range(sigma, sigma + m)] = 1
+    offsets = j.column_offsets()
+    eig = _np.repeat(_np.array([x for x, _ in j.blocks], dtype=dt), [s for _, s in j.blocks])
+    inner = _np.ones(sigma, dtype=dt)  # 0 on the first column of each block
+    inner[offsets] = 0
+    u = list(shift)
+    rowdeg = [0] * m  # a bound on the degrees of each row of P
+    deg = 0
+    for (x, size), off in zip(j.blocks, offsets):
+        lam = (eig[off:] - x) % p  # y - x on the columns of eigenvalue y
+        for col in range(off, off + size):
+            v = [a % p for a in w[:, col].tolist()]
+            live = [i for i in range(m) if v[i]]
+            if not live:
+                continue
+            piv = min(live, key=lambda i: (u[i], i))
+            top = rowdeg[piv]
+            for i in live:
+                rowdeg[i] = max(rowdeg[i], top)
+            rowdeg[piv] = top + 1
+            deg = max(deg, top + 1)
+            end = sigma + (deg + 1) * m
+            row = w[piv, col:end] % p
+            inv = pow(v[piv], -1, p)
+            f = _np.array([a * inv % p for a in v], dtype=dt)
+            f[piv] = 0
+            w[:, col + 1 : end] -= _np.multiply.outer(f, row[1:])
+            # the pivot row times X - x: residual, then coefficients
+            k = sigma - col
+            res = lam[col - off + 1 :] * row[1:k]
+            res += inner[col + 1 :] * row[: k - 1]
+            _np.remainder(res, p, out=w[piv, col + 1 : sigma])
+            coef = row[k:]
+            new = coef * (-x % p)
+            new[m:] += coef[:-m]
+            _np.remainder(new, p, out=w[piv, sigma:end])
+            u[piv] += 1
+    coeffs = (w[:, sigma : sigma + (deg + 1) * m] % p).reshape(m, deg + 1, m)
+    return PolyMatrix(
+        field, [[field.normalize(e) for e in row] for row in coeffs.transpose(0, 2, 1).tolist()]
+    )
 
 
 def right_residual(

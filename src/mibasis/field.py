@@ -269,7 +269,8 @@ class PrimeField:
         come from repeated squaring once per call, and pieces of at most 16
         coefficients go by Horner's rule.
         """
-        x %= self.p
+        p = self.p
+        x %= p
         if x == 0 or not f:
             return f[:]
         powers = [[x, 1]]  # (X + x)^(2^i) for every 2^i < len(f) that a split uses
@@ -280,8 +281,9 @@ class PrimeField:
             if len(g) <= 16:
                 out: list[int] = []
                 for c in reversed(g):
-                    out = self.poly_add(self.poly_mul(out, [x, 1]), [c] if c else [])
-                return out
+                    # out <- out * (X + x) + c
+                    out = [(x * a + b) % p for a, b in zip(out + [0], [c] + out)]
+                return self.normalize(out)
             i = (len(g) - 1).bit_length() - 1
             lo = shift(self.normalize(g[: 1 << i]))
             return self.poly_add(lo, self.poly_mul(powers[i], shift(g[1 << i :])))

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import approx, jordan, oracle, polymat
+from mibasis import approx, dnc, jordan, oracle, polymat
 from mibasis.approx import ApproximantInstance
+from mibasis.linearization import lin_interp_basis
 from mibasis.polymat import PolyMatrix
 
 F97 = PrimeField(97)
 F7 = PrimeField(7)
+F61 = PrimeField(2**61 - 1)
 
 
 def hp_jordan_instance(f: PolyMatrix, orders):
@@ -47,10 +49,25 @@ def rand_instance(rng, field, m, n, max_order, max_shift):
     return ApproximantInstance(f, tuple(orders), tuple(shift))
 
 
+def popov_basis(inst):
+    e, rep = hp_jordan_instance(inst.f, inst.orders)
+    delta = 1
+    while delta < max(jordan.minpoly_degree(rep), 1):
+        delta *= 2
+    popov, _ = lin_interp_basis(e, rep, list(inst.shift), delta, inst.f.field)
+    return popov
+
+
 def test_mbasis_zero_input_gives_identity():
     inst = ApproximantInstance(PolyMatrix.zeros(F7, 3, 2), (4, 2), (0, 1, 0))
     assert approx.mbasis(inst) == PolyMatrix.identity(F7, 3)
     assert approx.pm_basis(inst) == PolyMatrix.identity(F7, 3)
+
+
+def test_zero_rows_give_the_empty_basis():
+    inst = ApproximantInstance(PolyMatrix(F7, [], 2), (3, 2), ())
+    assert approx.mbasis(inst) == PolyMatrix(F7, [])
+    assert approx.pm_basis(inst) == PolyMatrix(F7, [])
 
 
 def test_mbasis_constant_column_kernel():
@@ -127,19 +144,13 @@ def test_agreement_with_linearization_engine():
     # the approximant module equals the interpolant module of the packed
     # nilpotent instance, so the Popov forms coincide
     rng = random.Random(3)
-    from mibasis.linearization import lin_interp_basis
-
     for _ in range(15):
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 3)
         inst = rand_instance(rng, F97, m, n, 8, 4)
         basis = approx.pm_basis(inst)
         e, rep = hp_jordan_instance(inst.f, inst.orders)
-        delta = 1
-        while delta < max(jordan.minpoly_degree(rep), 1):
-            delta *= 2
-        popov, _ = lin_interp_basis(e, rep, list(inst.shift), delta, F97)
-        assert oracle.module_equivalent(basis, popov, e, rep, list(inst.shift))
+        assert oracle.module_equivalent(basis, popov_basis(inst), e, rep, list(inst.shift))
 
 
 def test_unequal_orders_preserve_module():
@@ -155,6 +166,41 @@ def test_unequal_orders_preserve_module():
             not any(v for v in row)
             for row in oracle.naive_residual(rep, basis, e)
         )
+
+
+@pytest.mark.parametrize("field", [F97, F61], ids=["p97", "p61"])
+@pytest.mark.parametrize(
+    "orders, shift", [((150, 90), (0, 0, 0)), ((120, 100, 40), (3, 0, 7, 1, 2))]
+)
+def test_orders_past_the_leaf_size(monkeypatch, field, orders, shift):
+    # sum(orders) columns exceed a leaf of max(8m, 128), so pm_basis
+    # cuts the instance and multiplies the halves
+    rng = random.Random(sum(orders))
+    f = PolyMatrix.from_entries(
+        field, [[[rng.randrange(field.p) for _ in range(o)] for o in orders] for _ in shift]
+    )
+    inst = ApproximantInstance(f, orders, shift)
+    calls = []
+    rec = dnc.interpolation_basis_rec
+
+    def spy(*args):
+        calls.append(args[1].order)
+        return rec(*args)
+
+    monkeypatch.setattr(dnc, "interpolation_basis_rec", spy)
+    basis = approx.pm_basis(inst)
+    assert len(calls) > 1 and calls[0] == sum(orders)
+    e, rep = hp_jordan_instance(f, orders)
+    popov = popov_basis(inst)
+    for b in (basis, approx.mbasis(inst)):
+        check_order_conditions(b, f, orders)
+        s = list(shift)
+        degs = polymat.shifted_row_degree(b, s)
+        assert all(d != MINUS_INF for d in degs)
+        assert polymat.is_reduced(b, s)
+        detdeg = oracle.determinant_degree(b)
+        assert detdeg == polymat.degree_sum(degs) - sum(s) <= sum(orders)
+        assert oracle.module_equivalent(b, popov, e, rep, s)
 
 
 def test_instance_validation():

@@ -380,11 +380,12 @@ def test_right_residual_equals_right_half_of_full_residual(data):
 
 
 # Corrupts one coefficient of every output of the dnc function named in
-# argv[2]: the product of two halves, or the leaf kernel.  Either way the
+# argv[1]: the product of two halves, or the leaf kernel.  Either way the
 # basis no longer interpolates; distinct points mean no block straddles a
 # cut, so only the final check in interpolation_basis can see it.  160
 # points are more than a leaf of the recursion takes, so the instance is cut
-# into two leaves whose bases are multiplied.
+# into two leaves whose bases are multiplied.  Then the CLI runs on
+# argv[2:].
 _CORRUPT_UNDER_O = """
 import sys
 from mibasis import cli, dnc, jordan
@@ -392,7 +393,7 @@ from mibasis.field import PrimeField
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-target = sys.argv[2]
+target = sys.argv[1]
 original = getattr(dnc, target)
 
 def corrupted(*args):
@@ -412,7 +413,7 @@ try:
 except AssertionError:
     print("raised")
 sys.stdout.flush()
-sys.exit(cli.main(["interp", "--algo", "dnc", "--evals", sys.argv[1]]))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -424,14 +425,33 @@ def test_invariant_holds_under_optimize(tmp_path):
         + "jordan 160\n" + "".join(f"{x} 1\n" for x in range(1, 161))
         + "shift 2\n0 0\n"
     )
+    # order 150 on both columns of a 6 x 2 matrix of degree 50: the order
+    # basis of the nullspace cuts 300 columns, and a corrupted leaf reaches
+    # the checks of interpolation_basis through pm_basis
+    rng = random.Random(7)
+    ns = tmp_path / "nullspace.txt"
+    ns.write_text(
+        "field p=257\npolymat 6 2\n"
+        + "".join(
+            ";".join(",".join(str(rng.randrange(257)) for _ in range(51)) for _ in range(2)) + "\n"
+            for _ in range(6)
+        )
+        + "shift 6\n" + " 50" * 6 + "\n"
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for target in ("unbalanced_mul", "mbasis_jordan"):
+    interp = ["interp", "--algo", "dnc", "--evals", str(inst)]
+    runs = [
+        ("unbalanced_mul", interp),
+        ("mbasis_jordan", interp),
+        ("mbasis_jordan", ["nullspace", str(ns)]),
+    ]
+    for target, argv in runs:
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", _CORRUPT_UNDER_O, str(inst), target],
+            [sys.executable, "-O", "-c", _CORRUPT_UNDER_O, target, *argv],
             capture_output=True, text=True, timeout=120, env=env,
         )
-        assert proc.stdout == "raised\n", target
-        assert proc.returncode == 1, target
-        assert proc.stderr.startswith("internal error: "), target
-        assert "Traceback" not in proc.stderr, target
+        assert proc.stdout == "raised\n", argv
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("internal error: "), argv
+        assert "Traceback" not in proc.stderr, argv

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import oracle, polymat
+from mibasis import dnc, oracle, polymat
 from mibasis.nullspace import minimal_nullspace_basis
 from mibasis.polymat import PolyMatrix
 
@@ -115,6 +115,30 @@ def test_minimal_degree_sum_matches_oracle():
         s = shift_bounding(f, rng.randrange(2))
         basis, degs = minimal_nullspace_basis(f, s)
         assert polymat.degree_sum(degs) == oracle_minimal_degree_sum(f, s)
+
+
+def test_order_basis_past_the_leaf_size(monkeypatch):
+    # shift 50 on 6 rows and 2 columns: the order basis has order 150 per
+    # column, 300 columns in all, more than a leaf of dnc takes
+    rng = random.Random(6)
+    f = PolyMatrix.from_entries(
+        F97, [[[rng.randrange(97) for _ in range(51)] for _ in range(2)] for _ in range(6)]
+    )
+    s = shift_bounding(f)
+    orders = []
+    rec = dnc.interpolation_basis_rec
+
+    def spy(*args):
+        orders.append(args[1].order)
+        return rec(*args)
+
+    monkeypatch.setattr(dnc, "interpolation_basis_rec", spy)
+    basis, degs = minimal_nullspace_basis(f, s)
+    assert len(orders) > 1 and orders[0] == 300
+    assert basis.nrows == 4
+    assert polymat.naive_mul(basis, f).is_zero()
+    assert polymat.is_reduced(basis, s)
+    assert polymat.degree_sum(degs) == oracle_minimal_degree_sum(f, s)
 
 
 def test_arbitrary_row_order_and_shift():
