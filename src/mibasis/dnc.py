@@ -22,6 +22,8 @@ basis, by ``interpolation_basis``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as _np
 
 from . import modmat
@@ -74,14 +76,13 @@ def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     w = _np.zeros((m, sigma + m * (sigma + 1)), dtype=dt)
     w[:, :sigma] = modmat.reduce(e_rows, p, dt).reshape(m, sigma)
     w[range(m), range(sigma, sigma + m)] = 1
-    offsets = j.column_offsets()
     eig = _np.repeat(_np.array([x for x, _ in j.blocks], dtype=dt), [s for _, s in j.blocks])
     inner = _np.ones(sigma, dtype=dt)  # 0 on the first column of each block
-    inner[offsets] = 0
+    inner[list(j.offsets)] = 0
     u = list(shift)
     rowdeg = [0] * m  # a bound on the degrees of each row of P
     deg = 0
-    for (x, size), off in zip(j.blocks, offsets):
+    for (x, size), off in zip(j.blocks, j.offsets):
         lam = (eig[off:] - x) % p  # y - x on the columns of eigenvalue y
         for col in range(off, off + size):
             v = [a % p for a in w[:, col].tolist()]
@@ -123,13 +124,13 @@ def right_residual(
 
     Only the blocks reaching past column k enter: a suffix of ``j.blocks``
     covering the contiguous columns [start, order), start being the first
-    column of the block that contains column k.  The rows of the first part
-    are empty unless that block straddles the cut.
+    column of the block that contains column k, found by bisecting
+    ``j.offsets``; the suffix is not checked again.  The rows of the first
+    part are empty unless that block straddles the cut.
     """
-    offsets = j.column_offsets()
-    first = max(i for i, off in enumerate(offsets) if off <= k)
-    start = offsets[first]
-    jr = JordanRep(j.field, j.blocks[first:])
+    first = bisect_right(j.offsets, k) - 1
+    start = j.offsets[first]
+    jr = JordanRep._derived(j.field, j.blocks[first:])
     res = compute_residuals(jr, pmat, [row[start:] for row in e_rows])
     cut = k - start
     return [row[:cut] for row in res], [row[cut:] for row in res]

@@ -2,7 +2,10 @@
 
 A JordanRep lists (eigenvalue, block size) pairs in any order; the columns
 of an evaluation matrix line up with the blocks as listed, block i taking
-the next block-size columns.
+the next block-size columns.  A rep stores their offsets when it is built;
+the reps cut from a checked rep (``split``'s halves, cut at the block that a
+bisection of the offsets finds, and the residuals' suffixes and chunks) are
+not checked again.
 
 Powers of J act on E column by column: `act_power` reads a column table,
 built once per rep, that gives each column its eigenvalue and its position
@@ -15,18 +18,16 @@ independent reference.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field as _field
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as _np
 
+from . import modmat
 from .field import PrimeField
-
-
-def _dtype(p: int):
-    """int64 while p + (p-1)^2 fits, object arrays of Python integers beyond."""
-    return _np.int64 if (p - 1) * (p - 1) < 1 << 62 else object
 
 
 class _ColumnTable(NamedTuple):
@@ -38,13 +39,18 @@ class _ColumnTable(NamedTuple):
 
 @dataclass(frozen=True)
 class JordanRep:
+    """Jordan blocks (eigenvalue, size), checked once when built; ``order``
+    and ``offsets``, the first column of each block, take no part in == and
+    hash, and ``offsets`` none in repr."""
+
     field: PrimeField
     blocks: tuple[tuple[int, int], ...]
     order: int = _field(init=False, compare=False)
+    offsets: tuple[int, ...] = _field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = self.field.p
-        blocks, order = [], 0
+        blocks = []
         for x, s in self.blocks:
             try:
                 x, s = operator.index(x), operator.index(s)
@@ -55,34 +61,37 @@ class JordanRep:
             if not 0 <= x < p:
                 raise ValueError("eigenvalues must lie in [0, p)")
             blocks.append((x, s))
-            order += s
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "order", order)
+        self._lay_out()
 
-    def column_offsets(self) -> list[int]:
-        offs = []
-        pos = 0
-        for _, s in self.blocks:
-            offs.append(pos)
-            pos += s
-        return offs
+    @classmethod
+    def _derived(cls, field: PrimeField, blocks: tuple[tuple[int, int], ...]) -> JordanRep:
+        """The rep of blocks taken from a checked rep over field, not checked
+        again; equal, in ==, hash and repr, to JordanRep(field, blocks)."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "field", field)
+        object.__setattr__(rep, "blocks", blocks)
+        rep._lay_out()
+        return rep
+
+    def _lay_out(self) -> None:
+        offsets = list(accumulate((s for _, s in self.blocks), initial=0))
+        object.__setattr__(self, "order", offsets.pop())
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @cached_property
     def _columns(self) -> _ColumnTable:
         """The column table of `act_power`, computed on first use.  It lives
         in the instance dict, outside the dataclass fields, so that it takes
         no part in ==, hash or repr."""
-        nilpotent, top, off = [], 0, 0
-        for x, s in self.blocks:
-            if not x:
-                nilpotent.append((off, s))
-            elif s > top:
-                top = s
-            off += s
-        sizes = _np.array([s for _, s in self.blocks], dtype=_np.int64)
-        eig = _np.repeat(_np.array([x for x, _ in self.blocks], dtype=_dtype(self.field.p)), sizes)
-        pos = _np.arange(self.order, dtype=_np.int64) - _np.repeat(_np.cumsum(sizes) - sizes, sizes)
+        sizes = [s for _, s in self.blocks]
+        dt = modmat._words(modmat._dtype_for(self.field.p, 2))
+        eig = _np.repeat(_np.array([x for x, _ in self.blocks], dtype=dt), sizes)
+        starts = _np.repeat(_np.array(self.offsets, dtype=_np.int64), sizes)
+        pos = _np.arange(self.order, dtype=_np.int64) - starts
         pos[eig == 0] = -1
+        nilpotent = [(off, s) for (x, s), off in zip(self.blocks, self.offsets) if not x]
+        top = max((s for x, s in self.blocks if x), default=0)
         return _ColumnTable(eig, pos, nilpotent, top)
 
 
@@ -99,13 +108,11 @@ def check_evaluations(e_rows, mulmat) -> None:
 def to_dense(j: JordanRep) -> list[list[int]]:
     n = j.order
     mat = [[0] * n for _ in range(n)]
-    pos = 0
-    for x, s in j.blocks:
+    for (x, s), pos in zip(j.blocks, j.offsets):
         for k in range(s):
             mat[pos + k][pos + k] = x
             if k + 1 < s:
                 mat[pos + k][pos + k + 1] = 1
-        pos += s
     return mat
 
 
@@ -117,12 +124,10 @@ def act(e_rows: list[list[int]], j: JordanRep) -> list[list[int]]:
         if len(row) != j.order:
             raise ValueError("column count does not match the Jordan order")
         new = [0] * len(row)
-        pos = 0
-        for x, s in j.blocks:
+        for (x, s), pos in zip(j.blocks, j.offsets):
             new[pos] = x * row[pos] % p
             for k in range(1, s):
                 new[pos + k] = (row[pos + k - 1] + x * row[pos + k]) % p
-            pos += s
         out.append(new)
     return out
 
@@ -163,14 +168,15 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
     zero on columns at positions below t in their blocks, enters one update
     of all columns (at t = 0 the weight is x^n, zero on the nilpotent
     columns as their x is).  The Python work per call is one step per
-    nilpotent block and one per shift t below the largest block size.  The arrays are int64 while (p-1)^2 < 2^62, so that
-    p + (p-1)^2 fits, and object arrays of Python integers beyond.
+    nilpotent block and one per shift t below the largest block size.  The
+    arrays hold ``modmat``'s words for sums of two products: int64 while
+    (p-1)^2 < 2^62, object arrays of Python integers beyond.
     """
     if n < 0:
         raise ValueError("negative power")
     f = j.field
     p = f.p
-    dt = _dtype(p)
+    dt = modmat._words(modmat._dtype_for(p, 2))
     if not len(e_rows):
         return _np.zeros((0, j.order), dtype=dt)
     arr = _np.asarray(e_rows, dtype=dt)
@@ -218,21 +224,15 @@ def split(j: JordanRep, k: int) -> tuple[JordanRep, JordanRep]:
     """Leading/trailing principal parts covering columns [0,k) and [k,order).
 
     A block straddling the cut splits into two blocks of the same eigenvalue;
-    the other blocks keep their order.
+    the other blocks keep their order.  The halves, cut at the block that
+    bisecting ``j.offsets`` finds, are not checked again.
     """
     if not 0 < k < j.order:
         raise ValueError("split point out of range")
-    lead: list[tuple[int, int]] = []
-    trail: list[tuple[int, int]] = []
-    pos = 0
-    for x, s in j.blocks:
-        if pos + s <= k:
-            lead.append((x, s))
-        elif pos >= k:
-            trail.append((x, s))
-        else:
-            t = k - pos
-            lead.append((x, t))
-            trail.append((x, s - t))
-        pos += s
-    return JordanRep(j.field, tuple(lead)), JordanRep(j.field, tuple(trail))
+    i = bisect_right(j.offsets, k) - 1
+    x, s = j.blocks[i]
+    t = k - j.offsets[i]
+    lead, trail = j.blocks[:i], j.blocks[i:]
+    if t:
+        lead, trail = lead + ((x, t),), ((x, s - t),) + trail[1:]
+    return JordanRep._derived(j.field, lead), JordanRep._derived(j.field, trail)

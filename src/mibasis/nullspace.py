@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .approx import ApproximantInstance, pm_basis
 from .field import MINUS_INF
-from .polymat import PolyMatrix, shifted_row_degree
+from .polymat import PolyMatrix, row_degree, shifted_row_degree
 from .unbalanced import unbalanced_mul_auto
 
 
@@ -21,9 +21,9 @@ def _check_inputs(fmat: PolyMatrix, shift: list[int]) -> None:
         raise ValueError("one shift entry per row required")
     if any(not isinstance(s, int) or s < 0 for s in shift):
         raise ValueError("shift entries must be nonnegative integers")
+    zero = [0] * fmat.ncols
     for row, s in zip(fmat.rows, shift):
-        rd = max((len(e) - 1 for e in row if e), default=MINUS_INF)
-        if rd != MINUS_INF and rd > s:
+        if row_degree(row, zero) > s:
             raise ValueError("shift must bound the row degree componentwise")
 
 
@@ -71,12 +71,16 @@ def _mnb_sorted(fmat: PolyMatrix, shift: list[int]) -> PolyMatrix:
     pbasis = PolyMatrix(field, [pbasis.rows[i] for i in row_order], m)
     zero, other, prod = _split_exact_rows(pbasis, fmat)
     p1 = PolyMatrix(field, [pbasis.rows[i] for i in zero], m)
+    # the rows of an order basis are independent: more than m - n of them
+    # with P*F = 0 span a nullspace of rank above m - n, so rank F < n
+    if p1.nrows > m - n:
+        raise ValueError("input matrix is column rank deficient")
     if n == 1:
         if p1.nrows != m - 1:
             raise ValueError("input matrix is column rank deficient")
         return p1
     p2 = PolyMatrix(field, [pbasis.rows[i] for i in other], m)
-    if not (n <= p2.nrows and 2 * p2.nrows <= 3 * n):
+    if 2 * p2.nrows > 3 * n:
         raise AssertionError("order basis keeps an unexpected number of rows")
     t_shift = [
         int(d) - order3 for d in shifted_row_degree(p2, shift)

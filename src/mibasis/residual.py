@@ -138,7 +138,7 @@ def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int)
     c = _coefficient_matrix(pmat, b, g, dt)
     for chunk in _chunks(entries, rows):
         cols = [off + t for _, s, off in chunk for t in range(s)]
-        jc = JordanRep(field, tuple((x, s) for x, s, _ in chunk))
+        jc = JordanRep._derived(field, tuple((x, s) for x, s, _ in chunk))
         t = modmat.mat_mul(c, _striped_krylov(e[:, cols], jc, b), p)
         r = t[(g - 1) * nrows :]
         for i in range(g - 2, -1, -1):
@@ -161,7 +161,7 @@ def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -
         return [[0] * sigma for _ in range(pmat.nrows)]
     rows = m * _baby_steps(top)
     small, tail = [], []
-    for (x, s), off in zip(j.blocks, j.column_offsets()):
+    for (x, s), off in zip(j.blocks, j.offsets):
         fits = s.bit_length() <= (sigma // m).bit_length() and s * rows <= _CHUNK_WORDS
         (small if fits else tail).append((x, s, off))
     if not small:

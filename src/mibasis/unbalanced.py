@@ -8,23 +8,12 @@ the bases of its two halves.
 
 from __future__ import annotations
 
-from .field import MINUS_INF
-from .polymat import PolyMatrix, degree_sum, mat_mul, plain_row_degree
+from .polymat import PolyMatrix, degree_sum, mat_mul, plain_row_degree, row_degree
 
 
 def _shifted_mass(b: PolyMatrix, d_vec) -> int:
     """Sum of the finite entries of the d_vec-shifted row degrees of b."""
-    total = 0
-    for row in b.rows:
-        best = MINUS_INF
-        for j, e in enumerate(row):
-            if e and d_vec[j] != MINUS_INF:
-                v = len(e) - 1 + d_vec[j]
-                if v > best:
-                    best = v
-        if best != MINUS_INF:
-            total += int(best)
-    return total
+    return degree_sum(row_degree(row, d_vec) for row in b.rows)
 
 
 def unbalanced_mul(b: PolyMatrix, a: PolyMatrix, xi: int) -> PolyMatrix:

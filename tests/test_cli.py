@@ -191,6 +191,18 @@ def test_nullspace_of_a_full_rank_matrix_keeps_its_column_count(tmp_path, capsys
     assert capsys.readouterr().out == "field p=7\npolymat 0 2\n"
 
 
+def test_nullspace_of_a_rank_deficient_matrix_is_a_domain_error(tmp_path, capsys):
+    # column 2 is (X + 3) times column 1
+    inp = tmp_path / "ns.txt"
+    inp.write_text(
+        "field p=97\npolymat 4 2\n1,2;3,7,2\n5;15,5\n0,0,1;0,0,3,1\n7,1;21,10,1\n"
+        "shift 4\n2 1 3 2\n"
+    )
+    assert main(["nullspace", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: input matrix is column rank deficient\n"
+
+
 def test_shift_change_subcommand(tmp_path):
     inp = tmp_path / "sc.txt"
     inp.write_text(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import dnc, jordan, modmat, oracle, polymat, residual
+from mibasis import cli, dnc, jordan, modmat, oracle, polymat, residual
 from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
 from mibasis.polymat import PolyMatrix
 
@@ -310,7 +310,7 @@ def test_recursion_past_the_leaf_matches_oracle(p, m, shape, shift):
     span = 2 * leaf if p == 97 else leaf // 4
     sigma = leaf + 1 + rng.randrange(span)
     j = jordan.JordanRep(field, tuple(past_leaf_blocks(shape, sigma, p, rng)))
-    while shape == "repeated" and sigma // 2 in j.column_offsets():
+    while shape == "repeated" and sigma // 2 in j.offsets:
         sigma += 1  # let a block straddle the first cut
         j = jordan.JordanRep(field, tuple(past_leaf_blocks(shape, sigma, p, rng)))
     assert j.order == sigma > leaf
@@ -374,9 +374,40 @@ def test_right_residual_equals_right_half_of_full_residual(data):
     )
     full = residual.compute_residuals(j, pmat, e)
     lead, right = right_residual(j, k, pmat, e)
-    start = max(off for off in j.column_offsets() if off <= k)
+    start = max(off for off in j.offsets if off <= k)
     assert right == [row[k:] for row in full]
     assert lead == [row[start:k] for row in full]
+
+
+@pytest.mark.parametrize("shape, size", [("multipoint", 1024), ("rs-list", 512), ("hermite-pade", 512)])
+def test_solve_checks_no_derived_rep(monkeypatch, shape, size):
+    # the split halves, the right-residual suffixes and the residual's chunk
+    # reps are cut from the checked input rep: none goes through the checks
+    # of JordanRep again, and each equals the checked rep of its blocks
+    field = PrimeField(65537)
+    e, j, s = cli._bench_instance(field, 4, size, random.Random(0), shape)
+    checked, derived = [], []
+    post_init = jordan.JordanRep.__post_init__
+    cut = jordan.JordanRep._derived.__func__
+
+    def spy_post_init(rep):
+        checked.append(rep.blocks)
+        post_init(rep)
+
+    def spy_derived(cls, fld, blocks):
+        derived.append(cut(cls, fld, blocks))
+        return derived[-1]
+
+    monkeypatch.setattr(jordan.JordanRep, "__post_init__", spy_post_init)
+    monkeypatch.setattr(jordan.JordanRep, "_derived", classmethod(spy_derived))
+    interpolation_basis(e, j, s, field)
+    assert checked == []
+    monkeypatch.undo()
+    assert len(derived) > 2
+    for rep in derived:
+        twin = jordan.JordanRep(field, rep.blocks)
+        assert rep == twin and hash(rep) == hash(twin) and repr(rep) == repr(twin)
+        assert rep.offsets == twin.offsets and rep.order == twin.order
 
 
 # Corrupts one coefficient of every output of the dnc function named in

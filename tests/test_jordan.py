@@ -25,12 +25,12 @@ def test_rep_keeps_blocks_in_given_order():
     rep = jordan.JordanRep(F7, ((1, 1), (0, 2), (1, 2)))
     assert rep.blocks == ((1, 1), (0, 2), (1, 2))
     assert rep.order == 5
-    assert rep.column_offsets() == [0, 1, 3]
+    assert rep.offsets == (0, 1, 3)
 
 
 def test_rep_empty():
     rep = jordan.JordanRep(F7, ())
-    assert rep.order == 0 and rep.column_offsets() == []
+    assert rep.order == 0 and rep.offsets == ()
 
 
 def test_rep_rejects_bad_sizes():
@@ -221,6 +221,24 @@ def test_split_out_of_range():
         jordan.split(rep, 0)
     with pytest.raises(ValueError):
         jordan.split(rep, 3)
+
+
+def test_split_halves_equal_checked_reps():
+    # the halves are cut without the checks of the public constructor, and
+    # still compare, hash and print as the checked reps of their blocks
+    rng = random.Random(5)
+    for _ in range(30):
+        rep = jordan.JordanRep(F7, tuple(rand_rep(rng, F7, 12)))
+        if rep.order < 2:
+            continue
+        k = rng.randrange(1, rep.order)
+        j1, j2 = jordan.split(rep, k)
+        assert (j1.order, j2.order) == (k, rep.order - k)
+        for half in (j1, j2):
+            twin = jordan.JordanRep(F7, half.blocks)
+            assert half == twin and hash(half) == hash(twin) and repr(half) == repr(twin)
+            assert half.offsets == twin.offsets
+        assert "offsets" not in repr(rep)
 
 
 def test_split_dense_reconstruction():

@@ -165,3 +165,12 @@ def test_rank_deficient_detected():
     f = PolyMatrix.from_entries(F7, [[[]], [[]], [[]]])
     with pytest.raises(ValueError):
         minimal_nullspace_basis(f, [0, 0, 0])
+
+
+def test_rank_deficient_with_several_columns_is_a_domain_error():
+    # column 2 is (X + 3) times column 1: the order basis keeps more than
+    # m - n rows that annihilate F exactly, which proves rank F < n
+    col = [[1, 2], [5], [0, 0, 1], [7, 1]]
+    f = PolyMatrix.from_entries(F97, [[c, F97.poly_mul([3, 1], c)] for c in col])
+    with pytest.raises(ValueError, match="column rank deficient"):
+        minimal_nullspace_basis(f, [2, 1, 3, 2])
