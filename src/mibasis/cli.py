@@ -319,9 +319,23 @@ def _bench_instance(field: PrimeField, m: int, sigma: int, rng: random.Random, s
     return inst.evals, inst.mulmat, [0] * m
 
 
+def _bench_size(text: str) -> int:
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise UsageError(f"--sizes takes positive integers, not '{text}'")
+    return size
+
+
 def _cmd_bench(args) -> int:
     field = PrimeField(args.field)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [_bench_size(s) for s in args.sizes.split(",") if s]
+    if args.m < 1:
+        raise UsageError("--m must be at least 1")
+    if args.shape == "rs-list" and any(s < 3 for s in sizes):
+        raise UsageError("the rs-list shape needs sizes of at least 3, one point per 3 columns")
     default = "lin,oracle" if args.shape == "dense" else "dnc,lin,oracle"
     engines = [e for e in (args.engines or default).split(",") if e]
     for e in engines:

@@ -7,7 +7,11 @@ s-reduced with rdeg_s(P2*P1) = rdeg_t(P2) (predictable degrees), so no node
 re-reduces.  Nodes of at most max(8m, 128) columns, m the row count, are
 leaves, solved by the iterative kernel ``mbasis_jordan`` (Van Barel and
 Bultheel; Beckermann and Labahn): one column at a time, a constant
-elimination and one multiplication of the pivot row by X - x.  The halves
+elimination and one multiplication of the pivot row by X - x.  The kernel
+keeps each row's residual and its coefficients as one extended Jordan row,
+the coefficients acting as nilpotent blocks of eigenvalue 0, so that
+multiplication is one gather through a table of shift sources and one
+multiply by the eigenvalue differences.  The halves
 are the leading and trailing columns with their blocks in the order given;
 a block that straddles the cut splits in two.  Order bases are the case of
 one nilpotent block per column, so ``approx`` runs this recursion as
@@ -40,7 +44,15 @@ from .unbalanced import unbalanced_mul
 # numpy's per-call overhead, nearly flat in the leaf size, so larger leaves
 # save nodes of the recursion; in object words (large p) it grows with the
 # leaf.  128 beat 64 on every Jordan shape at p = 65537, and 256 lost to 128
-# on distinct points and at large p.
+# on distinct points and at large p.  Measured again with the gathered
+# (X - x) step (mib bench --engines dnc --repeats 3, m = 4, p = 65537, two
+# runs each, s for leaves of 64 / 128 / 256):
+#   hermite-pade  sigma = 1024: 0.055-0.064 / 0.032 / 0.033-0.037
+#                 sigma = 8192: 0.53-0.57 / 0.41-0.46 / 0.33-0.36
+#   multipoint    sigma = 1024: 0.046-0.059 / 0.035-0.051 / 0.042-0.050
+#                 sigma = 8192: 0.58-0.60 / 0.44-0.60 / 0.43-0.60
+#   rs-list       sigma = 8190 (m = 33): 3.3-3.4 / 3.5 / 3.1-3.6
+# 64 still loses; 256 wins only on one nilpotent block at sigma >= 4096.
 _LEAF = 128
 _LEAF_PER_ROW = 8
 
@@ -52,65 +64,74 @@ def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     block of eigenvalue x, the rows of P interpolate every earlier column.
     The pivot is the row of least (shifted degree, index) whose residual is
     nonzero at k; constant multiples of it clear column k from the other
-    rows, and the pivot row is multiplied by X - x.  Its residual becomes
-    R (J - x): within the current block a shift by one column, which clears
-    column k, and on a later block of eigenvalue y a shift plus (y - x) R.
-    The shifted degree of the pivot row rises by one, that of the others
-    does not, so the shifted row degree sum exceeds sum(shift) by the number
-    of pivots, the degree of det P: P is s-reduced, and every entry has
-    degree at most the order of J.
+    rows, and the pivot row is multiplied by X - x.  The shifted degree of
+    the pivot row rises by one, that of the others does not, so the shifted
+    row degree sum exceeds sum(shift) by the number of pivots, the degree of
+    det P: P is s-reduced, and every entry has degree at most the order of J.
 
-    Row i of one work array W holds the residual of row i of P on columns
-    [0, order), then the coefficients of row i of P, degree-major: column
-    order + d*m + c holds the coefficient of X^d of entry c.  So one rank-1
-    update covers a row's residual and its coefficients, and multiplying by
-    X - x shifts the coefficients by m columns.  The updates stop at the
-    largest degree reached so far.  A row is reduced mod p when it becomes
-    the pivot; the others take at most one update of magnitude below
-    (p-1)^2 per column, so W holds int64 words while (p-1)^2 (order + 2)
-    < 2^63, and object arrays of Python integers beyond.
+    Row i of one work array W is one extended Jordan row: the residual of
+    row i of P on columns [0, order), then the coefficients of row i of P,
+    degree-major, column order + d*m + c holding the coefficient of X^d of
+    entry c.  Times J is a shift by one column inside a block, and times X
+    a shift by m columns, so the coefficients act as nilpotent blocks of
+    eigenvalue 0 after the residual, and multiplying the pivot row R by
+    X - x is one pass over the whole row: R'[c] = (eig[c] - x) R[c] +
+    R[prev[c]].  The tables are built once: ``eig`` holds the block
+    eigenvalues on the residual and 0 on the coefficients; ``prev`` holds
+    c - 1 on the residual and c - m on the coefficients, and a sentinel,
+    the index of a zero kept past the end of the reduced pivot row, at
+    each block start and on the coefficients of degree 0.  So a column
+    takes one rank-1 update and one gathered (X - x) update, both stopping
+    at the largest degree reached so far.  A row is reduced mod p when it
+    becomes the pivot; the others take at most one update of magnitude
+    below (p-1)^2 per column, and the pivot product stays below p^2, so W
+    holds int64 words while (p-1)^2 (order + 2) < 2^63, and object arrays
+    of Python integers beyond.
     """
     p = field.p
     m, sigma = len(e_rows), j.order
+    width = sigma + m * (sigma + 1)
     dt = modmat._words(modmat._dtype_for(p, sigma + 2))
-    w = _np.zeros((m, sigma + m * (sigma + 1)), dtype=dt)
+    w = _np.zeros((m, width), dtype=dt)
     w[:, :sigma] = modmat.reduce(e_rows, p, dt).reshape(m, sigma)
     w[range(m), range(sigma, sigma + m)] = 1
-    eig = _np.repeat(_np.array([x for x, _ in j.blocks], dtype=dt), [s for _, s in j.blocks])
-    inner = _np.ones(sigma, dtype=dt)  # 0 on the first column of each block
-    inner[list(j.offsets)] = 0
+    eig = _np.zeros(width, dtype=dt)
+    eig[:sigma] = _np.repeat([x for x, _ in j.blocks], [s for _, s in j.blocks])
+    prev = _np.arange(-1, width - 1)
+    prev[sigma:] -= m - 1
+    prev[list(j.offsets)] = width
+    prev[sigma : sigma + m] = width
+    buf = _np.zeros(width + 1, dtype=dt)  # buf[width] stays 0
     u = list(shift)
     rowdeg = [0] * m  # a bound on the degrees of each row of P
     deg = 0
-    for (x, size), off in zip(j.blocks, j.offsets):
-        lam = (eig[off:] - x) % p  # y - x on the columns of eigenvalue y
-        for col in range(off, off + size):
-            v = [a % p for a in w[:, col].tolist()]
-            live = [i for i in range(m) if v[i]]
-            if not live:
-                continue
-            piv = min(live, key=lambda i: (u[i], i))
-            top = rowdeg[piv]
-            for i in live:
-                rowdeg[i] = max(rowdeg[i], top)
-            rowdeg[piv] = top + 1
-            deg = max(deg, top + 1)
-            end = sigma + (deg + 1) * m
-            row = w[piv, col:end] % p
-            inv = pow(v[piv], -1, p)
-            f = _np.array([a * inv % p for a in v], dtype=dt)
-            f[piv] = 0
-            w[:, col + 1 : end] -= _np.multiply.outer(f, row[1:])
-            # the pivot row times X - x: residual, then coefficients
-            k = sigma - col
-            res = lam[col - off + 1 :] * row[1:k]
-            res += inner[col + 1 :] * row[: k - 1]
-            _np.remainder(res, p, out=w[piv, col + 1 : sigma])
-            coef = row[k:]
-            new = coef * (-x % p)
-            new[m:] += coef[:-m]
-            _np.remainder(new, p, out=w[piv, sigma:end])
-            u[piv] += 1
+    for col, x in enumerate(eig[:sigma].tolist()):
+        v = [a % p for a in w[:, col].tolist()]
+        piv = -1
+        for i in range(m):
+            if v[i] and (piv < 0 or u[i] < u[piv]):
+                piv = i
+        if piv < 0:
+            continue
+        top = rowdeg[piv]
+        for i in range(m):
+            if v[i] and rowdeg[i] < top:
+                rowdeg[i] = top
+        rowdeg[piv] = top + 1
+        if top >= deg:
+            deg = top + 1
+        end = sigma + (deg + 1) * m
+        _np.remainder(w[piv, col:end], p, out=buf[col:end])
+        r1 = buf[col + 1 : end]
+        inv = pow(v[piv], -1, p)
+        v[piv] = 0
+        f = _np.array([a * inv % p for a in v], dtype=dt)
+        w[:, col + 1 : end] -= _np.multiply.outer(f, r1)
+        # the pivot row times X - x, in one pass over the extended row
+        new = (eig[col + 1 : end] - x) * r1
+        new += buf.take(prev[col + 1 : end])
+        _np.remainder(new, p, out=w[piv, col + 1 : end])
+        u[piv] += 1
     coeffs = (w[:, sigma : sigma + (deg + 1) * m] % p).reshape(m, deg + 1, m)
     return PolyMatrix(
         field, [[field.normalize(e) for e in row] for row in coeffs.transpose(0, 2, 1).tolist()]

@@ -432,3 +432,24 @@ def test_bench_dense_shape_and_repeats(capsys):
     assert "dnc" in capsys.readouterr().err
     assert main(["bench", "--sizes", "8", "--repeats", "0"]) == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        (["--m", "0"], "--m"),
+        (["--m", "-2"], "--m"),
+        (["--sizes", "0"], "--sizes"),
+        (["--sizes", "8,-4"], "--sizes"),
+        (["--sizes", "8,x"], "--sizes"),
+        (["--sizes", "1.5"], "--sizes"),
+        (["--shape", "rs-list", "--sizes", "2"], "rs-list"),
+        (["--shape", "rs-list", "--sizes", "12,2"], "rs-list"),
+    ],
+)
+def test_bench_usage_errors(capsys, args, where):
+    # bad --m and --sizes are usage errors, reported before the CSV header
+    assert main(["bench", "--engines", "dnc"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error:") and where in err

@@ -117,6 +117,71 @@ def test_leaf_matches_list_reference(p):
         assert oracle.module_equivalent(basis, popov, e, j, shift)
 
 
+def leaf_case(e, j, shift, field):
+    """The kernel, and interpolation_basis on a leaf, give the reference's bytes."""
+    basis = reference_leaf(e, j, shift, field)
+    assert j.order <= leaf_size(len(e))
+    assert dnc.mbasis_jordan(e, j, shift, field) == basis
+    assert interpolation_basis(e, j, shift, field) == basis
+    return polymat.degree_sum(polymat.shifted_row_degree(basis, shift)) - sum(shift)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_edge_cases(p):
+    # the ends of the kernel's shift table: block starts and the first m
+    # coefficient columns read its zero sentinel, and a column without a
+    # live row leaves every row as it is
+    field = PrimeField(p)
+    rng = random.Random(p + 1)
+    x, y = rng.randrange(1, p), rng.randrange(p)
+
+    def rand_e(m, order):
+        return [[rng.randrange(p) for _ in range(order)] for _ in range(m)]
+
+    # E vanishes on the first two columns of a block, so the residual does
+    # at every step: no live row at its block start and at the column after;
+    # the whole last block is zero as well
+    j = jordan.JordanRep(field, ((x, 3), (y, 4), (0, 2), (x, 2)))
+    e = rand_e(3, j.order)
+    for row in e:
+        row[3] = row[4] = row[9] = row[10] = 0
+        row[1] = 0  # a zero column of E in a block's middle, not dead
+    assert leaf_case(e, j, [0, 2, 1], field) <= j.order - 4
+
+    # adjacent blocks of one eigenvalue: the block start must cut the shift
+    j = jordan.JordanRep(field, ((x, 3), (x, 2), (x, 1), (y, 2), (y, 3)))
+    leaf_case(rand_e(2, j.order), j, [0, 0], field)
+    leaf_case(rand_e(3, j.order), j, [1, 0, 5], field)
+
+    # m = 8 at equal shifts: the least index wins every tie, with rows
+    # repeated and a zero row among them
+    j = jordan.JordanRep(field, ((x, 4), (0, 3), (y, 5), (x, 1)))
+    e = rand_e(8, j.order)
+    e[5] = list(e[2])
+    e[6] = [0] * j.order
+    leaf_case(e, j, [3] * 8, field)
+
+    # m = 1 reaching degree sigma: distinct eigenvalues and E nonzero at each
+    # block start make E cyclic, so every column is a pivot and the work row
+    # is used to its end
+    eigs = rng.sample(range(min(p, 10**6)), 5)
+    j = jordan.JordanRep(field, tuple(zip(eigs, (4, 1, 6, 2, 3))))
+    e = rand_e(1, j.order)
+    for off in j.offsets:
+        e[0][off] = rng.randrange(1, p)
+    assert leaf_case(e, j, [0], field) == j.order
+
+    # unreduced and negative entries give the bytes of their residues
+    j = jordan.JordanRep(field, ((y, 3), (0, 2), (x, 4)))
+    e = rand_e(3, j.order)
+    raw = [[a + rng.randrange(-3, 4) * p for a in row] for row in e]
+    raw[0][0], raw[1][1] = -1, -p
+    e[0][0], e[1][1] = p - 1, 0
+    basis = reference_leaf(e, j, [0, 1, 0], field)
+    assert dnc.mbasis_jordan(raw, j, [0, 1, 0], field) == basis
+    assert reference_leaf(raw, j, [0, 1, 0], field) == basis
+
+
 # The leaf keeps int64 words while (p-1)^2 (sigma + 2) < 2^63 and object
 # words beyond; these primes are the last below and the first above that
 # bound at sigma = 64.

@@ -23,6 +23,11 @@ CASES = [
     # object words; sigma = 297 past the leaf, the first cut, at column 148,
     # inside a block of size 2
     (2**61 - 1, "rs-list", 297, "f5348bf35a55267a7906ea7eb9555b3ec6e3f6e20ce95f3a864438754040d110"),
+    # the perfbench sizes: hermite-pade two leaves, multipoint one leaf,
+    # rs-list (m = 5) one cut
+    (65537, "hermite-pade", 256, "ba2722fd8758006d7a68382d79ff30fc893c92e9f2af2f791d70ef5ad5ee10a0"),
+    (65537, "multipoint", 128, "1898450e3ec73601b85e8f30a9d20cd6ca99cdb2fb011367c2a9412fbd202784"),
+    (65537, "rs-list", 156, "35e6f794fa8d14b293a21643e8342083c60a9c940fe346dbf6a5d6e22a709497"),
 ]
 
 
