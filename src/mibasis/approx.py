@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dnc
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, check_shift
 from .reductions import hermite_pade_instance
 
 
@@ -28,17 +28,13 @@ class ApproximantInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "orders", tuple(self.orders))
-        object.__setattr__(self, "shift", tuple(self.shift))
+        object.__setattr__(self, "shift", tuple(check_shift(self.shift, self.f.nrows)))
         if len(self.orders) != self.f.ncols:
             raise ValueError("one order per column required")
         if any(o <= 0 for o in self.orders):
             raise ValueError("orders must be positive")
         if any(a < b for a, b in zip(self.orders, self.orders[1:])):
             raise ValueError("orders must be non-increasing")
-        if len(self.shift) != self.f.nrows:
-            raise ValueError("one shift entry per row required")
-        if any(s < 0 for s in self.shift):
-            raise ValueError("shift entries must be nonnegative")
         for j, o in enumerate(self.orders):
             for row in self.f.rows:
                 if len(row[j]) > o:

@@ -22,10 +22,16 @@ that reach past the cut, the left columns of a straddling block included.
 That the residual vanishes on the solved columns is checked on those
 straddling columns at each node, and on all columns once, for the final
 basis, by ``interpolation_basis``.
+
+The recursion runs on arrays from entry to exit: ``interpolation_basis``
+reduces E mod p once, to one int64 array (p < 2^62) that the halves slice;
+residuals are int64 arrays too.  Polynomial matrices cross into and out of
+arrays only through ``PolyMatrix.coefficients`` and ``from_coefficients``.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 
 import numpy as _np
@@ -57,8 +63,8 @@ _LEAF = 128
 _LEAF_PER_ROW = 8
 
 
-def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
-    """s-reduced basis of the interpolants of E for a Jordan matrix J.
+def mbasis_jordan(e, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
+    """s-reduced basis of the interpolants of E, residues mod p, for J.
 
     Takes the columns of E one at a time, in block order.  At column k of a
     block of eigenvalue x, the rows of P interpolate every earlier column.
@@ -89,11 +95,11 @@ def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     of Python integers beyond.
     """
     p = field.p
-    m, sigma = len(e_rows), j.order
+    m, sigma = len(e), j.order
     width = sigma + m * (sigma + 1)
-    dt = modmat._words(modmat._dtype_for(p, sigma + 2))
+    dt = modmat.words(p, sigma + 2)
     w = _np.zeros((m, width), dtype=dt)
-    w[:, :sigma] = modmat.reduce(e_rows, p, dt).reshape(m, sigma)
+    w[:, :sigma] = _np.reshape(e, (m, sigma))
     w[range(m), range(sigma, sigma + m)] = 1
     eig = _np.zeros(width, dtype=dt)
     eig[:sigma] = _np.repeat([x for x, _ in j.blocks], [s for _, s in j.blocks])
@@ -133,43 +139,39 @@ def mbasis_jordan(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
         _np.remainder(new, p, out=w[piv, col + 1 : end])
         u[piv] += 1
     coeffs = (w[:, sigma : sigma + (deg + 1) * m] % p).reshape(m, deg + 1, m)
-    return PolyMatrix(
-        field, [[field.normalize(e) for e in row] for row in coeffs.transpose(0, 2, 1).tolist()]
-    )
+    return PolyMatrix.from_coefficients(field, coeffs.transpose(0, 2, 1))
 
 
 def right_residual(
-    j: JordanRep, k: int, pmat: PolyMatrix, e_rows: list[list[int]]
-) -> tuple[list[list[int]], list[list[int]]]:
+    j: JordanRep, k: int, pmat: PolyMatrix, e: _np.ndarray
+) -> tuple[_np.ndarray, _np.ndarray]:
     """P applied to E on the columns [start, k) and [k, order).
 
     Only the blocks reaching past column k enter: a suffix of ``j.blocks``
     covering the contiguous columns [start, order), start being the first
     column of the block that contains column k, found by bisecting
-    ``j.offsets``; the suffix is not checked again.  The rows of the first
-    part are empty unless that block straddles the cut.
+    ``j.offsets``; the suffix is not checked again.  The first part has no
+    columns unless that block straddles the cut.
     """
     first = bisect_right(j.offsets, k) - 1
     start = j.offsets[first]
     jr = JordanRep._derived(j.field, j.blocks[first:])
-    res = compute_residuals(jr, pmat, [row[start:] for row in e_rows])
+    res = compute_residuals(jr, pmat, e[:, start:])
     cut = k - start
-    return [row[:cut] for row in res], [row[cut:] for row in res]
+    return res[:, :cut], res[:, cut:]
 
 
-def interpolation_basis_rec(
-    e_rows: list[list[int]], j: JordanRep, shift: list[int], field: PrimeField
-) -> PolyMatrix:
+def interpolation_basis_rec(e, j: JordanRep, shift: list[int], field: PrimeField) -> PolyMatrix:
     """s-reduced interpolation basis; shifted row degree sum <= order + sum(s)."""
-    m = len(e_rows)
+    m = len(e)
     sigma = j.order
     if sigma <= max(_LEAF_PER_ROW * m, _LEAF):
-        return mbasis_jordan(e_rows, j, shift, field)
+        return mbasis_jordan(e, j, shift, field)
     half = sigma // 2
     j1, j2 = split(j, half)
-    p1 = interpolation_basis_rec([row[:half] for row in e_rows], j1, shift, field)
-    lead, right = right_residual(j, half, p1, e_rows)
-    if any(any(row) for row in lead):
+    p1 = interpolation_basis_rec(e[:, :half], j1, shift, field)
+    lead, right = right_residual(j, half, p1, e)
+    if lead.any():
         raise AssertionError("residual does not vanish on the solved half")
     t = [int(d) for d in shifted_row_degree(p1, shift)]
     p2 = interpolation_basis_rec(right, j2, t, field)
@@ -177,28 +179,28 @@ def interpolation_basis_rec(
     return unbalanced_mul(p2, p1, sigma + sum(shift))
 
 
-def interpolation_basis(
-    e_rows: list[list[int]], j: JordanRep, shift: list[int], field: PrimeField
-) -> PolyMatrix:
+def interpolation_basis(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     """Shift-minimal interpolation basis for a Jordan instance.
 
-    After normalizing the shift to minimum zero, the shifted row degree sum
-    of the output is at most order + sum of the normalized shift.  The
-    recursion computes each node's residual on its right half only; one full
-    residual of the output, which must vanish, checks every row here, and
-    AssertionError reports a basis that does not interpolate.  A shift of
-    the wrong length or with a non-integer entry raises ValueError, at any
-    order.
+    E, rows of integers (past int64 only where p needs object words), is
+    reduced mod p here, once.  After normalizing the shift to minimum zero,
+    the shifted row degree sum is at most order + sum of that shift.  One
+    full residual of the output, which must vanish, checks every row here,
+    and AssertionError reports a basis that does not interpolate.  A shift
+    of the wrong length or with a non-integer entry raises ValueError.
     """
     check_evaluations(e_rows, j)
     if field != j.field:
         raise ValueError("field does not match the Jordan matrix")
     if len(shift) != len(e_rows):
         raise ValueError("one shift entry per row required")
-    if not all(isinstance(s, int) for s in shift):
-        raise ValueError("shift entries must be integers")
+    try:
+        shift = [operator.index(s) for s in shift]
+    except TypeError:
+        raise ValueError("shift entries must be integers") from None
+    e = modmat.reduce(e_rows, field.p, modmat.words(field.p, j.order)).astype(_np.int64)
     smin = min(shift)
-    basis = interpolation_basis_rec(e_rows, j, [s - smin for s in shift], field)
-    if any(any(row) for row in compute_residuals(j, basis, e_rows)):
+    basis = interpolation_basis_rec(e, j, [s - smin for s in shift], field)
+    if compute_residuals(j, basis, e).any():
         raise AssertionError("basis does not interpolate the evaluations")
     return basis

@@ -85,7 +85,7 @@ class JordanRep:
         in the instance dict, outside the dataclass fields, so that it takes
         no part in ==, hash or repr."""
         sizes = [s for _, s in self.blocks]
-        dt = modmat._words(modmat._dtype_for(self.field.p, 2))
+        dt = modmat.words(self.field.p, 2)
         eig = _np.repeat(_np.array([x for x, _ in self.blocks], dtype=dt), sizes)
         starts = _np.repeat(_np.array(self.offsets, dtype=_np.int64), sizes)
         pos = _np.arange(self.order, dtype=_np.int64) - starts
@@ -176,7 +176,7 @@ def act_power(e_rows, j: JordanRep, n: int) -> _np.ndarray:
         raise ValueError("negative power")
     f = j.field
     p = f.p
-    dt = modmat._words(modmat._dtype_for(p, 2))
+    dt = modmat.words(p, 2)
     if not len(e_rows):
         return _np.zeros((0, j.order), dtype=dt)
     arr = _np.asarray(e_rows, dtype=dt)

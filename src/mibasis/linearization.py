@@ -84,11 +84,10 @@ def _operands(e_rows, mulmat, p: int):
     dtype of its products (so that no product converts it again)."""
     _jordan.check_evaluations(e_rows, mulmat)
     sigma = modmat._dims(e_rows)[1]
-    dt = modmat._dtype_for(p, sigma)
-    e = modmat.reduce(e_rows, p, modmat._words(dt)).reshape(len(e_rows), sigma)
+    e = modmat.reduce(e_rows, p, modmat.words(p, sigma)).reshape(len(e_rows), sigma)
     if isinstance(mulmat, _jordan.JordanRep):
         return e, mulmat
-    return e, modmat.reduce(mulmat, p, dt)
+    return e, modmat.reduce(mulmat, p, modmat._dtype_for(p, sigma))
 
 
 def _rows_times_power(rows, mulmat, step, p, pow_cache):
@@ -149,7 +148,7 @@ def krylov_rank_profile(
         e, mulmat = _operands(e_rows, mulmat, p)
     m, sigma = e.shape
     _validate_delta(delta, sigma)
-    check_shift(shift, m)
+    shift = check_shift(shift, m)
 
     def key(cd):
         return (shift[cd[0]] + cd[1], cd[0])
@@ -209,17 +208,13 @@ def _target_rows(e, mulmat, profile, mindeg, p):
     return targets
 
 
-def _assemble_popov(field, m, mindeg, decoded, relation):
-    entries = [[[] for _ in range(m)] for _ in range(m)]
-    for c in range(m):
-        col = [[0] * (mindeg[ck] + 1) for ck in range(m)]
-        for k, (ck, dk) in enumerate(decoded):
-            coeff = relation[c][k]
-            if coeff:
-                col[ck][dk] = (-coeff) % field.p
-        col[c][mindeg[c]] = (col[c][mindeg[c]] + 1) % field.p
-        entries[c] = [field.normalize(e) for e in col]
-    return PolyMatrix(field, entries)
+def _assemble_popov(field, mindeg, decoded, relation):
+    """Row c: X^mindeg[c] e_c minus the relation's row c over the monomials X^d e_k."""
+    m = len(mindeg)
+    coeffs = _np.zeros((m, m, max(mindeg) + 1), dtype=relation.dtype)
+    coeffs[:, [k for k, _ in decoded], [d for _, d in decoded]] = -relation % field.p
+    coeffs[range(m), range(m), mindeg] = 1
+    return PolyMatrix.from_coefficients(field, coeffs)
 
 
 def lin_interp_basis(
@@ -248,5 +243,5 @@ def lin_interp_basis(
     if not _np.array_equal(modmat.mat_mul(coords, red, p), targets):
         raise ValueError("a target row is not in the span of the profile rows")
     relation = modmat.mat_mul(coords, transform, p)
-    basis = _assemble_popov(field, m, mindeg, profile.decoded, relation.tolist())
+    basis = _assemble_popov(field, mindeg, profile.decoded, relation)
     return basis, mindeg

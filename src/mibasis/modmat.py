@@ -33,9 +33,10 @@ def _dtype_for(p: int, inner: int):
     return object
 
 
-def _words(dt):
-    """The dtype of reduced entries next to products computed in dt."""
-    return object if dt is object else _np.int64
+def words(p: int, terms: int):
+    """The dtype of reduced entries next to sums of `terms` products mod p:
+    int64, or object when those sums overflow int64 words."""
+    return object if _dtype_for(p, terms) is object else _np.int64
 
 
 def reduce(mat, p: int, dt) -> _np.ndarray:
@@ -44,7 +45,8 @@ def reduce(mat, p: int, dt) -> _np.ndarray:
     Exact for any integer entries that fit int64 words, and for any Python
     integers when dt is object; larger entries raise OverflowError.
     """
-    return (_np.asarray(mat, dtype=_words(dt)) % p).astype(dt, copy=False)
+    wd = object if dt is object else _np.int64
+    return (_np.asarray(mat, dtype=wd) % p).astype(dt, copy=False)
 
 
 def _dims(mat) -> tuple[int, int]:
@@ -65,9 +67,9 @@ def mat_mul(a, b, p: int) -> _np.ndarray:
         raise ValueError("matrix dimension mismatch in mat_mul")
     dt = _dtype_for(p, ca)
     if ra == 0 or cb == 0:
-        return _np.zeros((ra, cb), dtype=_words(dt))
+        return _np.zeros((ra, cb), dtype=words(p, ca))
     prod = _np.asarray(a, dtype=dt) @ _np.asarray(b, dtype=dt)
-    return prod.astype(_words(dt), copy=False) % p
+    return prod.astype(words(p, ca), copy=False) % p
 
 
 def rref(mat, p: int, reduced=None, transform: bool = False):
@@ -114,7 +116,7 @@ def rref(mat, p: int, reduced=None, transform: bool = False):
         return [], [], empty
     cap = min(nrows, ncols)
     dt = _dtype_for(p, cap + 1)
-    wd = _words(dt)
+    wd = words(p, cap + 1)
     A = _np.asarray(mat, dtype=wd)
     width = ncols + cap if transform else ncols
     kmax = min(_BLOCK, cap)

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from .approx import ApproximantInstance, pm_basis
 from .field import MINUS_INF
-from .polymat import PolyMatrix, row_degree, shifted_row_degree
+from .polymat import PolyMatrix, check_shift, row_degree, shifted_row_degree
 from .unbalanced import unbalanced_mul_auto
 
 
 def _check_inputs(fmat: PolyMatrix, shift: list[int]) -> None:
     if fmat.nrows < fmat.ncols or fmat.ncols < 1:
         raise ValueError("expected a tall matrix with at least one column")
-    if len(shift) != fmat.nrows:
-        raise ValueError("one shift entry per row required")
-    if any(not isinstance(s, int) or s < 0 for s in shift):
-        raise ValueError("shift entries must be nonnegative integers")
     zero = [0] * fmat.ncols
     for row, s in zip(fmat.rows, shift):
         if row_degree(row, zero) > s:
@@ -34,6 +30,7 @@ def minimal_nullspace_basis(fmat: PolyMatrix, shift: list[int]):
     degrees; rows are sorted internally and the output columns unsorted
     accordingly.  Raises when F is column rank deficient.
     """
+    shift = check_shift(shift, fmat.nrows)
     _check_inputs(fmat, shift)
     m = fmat.nrows
     order = sorted(range(m), key=lambda i: (shift[i], i))

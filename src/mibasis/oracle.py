@@ -76,7 +76,7 @@ def oracle_popov(
     _jordan.check_evaluations(e_rows, mulmat)
     m = len(e_rows)
     sigma = len(e_rows[0])
-    check_shift(shift, m)
+    shift = check_shift(shift, m)
     delta = max(sigma, 1)
     pairs = _priority_pairs(shift, m, delta)
     stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)

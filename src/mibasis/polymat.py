@@ -1,8 +1,9 @@
 """Polynomial matrices, shifts, row degrees, and reducedness predicates.
 
 A PolyMatrix is a dense row-major grid of normalized coefficient lists over
-one PrimeField.  Shifts are per-column nonnegative integer weights; row
-degree vectors may contain MINUS_INF entries, which mark zero rows.
+one PrimeField; arrays enter and leave it only through ``coefficients`` and
+``from_coefficients``.  Shifts are per-column nonnegative integer weights;
+row degree vectors may contain MINUS_INF entries, which mark zero rows.
 """
 
 from __future__ import annotations
@@ -53,6 +54,23 @@ class PolyMatrix:
     def from_entries(cls, field: PrimeField, entries) -> "PolyMatrix":
         """Build from nested coefficient lists, reducing and normalizing."""
         return cls(field, [[field.poly(e) for e in row] for row in entries])
+
+    @classmethod
+    def from_coefficients(cls, field: PrimeField, coeffs: _np.ndarray) -> "PolyMatrix":
+        """From a (rows, cols, length) int64 or object array of residues mod p."""
+        nonzero = coeffs != 0
+        last = coeffs.shape[-1] - _np.argmax(nonzero[..., ::-1], -1)
+        lengths = _np.where(nonzero.any(-1), last, 0)
+        pairs = zip(coeffs.tolist(), lengths.tolist())
+        return cls(field, [[e[:k] for e, k in zip(row, ks)] for row, ks in pairs], coeffs.shape[1])
+
+    def coefficients(self, length: int) -> _np.ndarray:
+        """The (rows, cols, length) int64 array of the entries, cut or zero-padded."""
+        out = _np.zeros((self.nrows, self.ncols, length), dtype=_np.int64)
+        for i, row in enumerate(self.rows):
+            for k, e in enumerate(row):
+                out[i, k, : len(e)] = e[:length]
+        return out
 
     def __eq__(self, other):
         return (
@@ -113,12 +131,17 @@ class PolyMatrix:
         return PolyMatrix(self.field, out, self.ncols)
 
 
-def check_shift(shift: list[int], ncols: int) -> None:
+def check_shift(shift, ncols: int) -> list[int]:
+    """The shift as Python ints; ValueError unless ncols nonnegative integers."""
     if len(shift) != ncols:
-        raise ValueError("shift length does not match column count")
-    for s in shift:
-        if not isinstance(s, int) or s < 0:
-            raise ValueError("shift entries must be nonnegative integers")
+        raise ValueError(f"the shift needs {ncols} entries")
+    try:
+        shift = [operator.index(s) for s in shift]
+    except TypeError:
+        raise ValueError("shift entries must be nonnegative integers") from None
+    if any(s < 0 for s in shift):
+        raise ValueError("shift entries must be nonnegative integers")
+    return shift
 
 
 def row_degree(row: list[list[int]], shift: list[int]):
@@ -133,7 +156,7 @@ def row_degree(row: list[list[int]], shift: list[int]):
 
 def shifted_row_degree(mat: PolyMatrix, shift: list[int]) -> list:
     """Per-row max of entry degree plus column shift; MINUS_INF on zero rows."""
-    check_shift(shift, mat.ncols)
+    shift = check_shift(shift, mat.ncols)
     return [row_degree(row, shift) for row in mat.rows]
 
 
@@ -148,7 +171,7 @@ def degree_sum(degs) -> int:
 
 def leading_matrix(mat: PolyMatrix, shift: list[int]) -> list[list[int]]:
     """Coefficient of degree rdeg_i - shift_j in entry (i, j)."""
-    check_shift(shift, mat.ncols)
+    shift = check_shift(shift, mat.ncols)
     degs = shifted_row_degree(mat, shift)
     if any(d == MINUS_INF for d in degs):
         raise ValueError("leading matrix undefined on zero rows")
@@ -183,7 +206,7 @@ def pivot(row: list[list[int]], shift: list[int]) -> tuple[int, int]:
 
 def is_weak_popov(mat: PolyMatrix, shift: list[int]) -> bool:
     """True when rows are nonzero with pairwise distinct pivot indices."""
-    check_shift(shift, mat.ncols)
+    shift = check_shift(shift, mat.ncols)
     seen = set()
     for row in mat.rows:
         if row_degree(row, shift) == MINUS_INF:
@@ -199,7 +222,7 @@ def is_popov(mat: PolyMatrix, shift: list[int]) -> bool:
     """Monic diagonal pivots dominating their columns in degree."""
     if mat.nrows != mat.ncols:
         raise ValueError("Popov form is defined for square matrices")
-    check_shift(shift, mat.ncols)
+    shift = check_shift(shift, mat.ncols)
     for i, row in enumerate(mat.rows):
         if row_degree(row, shift) == MINUS_INF:
             return False
@@ -305,14 +328,9 @@ def fft_limbs(p: int, inner: int, shorter: int, length: int) -> tuple[int, int] 
     return None
 
 
-def _limb_spectra(rows, length: int, n: int, width: int, count: int) -> _np.ndarray:
-    """rfft over n points of every limb of every entry, the entries cut to
-    `length` coefficients: an array (count, rows, cols, n // 2 + 1)."""
-    coeffs = _np.zeros((len(rows), len(rows[0]), length), dtype=_np.int64)
-    for i, row in enumerate(rows):
-        for k, e in enumerate(row):
-            if e:
-                coeffs[i, k, : len(e)] = e if len(e) <= length else e[:length]
+def _limb_spectra(coeffs: _np.ndarray, n: int, width: int, count: int) -> _np.ndarray:
+    """rfft over n points of every limb of every entry of a coefficient
+    array (rows, cols, length): an array (count, rows, cols, n // 2 + 1)."""
     shifts = _np.arange(0, width * count, width).reshape(-1, 1, 1, 1)
     parts = (coeffs >> shifts) & ((1 << width) - 1)
     return _np.fft.rfft(parts.astype(_np.float64), n, axis=-1)
@@ -339,8 +357,8 @@ def _weight_spectra(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, n: int, widt
     """Spectra of the entries of b*a, one per limb weight 2^(width * w),
     w < 2 count - 1: the limb pairs (u, v) with u + v = w add up before the
     inverse transform.  An array (2 count - 1, rows, cols, n // 2 + 1)."""
-    spec_b = _limb_spectra(b.rows, lb, n, width, count)
-    spec_a = _limb_spectra(a.rows, la, n, width, count)
+    spec_b = _limb_spectra(b.coefficients(lb), n, width, count)
+    spec_a = _limb_spectra(a.coefficients(la), n, width, count)
     sums = _np.zeros((2 * count - 1, b.nrows, a.ncols, n // 2 + 1), dtype=spec_b.dtype)
     for u in range(count):
         sums[u : u + count] += _np.einsum("ikf,vkjf->vijf", spec_b[u], spec_a)
@@ -361,13 +379,7 @@ def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: i
             raise ArithmeticError("FFT product exceeded its certified round-off")
         d = digits.astype(_np.int64) % p
         out = d if out is None else _shift_add_mod(out, d, width, p)
-    nonzero = out != 0
-    lengths = _np.where(nonzero.any(axis=-1), size - _np.argmax(nonzero[..., ::-1], axis=-1), 0)
-    return PolyMatrix(
-        b.field,
-        [[e[:k] for e, k in zip(row, krow)] for row, krow in zip(out.tolist(), lengths.tolist())],
-        a.ncols,
-    )
+    return PolyMatrix.from_coefficients(b.field, out)
 
 
 def _stored(rows, length: int) -> int:

@@ -24,6 +24,9 @@ wide for a chunk, goes through one polynomial-matrix product
 Each entry of the product, shifted back by x, gives the block's residual in
 its first s coefficients.  On a single nilpotent block (hermite-pade) this
 is one product with memory linear in the order and no shift at all.
+E, residues mod p as ``dnc.interpolation_basis`` reduces them once, and the
+residual are int64 arrays; P and R cross into and out of arrays only through
+``PolyMatrix.coefficients`` and ``PolyMatrix.from_coefficients``.
 """
 
 from __future__ import annotations
@@ -41,36 +44,39 @@ from .polymat import PolyMatrix, mat_mul
 # columns.
 _CHUNK_WORDS = 1 << 20
 
-def residual_by_crt(
-    entries: list[tuple[int, int, int]],
-    pmat: PolyMatrix,
-    e_rows: list[list[int]],
-    out: list[list[int]],
-) -> None:
-    """The residual on the blocks (x, s, off) of entries, by one product P*R.
+def residual_by_crt(entries, pmat: PolyMatrix, e: _np.ndarray, out: _np.ndarray) -> None:
+    """The residual on the blocks (x, s, off) of entries, into out, by one product P*R.
 
     Column b of R holds block b's columns of E, one polynomial per row,
     Taylor-shifted by -x; the first s coefficients of f(X + x), f an entry of
-    column b of P*R, are the residual on the block (a plain slice when x is
-    zero).  No Chinese remaindering is done: the name stays because
-    perfbench's tracer wraps it by name.
+    column b of P*R, are the residual on the block (a slice of the product's
+    coefficient array when x is zero).  No Chinese remaindering is done: the
+    name stays because perfbench's tracer wraps it by name.
     """
-    field = pmat.field
-    rhs = [
-        [field.taylor_shift(field.normalize(row[off : off + s]), -x) for row in e_rows]
-        for x, s, off in entries
-    ]
-    prod = mat_mul(pmat, PolyMatrix(field, [list(row) for row in zip(*rhs)]))
-    for b, (x, s, off) in enumerate(entries):
-        for row, prow in zip(out, prod.rows):
-            f = prow[b] if x == 0 else field.taylor_shift(prow[b], x)
-            for t in range(s):
-                row[off + t] = f[t] if t < len(f) else 0
+    length = max(s for _, s, _ in entries)
+    rhs = _np.zeros((len(e), len(entries), length), dtype=_np.int64)
+    for b, (_, s, off) in enumerate(entries):
+        rhs[:, b, :s] = e[:, off : off + s]
+    r = PolyMatrix.from_coefficients(pmat.field, rhs)
+    _shift_columns(r, entries, -1)
+    prod = mat_mul(pmat, r)
+    _shift_columns(prod, entries, 1)
+    coeffs = prod.coefficients(length)
+    for b, (_, s, off) in enumerate(entries):
+        out[:, off : off + s] = coeffs[:, b, :s]
 
 
-def residual_by_shifting(entries, pmat: PolyMatrix, e_rows, out) -> None:
+def _shift_columns(pmat: PolyMatrix, entries, sign: int) -> None:
+    """Entry f of column b becomes f(X + sign * x), x the eigenvalue of block b."""
+    for b, (x, _, _) in enumerate(entries):
+        if x:
+            for row in pmat.rows:
+                row[b] = pmat.field.taylor_shift(row[b], sign * x)
+
+
+def residual_by_shifting(entries, pmat: PolyMatrix, e, out) -> None:
     """Same as ``residual_by_crt``; the name stays for perfbench's tracer."""
-    residual_by_crt(entries, pmat, e_rows, out)
+    residual_by_crt(entries, pmat, e, out)
 
 
 def _baby_steps(top: int) -> int:
@@ -78,19 +84,14 @@ def _baby_steps(top: int) -> int:
     return isqrt(top) + 1
 
 
-def _coefficient_matrix(pmat: PolyMatrix, b: int, g: int, dt) -> _np.ndarray:
+def _coefficient_matrix(pmat: PolyMatrix, b: int, g: int) -> _np.ndarray:
     """C' with C'[i*nrows + r, k*m + c] the coefficient of X^(ib+k) in P[r][c].
 
     Row block i holds the coefficients of X^(ib) ... X^(ib+b-1), zero past
     the degree of P.
     """
-    m, nrows = pmat.ncols, pmat.nrows
-    c = _np.zeros((nrows, g * b, m), dtype=dt)
-    for r, row in enumerate(pmat.rows):
-        for col, e in enumerate(row):
-            if e:
-                c[r, : len(e), col] = e
-    return c.reshape(nrows, g, b * m).transpose(1, 0, 2).reshape(g * nrows, b * m)
+    c = pmat.coefficients(g * b).reshape(pmat.nrows, pmat.ncols, g, b)
+    return c.transpose(2, 0, 3, 1).reshape(g * pmat.nrows, b * pmat.ncols)
 
 
 def _striped_krylov(e: _np.ndarray, j: JordanRep, stripes: int) -> _np.ndarray:
@@ -120,8 +121,8 @@ def _chunks(entries, rows: int):
         yield chunk
 
 
-def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int) -> _np.ndarray:
-    """The residual on the columns of the given blocks, zero elsewhere.
+def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e, out) -> None:
+    """The residual on the columns of the given blocks, written to out.
 
     P is nonzero of degree top, and each block times the mb rows of S fits
     _CHUNK_WORDS, b = isqrt(top) + 1.  Per chunk of whole blocks, one product
@@ -132,10 +133,7 @@ def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int)
     b = _baby_steps(top)
     g = -(-(top + 1) // b)
     rows = pmat.ncols * b
-    dt = modmat._words(modmat._dtype_for(p, rows))
-    out = _np.zeros((nrows, sigma), dtype=dt)
-    e = modmat.reduce(e_rows, p, dt).reshape(len(e_rows), sigma)
-    c = _coefficient_matrix(pmat, b, g, dt)
+    c = _coefficient_matrix(pmat, b, g)
     for chunk in _chunks(entries, rows):
         cols = [off + t for _, s, off in chunk for t in range(s)]
         jc = JordanRep._derived(field, tuple((x, s) for x, s, _ in chunk))
@@ -144,30 +142,28 @@ def _residual_by_krylov(entries, pmat: PolyMatrix, top: int, e_rows, sigma: int)
         for i in range(g - 2, -1, -1):
             r = (act_power(r, jc, b) + t[i * nrows : (i + 1) * nrows]) % p
         out[:, cols] = r
-    return out
 
 
-def compute_residuals(j: JordanRep, pmat: PolyMatrix, e_rows: list[list[int]]) -> list[list[int]]:
-    """P applied to E: small blocks by the Krylov product C*S, the tail by
-    one polynomial-matrix product (``residual_by_crt``)."""
-    m = len(e_rows)
+def compute_residuals(j: JordanRep, pmat: PolyMatrix, e: _np.ndarray) -> _np.ndarray:
+    """P applied to E, an (m, order) int64 array of residues mod p: an
+    (rows of P, order) int64 array.  Small blocks go by the Krylov product
+    C*S, the tail by one polynomial-matrix product (``residual_by_crt``)."""
+    m, sigma = e.shape
     if pmat.ncols != m:
         raise ValueError("column count of P must match the row count of E")
-    sigma = j.order
-    if m and len(e_rows[0]) != sigma:
+    if sigma != j.order:
         raise ValueError("column count of E must match the Jordan order")
+    out = _np.zeros((pmat.nrows, sigma), dtype=_np.int64)
     top = pmat.degree()
-    if m == 0 or top == MINUS_INF:
-        return [[0] * sigma for _ in range(pmat.nrows)]
+    if top == MINUS_INF:
+        return out
     rows = m * _baby_steps(top)
     small, tail = [], []
     for (x, s), off in zip(j.blocks, j.offsets):
         fits = s.bit_length() <= (sigma // m).bit_length() and s * rows <= _CHUNK_WORDS
         (small if fits else tail).append((x, s, off))
-    if not small:
-        out = [[0] * sigma for _ in range(pmat.nrows)]
-    else:
-        out = _residual_by_krylov(small, pmat, top, e_rows, sigma).tolist()
+    if small:
+        _residual_by_krylov(small, pmat, top, e, out)
     if tail:
-        residual_by_crt(tail, pmat, e_rows, out)
+        residual_by_crt(tail, pmat, e, out)
     return out

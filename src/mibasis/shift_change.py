@@ -18,8 +18,8 @@ def change_shift(pmat: PolyMatrix, shift: list[int], extra: list[int]):
     if pmat.nrows != pmat.ncols:
         raise ValueError("change_shift expects a square matrix")
     m = pmat.nrows
-    check_shift(shift, m)
-    check_shift(extra, m)
+    shift = check_shift(shift, m)
+    extra = check_shift(extra, m)
     degs = shifted_row_degree(pmat, shift)
     if any(d == MINUS_INF for d in degs) or not is_reduced(pmat, shift):
         raise ValueError("input matrix must be reduced for the given shift")
@@ -30,7 +30,7 @@ def change_shift(pmat: PolyMatrix, shift: list[int], extra: list[int]):
         [[[field.p - 1] if i == j else [] for j in range(m)] for i in range(m)],
     )
     stacked = scaled.vstack(neg_ident)
-    combined_shift = [int(d) for d in degs] + list(extra)
+    combined_shift = [int(d) for d in degs] + extra
     basis, _ = minimal_nullspace_basis(stacked, combined_shift)
     if basis.nrows != m:
         raise ValueError("nullspace dimension mismatch (rank-deficient input?)")

@@ -10,6 +10,7 @@ import io
 import random
 import time
 
+import numpy as np
 import pytest
 
 from mibasis.field import MINUS_INF, PrimeField
@@ -270,7 +271,7 @@ def test_criterion_7_residual_dispatcher():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(residual, "_residual_by_krylov", spy_krylov)
                 mp.setattr(residual, "residual_by_crt", spy_tail)
-                got = residual.compute_residuals(j, p, e)
+                got = residual.compute_residuals(j, p, np.array(e)).tolist()
             assert got == oracle.naive_residual(j, p, e)
         # both paths exercised, and a tail of two distinct nonzero eigenvalues
         assert krylov_calls and tails

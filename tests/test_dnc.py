@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mibasis.field import MINUS_INF, PrimeField
 from mibasis import cli, dnc, jordan, modmat, oracle, polymat, residual
 from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
+from mibasis.linearization import lin_interp_basis
 from mibasis.polymat import PolyMatrix
 
 F97 = PrimeField(97)
@@ -178,7 +179,7 @@ def test_leaf_edge_cases(p):
     raw[0][0], raw[1][1] = -1, -p
     e[0][0], e[1][1] = p - 1, 0
     basis = reference_leaf(e, j, [0, 1, 0], field)
-    assert dnc.mbasis_jordan(raw, j, [0, 1, 0], field) == basis
+    assert interpolation_basis(raw, j, [0, 1, 0], field) == basis
     assert reference_leaf(raw, j, [0, 1, 0], field) == basis
 
 
@@ -202,13 +203,13 @@ def test_leaf_word_bound(p, words, monkeypatch):
     j = jordan.JordanRep(field, ((5, 64),))
     e = [[p - 1] * 64, [t + 1 for t in range(64)]]
     seen = []
-    reduce = modmat.reduce
+    words_for = modmat.words
 
-    def spy(mat, q, dt):
-        seen.append(dt)
-        return reduce(mat, q, dt)
+    def spy(q, terms):
+        seen.append(words_for(q, terms))
+        return seen[-1]
 
-    monkeypatch.setattr(modmat, "reduce", spy)
+    monkeypatch.setattr(modmat, "words", spy)
     basis = dnc.mbasis_jordan(e, j, [0, 10**6], field)
     assert seen == [words]
     assert basis == reference_leaf(e, j, [0, 10**6], field)
@@ -407,6 +408,38 @@ def test_non_integer_shift_rejected_at_every_order(sigma, shift):
         interpolation_basis(e, j, shift, F97)
 
 
+# hermite-pade's one nilpotent block (m = 2) is a tail block of every
+# residual; multipoint's blocks are all small, and it needs sigma < p
+# distinct points.  5p passes 2^63 at p = 2^61 - 1.
+UNREDUCED_CASES = [
+    (p, shape, sigma)
+    for p in (97, 65537, 2**31 - 1, 2**61 - 1)
+    for shape, sigma in (("hermite-pade", 300), ("multipoint", 128))
+    if shape == "hermite-pade" or sigma < p
+]
+
+
+@pytest.mark.parametrize("p, shape, sigma", UNREDUCED_CASES)
+def test_unreduced_and_ndarray_evaluations_give_the_reduced_bytes(p, shape, sigma):
+    field = PrimeField(p)
+    e, j, shift = cli._bench_instance(field, 2, sigma, random.Random(sigma), shape)
+    expected = repr(interpolation_basis(e, j, shift, field).rows)
+    for raw in ([[a + 5 * p for a in row] for row in e], [[a - p for a in row] for row in e], np.array(e)):
+        assert repr(interpolation_basis(raw, j, shift, field).rows) == expected
+
+
+def test_numpy_integer_shift_entries_are_integers():
+    j, shift = nilpotent3(), [np.int64(1), 0, np.int32(2)]
+    assert polymat.check_shift(shift, 3) == [1, 0, 2]
+    assert all(type(s) is int for s in polymat.check_shift(shift, 3))
+    assert interpolation_basis(EVALS, j, shift, F97) == interpolation_basis(EVALS, j, [1, 0, 2], F97)
+    assert lin_interp_basis(EVALS, j, shift, 4, F97) == lin_interp_basis(EVALS, j, [1, 0, 2], 4, F97)
+    assert oracle.oracle_popov(EVALS, j, shift, F97) == oracle.oracle_popov(EVALS, j, [1, 0, 2], F97)
+    for bad in ([0, 0.5, 0], [0, "1", 0], [0, -1, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            polymat.check_shift(bad, 3)
+
+
 def test_field_mismatch_rejected():
     # rows that interpolate over F_7 would not interpolate under nilpotent3
     with pytest.raises(ValueError, match="field"):
@@ -437,11 +470,11 @@ def test_right_residual_equals_right_half_of_full_residual(data):
     pmat = PolyMatrix.from_entries(
         field, [[data.draw(st.lists(eig, max_size=5)) for _ in range(m)] for _ in range(rows)]
     )
-    full = residual.compute_residuals(j, pmat, e)
-    lead, right = right_residual(j, k, pmat, e)
+    full = residual.compute_residuals(j, pmat, np.array(e))
+    lead, right = right_residual(j, k, pmat, np.array(e))
     start = max(off for off in j.offsets if off <= k)
-    assert right == [row[k:] for row in full]
-    assert lead == [row[start:k] for row in full]
+    assert np.array_equal(right, full[:, k:])
+    assert np.array_equal(lead, full[:, start:k])
 
 
 @pytest.mark.parametrize("shape, size", [("multipoint", 1024), ("rs-list", 512), ("hermite-pade", 512)])

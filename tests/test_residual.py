@@ -1,6 +1,7 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,17 +52,17 @@ def rand_pmat(rng, field, rows, cols, deg):
 
 def test_reference_basis_residual_is_zero():
     basis = PolyMatrix.from_entries(F97, REFERENCE_BASIS)
-    assert residual.compute_residuals(nilpotent3(), basis, EVALS) == [[0, 0, 0]] * 3
+    assert residual.compute_residuals(nilpotent3(), basis, np.array(EVALS)).tolist() == [[0, 0, 0]] * 3
 
 
 def test_identity_residual_returns_evals():
     ident = PolyMatrix.identity(F97, 3)
-    assert residual.compute_residuals(nilpotent3(), ident, EVALS) == EVALS
+    assert residual.compute_residuals(nilpotent3(), ident, np.array(EVALS)).tolist() == EVALS
 
 
 def test_single_row_dependency_vanishes():
     row = PolyMatrix.from_entries(F97, [[[96], [96], [1]]])
-    assert residual.compute_residuals(nilpotent3(), row, EVALS) == [[0, 0, 0]]
+    assert residual.compute_residuals(nilpotent3(), row, np.array(EVALS)).tolist() == [[0, 0, 0]]
 
 
 def spy_paths(mp):
@@ -97,7 +98,7 @@ def test_paths_partition_all_columns():
             continue
         with pytest.MonkeyPatch.context() as mp:
             seen = spy_paths(mp)
-            got = residual.compute_residuals(j, p, e)
+            got = residual.compute_residuals(j, p, np.array(e)).tolist()
         assert got == oracle.naive_residual(j, p, e)
         krylov = [entry for call in seen["krylov"] for entry in call]
         tail = [entry for call in seen["tail"] for entry in call]
@@ -117,9 +118,9 @@ def test_shift_strategy_single_eigenvalue_zero():
     j = jordan.JordanRep(F7, ((0, 2),) * 3)
     e = [[rng.randrange(7) for _ in range(6)] for _ in range(2)]
     p = rand_pmat(rng, F7, 2, 2, 2)
-    out = [[0] * 6 for _ in range(2)]
-    residual.residual_by_shifting([(0, 2, 0), (0, 2, 2), (0, 2, 4)], p, e, out)
-    assert out == oracle.naive_residual(j, p, e)
+    out = np.zeros((2, 6), dtype=np.int64)
+    residual.residual_by_shifting([(0, 2, 0), (0, 2, 2), (0, 2, 4)], p, np.array(e), out)
+    assert out.tolist() == oracle.naive_residual(j, p, e)
 
 
 def test_shift_strategy_constant_p():
@@ -127,9 +128,9 @@ def test_shift_strategy_constant_p():
     j = jordan.JordanRep(F7, ((3, 2),) * 4)
     e = [[rng.randrange(7) for _ in range(8)] for _ in range(2)]
     p = PolyMatrix.from_entries(F7, [[[2], [1]], [[0], [5]]])
-    out = [[0] * 8 for _ in range(2)]
-    residual.residual_by_shifting(list(zip([3] * 4, [2] * 4, [0, 2, 4, 6])), p, e, out)
-    assert out == oracle.naive_residual(j, p, e)
+    out = np.zeros((2, 8), dtype=np.int64)
+    residual.residual_by_shifting(list(zip([3] * 4, [2] * 4, [0, 2, 4, 6])), p, np.array(e), out)
+    assert out.tolist() == oracle.naive_residual(j, p, e)
 
 
 def test_crt_strategy_distinct_points_constant_p():
@@ -138,11 +139,11 @@ def test_crt_strategy_distinct_points_constant_p():
     j = jordan.JordanRep(F7, tuple((x, 1) for x in pts))
     e = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
     p = PolyMatrix.from_entries(F7, [[[2], [0], [1]], [[3], [1], []], [[], [], [4]]])
-    out = [[0] * 4 for _ in range(3)]
+    out = np.zeros((3, 4), dtype=np.int64)
     residual.residual_by_crt(
-        [(x, 1, i) for i, x in enumerate(j.blocks and [b[0] for b in j.blocks])], p, e, out
+        [(x, 1, i) for i, x in enumerate(j.blocks and [b[0] for b in j.blocks])], p, np.array(e), out
     )
-    assert out == oracle.naive_residual(j, p, e)
+    assert out.tolist() == oracle.naive_residual(j, p, e)
 
 
 def test_crt_equals_shift_on_single_nilpotent_block():
@@ -152,9 +153,9 @@ def test_crt_equals_shift_on_single_nilpotent_block():
     p = rand_pmat(rng, F7, 2, 2, 3)
     expected = oracle.naive_residual(j, p, e)
     for path in (residual.residual_by_shifting, residual.residual_by_crt):
-        out = [[0] * 5 for _ in range(2)]
-        path([(0, 5, 0)], p, e, out)
-        assert out == expected
+        out = np.zeros((2, 5), dtype=np.int64)
+        path([(0, 5, 0)], p, np.array(e), out)
+        assert out.tolist() == expected
 
 
 @pytest.mark.parametrize("p", [7, 65537, 2**61 - 1])
@@ -172,15 +173,14 @@ def test_tail_of_distinct_nonzero_eigenvalues_one_repeated(p):
     expected = oracle.naive_residual(j, pmat, e)
     tail = [(3, 9, 0), (5, 12, 10), (3, 8, 22)]
     for path in (residual.residual_by_crt, residual.residual_by_shifting):
-        out = [row[:] for row in expected]
-        for row in out:
-            for _, s, off in tail:
-                row[off : off + s] = [0] * s
-        path(tail, pmat, e, out)
-        assert out == expected
+        out = np.array(expected)
+        for _, s, off in tail:
+            out[:, off : off + s] = 0
+        path(tail, pmat, np.array(e), out)
+        assert out.tolist() == expected
     with pytest.MonkeyPatch.context() as mp:
         seen = spy_paths(mp)
-        assert residual.compute_residuals(j, pmat, e) == expected
+        assert residual.compute_residuals(j, pmat, np.array(e)).tolist() == expected
     assert seen == {"krylov": [[(6, 1, 9)]], "tail": [tail]}
 
 
@@ -189,7 +189,7 @@ def test_crt_strategy_mixed_bucket():
     j = jordan.JordanRep(F97, ((3, 2), (3, 2), (11, 2), (20, 1)))
     e = [[rng.randrange(97) for _ in range(7)] for _ in range(2)]
     p = rand_pmat(rng, F97, 2, 2, 3)
-    got = residual.compute_residuals(j, p, e)
+    got = residual.compute_residuals(j, p, np.array(e)).tolist()
     assert got == oracle.naive_residual(j, p, e)
 
 
@@ -224,7 +224,7 @@ def test_dispatcher_covers_both_paths_and_matches_naive(p):
         sigma = j.order
         e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
         pmat = rand_pmat(rng, field, m, m, 3)
-        assert residual.compute_residuals(j, pmat, e) == oracle.naive_residual(j, pmat, e)
+        assert residual.compute_residuals(j, pmat, np.array(e)).tolist() == oracle.naive_residual(j, pmat, e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,7 +255,7 @@ def test_krylov_chunks_match_naive(data):
     width = data.draw(st.integers(1, 6))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residual, "_CHUNK_WORDS", m * (isqrt(max(top, 0)) + 1) * width)
-        got = residual.compute_residuals(j, pmat, e)
+        got = residual.compute_residuals(j, pmat, np.array(e)).tolist()
     assert got == oracle.naive_residual(j, pmat, e)
 
 
@@ -293,7 +293,7 @@ def test_paterson_stockmeyer_matches_naive(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(residual, "_CHUNK_WORDS", m * b * width)
         mp.setattr(residual, "_striped_krylov", spy)
-        got = residual.compute_residuals(j, pmat, e)
+        got = residual.compute_residuals(j, pmat, np.array(e)).tolist()
     assert got == oracle.naive_residual(j, pmat, e)
     assert set(asked) <= {b}
     small = sum(s for _, s in blocks if s.bit_length() <= (sigma // m).bit_length())
@@ -309,12 +309,12 @@ def test_linearity_in_p():
         e = [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
         p1 = rand_pmat(rng, F97, m, m, 2)
         p2 = rand_pmat(rng, F97, m, m, 2)
-        r1 = residual.compute_residuals(j, p1, e)
-        r2 = residual.compute_residuals(j, p2, e)
+        r1 = residual.compute_residuals(j, p1, np.array(e)).tolist()
+        r2 = residual.compute_residuals(j, p2, np.array(e)).tolist()
         psum = PolyMatrix(
             F97, [list(map(F97.poly_add, ra, rb)) for ra, rb in zip(p1.rows, p2.rows)]
         )
-        rsum = residual.compute_residuals(j, psum, e)
+        rsum = residual.compute_residuals(j, psum, np.array(e)).tolist()
         assert rsum == [
             [(a + b) % 97 for a, b in zip(ra, rb)] for ra, rb in zip(r1, r2)
         ]
@@ -323,4 +323,4 @@ def test_linearity_in_p():
 def test_dimension_mismatch_rejected():
     p = PolyMatrix.identity(F97, 2)
     with pytest.raises(ValueError):
-        residual.compute_residuals(nilpotent3(), p, EVALS)
+        residual.compute_residuals(nilpotent3(), p, np.array(EVALS))

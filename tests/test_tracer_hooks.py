@@ -12,14 +12,17 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import mibasis as mb
 from mibasis import dnc, jordan
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    """perfbench's module `name`, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -35,7 +38,7 @@ def lookup(qual):
 
 
 def test_tracer_installs_on_every_traced_name_and_restores_it():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     originals = {qual: lookup(qual) for qual in tracer.LAYERS}
     leaf = dnc.lin_interp_basis
     methods = {meth: vars(mb.PrimeField)[meth] for meth in tracer.FIELD_METHODS}
@@ -52,7 +55,7 @@ def test_tracer_installs_on_every_traced_name_and_restores_it():
 
 def traced_stats(solve):
     """Per-layer stats of the benchmark's tracer over one call of solve."""
-    tr = load_tracer().Tracer()
+    tr = load_perfbench("tracer").Tracer()
     with tr.installed():
         tr.recording = True
         try:
@@ -92,3 +95,39 @@ def test_jordan_lin_eliminates_once_per_doubling_step_and_not_to_solve():
     e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
     assert stats["modmat.rref"].calls == 1
+
+
+# One solve of perfbench's seed-7 instance 0 of each Jordan workload: the
+# nonzero per-layer call counts.  hermite-pade (sigma = 256, two leaves) takes
+# one node residual and the final check, each one tail product, and one
+# product of the halves; its blocks have eigenvalue 0, so no Taylor shift
+# runs.  multipoint (sigma = 128, one leaf) takes only the final check, by
+# the Krylov product: ceil(log2 b) doublings and g - 1 giant steps of
+# act_power.  rs-list (sigma = 156, m = 5, one cut) takes two Krylov
+# residuals and one product of the halves.
+DNC_CALLS = {
+    "hermite-pade": {
+        "polymat.mat_mul": 3,
+        "residual.compute_residuals": 2,
+        "residual.residual_by_crt": 2,
+        "unbalanced.unbalanced_mul": 1,
+    },
+    "multipoint": {"jordan.act_power": 8, "modmat.mat_mul": 1, "residual.compute_residuals": 1},
+    "rs-list": {
+        "jordan.act_power": 19,
+        "modmat.mat_mul": 2,
+        "polymat.mat_mul": 1,
+        "reductions.multivariate_instance": 1,
+        "residual.compute_residuals": 2,
+        "unbalanced.unbalanced_mul": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", DNC_CALLS)
+def test_dnc_shapes_call_each_layer_as_pinned(name):
+    workloads = load_perfbench("workloads")
+    workload = workloads.WORKLOADS[name]
+    pool, _ = workloads.build_pool(workload, 7)
+    stats = traced_stats(lambda: workload.solve(pool[0]))
+    assert {layer: s.calls for layer, s in stats.items() if s.calls} == DNC_CALLS[name]
