@@ -1,9 +1,12 @@
 """Command line front-end.
 
 Subcommands build instances from text documents (see textio), run one of
-the engines, and write results back in the same format.  Exit codes:
-0 success (and passing checks), 1 domain error, failing check or failed
-internal invariant (no traceback), 2 usage error.
+the engines, and write results back in the same format.  ``_read`` reads
+each input a flag may name: the first section of its kind in the named
+file, which must have the main input's prime, or else the main input's
+section of that kind at a fixed index.  Exit codes: 0 success (and
+passing checks), 1 domain error, failing check or failed internal
+invariant (no traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,52 +49,56 @@ def _emit(doc: Document, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _same_prime(*docs: Document) -> int:
-    ps = {d.p for d in docs}
-    if len(ps) != 1:
+def _load_beside(path: str, doc: Document) -> Document:
+    """The document at path, which must have doc's prime."""
+    other = _load(path)
+    if other.p != doc.p:
         raise ValueError("input files disagree on the field prime")
-    return ps.pop()
+    return other
+
+
+def _read(path: str | None, doc: Document, kind: str, skip: int = 0, default=None):
+    """The data of a `kind` section: the first one in the file at path, or
+    without a path doc's section of that kind at index skip (default when
+    doc has none there and a default is given)."""
+    if path:
+        return _load_beside(path, doc).first(kind)
+    if default is not None and len([s for s in doc.sections if s.kind == kind]) <= skip:
+        return default
+    return doc.first(kind, skip)
 
 
 def _mulmat_from(args, edoc: Document, field: PrimeField, evals):
     """The multiplication matrix from --dense-mulmat, --jordan or the
     evaluations document edoc, checked against the evaluations."""
     if args.dense_mulmat:
-        mdoc = _load(args.dense_mulmat)
-        _same_prime(edoc, mdoc)
+        mdoc = _load_beside(args.dense_mulmat, edoc)
         mulmat = mdoc.first("mat", skip=1 if args.dense_mulmat == args.evals else 0)
     else:
-        jdoc = _load(args.jordan) if args.jordan else edoc
-        if args.jordan:
-            _same_prime(edoc, jdoc)
-        mulmat = JordanRep(field, tuple(jdoc.first("jordan")))
-    jordan.check_evaluations(evals, mulmat)
+        mulmat = JordanRep(field, tuple(_read(args.jordan, edoc, "jordan")))
+    jordan.check_evaluations(evals, mulmat, field)
     return mulmat
 
 
 def _krylov_delta(mulmat, sigma: int) -> int:
     """Smallest power of two bounding the degree of M's minimal polynomial."""
-    if isinstance(mulmat, JordanRep):
-        bound = jordan.minpoly_degree(mulmat)
-    else:
-        bound = max(sigma, 1)
-    delta = 1
-    while delta < bound:
-        delta *= 2
-    return delta
+    bound = jordan.minpoly_degree(mulmat) if isinstance(mulmat, JordanRep) else sigma
+    return 1 << max(bound - 1, 0).bit_length()
+
+
+def _solve(engine: str, evals, mulmat, shift, field: PrimeField) -> PolyMatrix:
+    """The basis of one engine, dnc, lin (at _krylov_delta) or oracle."""
+    if engine == "dnc":
+        return interpolation_basis(evals, mulmat, shift, field)
+    if engine == "lin":
+        delta = _krylov_delta(mulmat, len(evals[0]) if len(evals) else 0)
+        return lin_interp_basis(evals, mulmat, shift, delta, field)[0]
+    return oracle.oracle_popov(evals, mulmat, shift, field)[0]
 
 
 def _shift_from(args, doc: Document, m: int, skip: int = 0) -> list[int]:
-    """Shift from --shift (first section) or the bundled document (index skip)."""
-    if args.shift:
-        sdoc = _load(args.shift)
-        _same_prime(sdoc, doc)
-        shift = sdoc.first("shift")
-    else:
-        try:
-            shift = doc.first("shift", skip)
-        except ValueError:
-            shift = [0] * m
+    """Shift from --shift or the bundled document (index skip), zero if neither."""
+    shift = _read(args.shift, doc, "shift", skip, [0] * m)
     if len(shift) != m:
         raise ValueError("shift length does not match the row count")
     return list(shift)
@@ -106,24 +113,9 @@ def _cmd_interp(args) -> int:
     if args.dense_mulmat and args.algo == "dnc":
         raise UsageError("--algo dnc requires a Jordan multiplication matrix")
     mulmat = _mulmat_from(args, doc, field, evals)
-    if args.algo == "dnc":
-        basis = interpolation_basis(evals, mulmat, shift, field)
-    elif args.algo == "lin":
-        delta = _krylov_delta(mulmat, len(evals[0]) if evals else 0)
-        basis, _ = lin_interp_basis(evals, mulmat, shift, delta, field)
-    else:
-        basis, _ = oracle.oracle_popov(evals, mulmat, shift, field)
+    basis = _solve(args.algo, evals, mulmat, shift, field)
     _emit(Document(field.p, [textio.polymat_section(basis)]), args.output)
     return 0
-
-
-def _orders_from(args, doc: Document) -> list[int]:
-    """Orders from --orders (first shift section) or the bundled document."""
-    if args.orders:
-        odoc = _load(args.orders)
-        _same_prime(odoc, doc)
-        return list(odoc.first("shift"))
-    return list(doc.first("shift", 0))
 
 
 def _cmd_hermite_pade(args) -> int:
@@ -131,7 +123,7 @@ def _cmd_hermite_pade(args) -> int:
     doc = _load(args.input)
     field = doc.field()
     fmat = textio.polymat_from_section(doc.section("polymat"), field)
-    orders = _orders_from(args, doc)
+    orders = _read(args.orders, doc, "shift")
     shift = _shift_from(args, doc, fmat.nrows, skip=0 if args.orders else 1)
     inst = reductions.hermite_pade_instance(fmat, orders)
     basis = interpolation_basis(inst.evals, inst.mulmat, shift, field)
@@ -145,7 +137,7 @@ def _cmd_mpade(args) -> int:
     field = doc.field()
     fmat = textio.polymat_from_section(doc.section("polymat"), field)
     points = doc.first("mat")[0]
-    orders = _orders_from(args, doc)
+    orders = _read(args.orders, doc, "shift")
     shift = _shift_from(args, doc, fmat.nrows, skip=0 if args.orders else 1)
     inst = reductions.mpade_instance(fmat, points, orders)
     basis = interpolation_basis(inst.evals, inst.mulmat, shift, field)
@@ -187,9 +179,7 @@ def _cmd_rs_interp(args) -> int:
     pts = [(row[0], row[1]) for row in doc.first("mat")]
     mults = [args.multiplicity] * len(pts)
     if args.mult_file:
-        mdoc = _load(args.mult_file)
-        _same_prime(doc, mdoc)
-        mults = list(mdoc.first("shift"))
+        mults = _read(args.mult_file, doc, "shift")
     sigma = sum(b * (b + 1) // 2 for b in mults)
     m = args.list_size or reductions.guruswami_sudan_list_size(sigma, args.weight)
     res = reductions.rs_interpolation(field, pts, mults, args.weight, m)
@@ -223,18 +213,8 @@ def _cmd_shift_change(args) -> int:
     doc = _load(args.input)
     field = doc.field()
     pmat = textio.polymat_from_section(doc.section("polymat"), field)
-    if args.shift:
-        sdoc = _load(args.shift)
-        _same_prime(doc, sdoc)
-        base = list(sdoc.first("shift"))
-    else:
-        base = list(doc.first("shift", 0))
-    if args.target:
-        tdoc = _load(args.target)
-        _same_prime(doc, tdoc)
-        extra = list(tdoc.first("shift"))
-    else:
-        extra = list(doc.first("shift", 0 if args.shift else 1))
+    base = _read(args.shift, doc, "shift")
+    extra = _read(args.target, doc, "shift", 0 if args.shift else 1)
     reduced, transform = change_shift(pmat, base, extra)
     sections = [textio.polymat_section(reduced)]
     if args.with_transform:
@@ -259,17 +239,16 @@ def _cmd_check(args) -> int:
             raise UsageError(f"check --{args.mode} requires --evals")
         if args.mode == "equiv" and not args.matrix2:
             raise UsageError("check --equiv requires --matrix2")
-        edoc = _load(args.evals)
-        _same_prime(doc, edoc)
+        edoc = _load_beside(args.evals, doc)
         evals = edoc.first("mat")
         mulmat = _mulmat_from(args, edoc, field, evals)
         if args.mode == "interpolant":
             res = oracle.naive_residual(mulmat, mat, evals)
             ok = all(not any(row) for row in res)
         else:
-            odoc = _load(args.matrix2)
-            _same_prime(doc, odoc)
-            other = textio.polymat_from_section(odoc.section("polymat"), field)
+            other = textio.polymat_from_section(
+                _load_beside(args.matrix2, doc).section("polymat"), field
+            )
             shift = _shift_from(args, edoc, mat.nrows)
             ok = oracle.module_equivalent(mat, other, evals, mulmat, shift)
     print("ok" if ok else "failed")
@@ -347,14 +326,6 @@ def _cmd_bench(args) -> int:
         raise UsageError("--repeats must be at least 1")
     rng = random.Random(args.seed)
 
-    def solve(engine, evals, mulmat, shift, sigma):
-        if engine == "dnc":
-            interpolation_basis(evals, mulmat, shift, field)
-        elif engine == "lin":
-            lin_interp_basis(evals, mulmat, shift, _krylov_delta(mulmat, sigma), field)
-        else:
-            oracle.oracle_popov(evals, mulmat, shift, field)
-
     print("engine,m,sigma,seconds")
     for n, size in enumerate(sizes):
         evals, mulmat, shift = _bench_instance(field, args.m, size, rng, args.shape)
@@ -364,12 +335,12 @@ def _cmd_bench(args) -> int:
             # untimed warm-up: the first solves of a process pay for imports,
             # numpy's first calls and cold caches
             for engine in engines:
-                solve(engine, evals, mulmat, shift, sigma)
+                _solve(engine, evals, mulmat, shift, field)
         for engine in engines:
             times = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                solve(engine, evals, mulmat, shift, sigma)
+                _solve(engine, evals, mulmat, shift, field)
                 times.append(time.perf_counter() - start)
             print(f"{engine},{m},{sigma},{statistics.median(times):.6f}")
             sys.stdout.flush()

@@ -31,7 +31,6 @@ arrays only through ``PolyMatrix.coefficients`` and ``from_coefficients``.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 
 import numpy as _np
@@ -40,7 +39,7 @@ from . import modmat
 from .field import PrimeField
 from .jordan import JordanRep, check_evaluations, split
 from .linearization import lin_interp_basis  # noqa: F401  (perfbench's tracer wraps this name)
-from .polymat import PolyMatrix, shifted_row_degree
+from .polymat import PolyMatrix, normalized_shift, shifted_row_degree
 from .residual import compute_residuals
 from .unbalanced import unbalanced_mul
 
@@ -182,25 +181,17 @@ def interpolation_basis_rec(e, j: JordanRep, shift: list[int], field: PrimeField
 def interpolation_basis(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     """Shift-minimal interpolation basis for a Jordan instance.
 
-    E, rows of integers (past int64 only where p needs object words), is
-    reduced mod p here, once.  After normalizing the shift to minimum zero,
-    the shifted row degree sum is at most order + sum of that shift.  One
-    full residual of the output, which must vanish, checks every row here,
-    and AssertionError reports a basis that does not interpolate.  A shift
-    of the wrong length or with a non-integer entry raises ValueError.
+    E, integers of any size, is reduced mod p here, once, and the shift,
+    any integers, normalized to minimum zero; the shifted row degree sum is
+    at most order + sum of that shift.  One full residual of the output,
+    which must vanish, checks every row here, and AssertionError reports a
+    basis that does not interpolate.  Malformed inputs raise the ValueError
+    of ``check_evaluations`` and ``normalized_shift``, as in lin and oracle.
     """
-    check_evaluations(e_rows, j)
-    if field != j.field:
-        raise ValueError("field does not match the Jordan matrix")
-    if len(shift) != len(e_rows):
-        raise ValueError("one shift entry per row required")
-    try:
-        shift = [operator.index(s) for s in shift]
-    except TypeError:
-        raise ValueError("shift entries must be integers") from None
-    e = modmat.reduce(e_rows, field.p, modmat.words(field.p, j.order)).astype(_np.int64)
-    smin = min(shift)
-    basis = interpolation_basis_rec(e, j, [s - smin for s in shift], field)
+    check_evaluations(e_rows, j, field)
+    shift = normalized_shift(shift, len(e_rows))
+    e = modmat.reduce(e_rows, field.p, _np.int64)
+    basis = interpolation_basis_rec(e, j, shift, field)
     if compute_residuals(j, basis, e).any():
         raise AssertionError("basis does not interpolate the evaluations")
     return basis

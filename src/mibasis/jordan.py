@@ -95,12 +95,20 @@ class JordanRep:
         return _ColumnTable(eig, pos, nilpotent, top)
 
 
-def check_evaluations(e_rows, mulmat) -> None:
-    """The engines' domain checks on E: at least one row, and as many
-    columns as the order of M, a JordanRep or a dense list of rows."""
+def check_evaluations(e_rows, mulmat, field: PrimeField) -> None:
+    """The engines' domain checks on E and M: at least one row of E, M a
+    JordanRep over field or a square dense matrix, and as many columns in E
+    as the order of M.  dnc, lin and the oracle raise the same ValueError."""
     if not len(e_rows):
         raise ValueError("at least one evaluation row is required")
-    order = mulmat.order if isinstance(mulmat, JordanRep) else len(mulmat)
+    if isinstance(mulmat, JordanRep):
+        if mulmat.field != field:
+            raise ValueError("field does not match the Jordan matrix")
+        order = mulmat.order
+    else:
+        order = len(mulmat)
+        if any(len(row) != order for row in mulmat):
+            raise ValueError("a dense multiplication matrix must be square")
     if any(len(row) != order for row in e_rows):
         raise ValueError("column count of E must match the order of M")
 

@@ -35,7 +35,7 @@ import numpy as _np
 from . import jordan as _jordan
 from . import modmat
 from .field import PrimeField
-from .polymat import PolyMatrix, check_shift
+from .polymat import PolyMatrix, normalized_shift
 
 
 def priority_index(shift: list[int], delta: int, c: int, d: int) -> int:
@@ -79,15 +79,18 @@ def _validate_delta(delta: int, sigma: int) -> None:
         raise ValueError("delta must be a power of two in {1, ..., max(2*sigma-1, 1)}")
 
 
-def _operands(e_rows, mulmat, p: int):
-    """E reduced mod p in modmat's words; a dense M reduced mod p in the
-    dtype of its products (so that no product converts it again)."""
-    _jordan.check_evaluations(e_rows, mulmat)
-    sigma = modmat._dims(e_rows)[1]
-    e = modmat.reduce(e_rows, p, modmat.words(p, sigma)).reshape(len(e_rows), sigma)
-    if isinstance(mulmat, _jordan.JordanRep):
-        return e, mulmat
-    return e, modmat.reduce(mulmat, p, modmat._dtype_for(p, sigma))
+def _operands(e_rows, mulmat, shift, field: PrimeField):
+    """The checked inputs: E reduced mod p in modmat's words, a dense M
+    reduced mod p in the dtype of its products (so that no product converts
+    it again), and the normalized shift."""
+    _jordan.check_evaluations(e_rows, mulmat, field)
+    shift = normalized_shift(shift, len(e_rows))
+    p = field.p
+    sigma = len(e_rows[0])
+    e = modmat.reduce(e_rows, p, modmat.words(p, sigma))
+    if not isinstance(mulmat, _jordan.JordanRep):
+        mulmat = modmat.reduce(mulmat, p, modmat._dtype_for(p, sigma))
+    return e, mulmat, shift
 
 
 def _rows_times_power(rows, mulmat, step, p, pow_cache):
@@ -135,20 +138,16 @@ def krylov_rank_profile(
     d_c = D - 1 and sorts no earlier than the next step's row (c, D), so it
     follows rows spanning F^sigma and is dependent as well.
 
-    `row_indices` refer to the degree-delta row ordering.  E and a dense
-    M are lists of rows, reduced and converted here, or arrays already
-    reduced mod p as lin_interp_basis passes them.
+    `row_indices` refer to the degree-delta row ordering.  E, a dense M and
+    the shift are checked and converted here, unless E is an array, as
+    lin_interp_basis passes its own checked and converted inputs.
     """
-    if isinstance(mulmat, _jordan.JordanRep) and mulmat.field != field:
-        raise ValueError("field does not match the Jordan matrix")
     p = field.p
-    if isinstance(e_rows, _np.ndarray):
-        e = e_rows
-    else:
-        e, mulmat = _operands(e_rows, mulmat, p)
+    e = e_rows
+    if not isinstance(e, _np.ndarray):
+        e, mulmat, shift = _operands(e, mulmat, shift, field)
     m, sigma = e.shape
     _validate_delta(delta, sigma)
-    shift = check_shift(shift, m)
 
     def key(cd):
         return (shift[cd[0]] + cd[1], cd[0])
@@ -231,9 +230,11 @@ def lin_interp_basis(
     of the output column degrees is at most the column count of E.  Raises
     ValueError when a target row is not in the span of the profile rows,
     as when delta does not bound the degree of M's minimal polynomial.
+    E may hold integers of any size and the shift any integers, as in dnc
+    and the oracle, with the same domain errors.
     """
     p = field.p
-    e, mulmat = _operands(e_rows, mulmat, p)
+    e, mulmat, shift = _operands(e_rows, mulmat, shift, field)
     m = len(e)
     profile = krylov_rank_profile(e, mulmat, shift, delta, field)
     mindeg = minimal_degree(profile, m)

@@ -40,13 +40,20 @@ def words(p: int, terms: int):
 
 
 def reduce(mat, p: int, dt) -> _np.ndarray:
-    """mat mod p as an array of dtype dt.
+    """mat mod p as an array of dtype dt (object: of Python integers).
 
-    Exact for any integer entries that fit int64 words, and for any Python
-    integers when dt is object; larger entries raise OverflowError.
+    Exact for any integer entries: Python integers of any size, and numpy
+    arrays of any integer dtype.  Entries that fit int64 words take one
+    int64 conversion; larger ones are reduced as Python integers, and an
+    unsigned array in its own words, where int64 would wrap them.
     """
-    wd = object if dt is object else _np.int64
-    return (_np.asarray(mat, dtype=wd) % p).astype(dt, copy=False)
+    if isinstance(mat, _np.ndarray) and mat.dtype.kind == "u":
+        mat = mat % p
+    try:
+        res = _np.asarray(mat, dtype=_np.int64) % p
+    except OverflowError:
+        res = (_np.asarray(mat, dtype=object) % p).astype(_np.int64)
+    return res.astype(dt, copy=False)
 
 
 def _dims(mat) -> tuple[int, int]:

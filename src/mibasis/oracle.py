@@ -14,9 +14,9 @@ from . import modmat
 from .field import MINUS_INF, PrimeField
 from .polymat import (
     PolyMatrix,
-    check_shift,
     degree_sum,
     is_reduced,
+    normalized_shift,
     shifted_row_degree,
 )
 
@@ -33,7 +33,7 @@ def _striped_rows(e_rows, dense, delta: int, p: int):
     An int64 array, or an object array of Python integers for primes where
     the products overflow int64.
     """
-    sigma = len(e_rows[0]) if e_rows else 0
+    sigma = len(dense)
     dt = modmat._dtype_for(p, sigma)
     mat = modmat.reduce(dense, p, dt).reshape(sigma, sigma)
     cur = modmat.reduce(e_rows, p, dt)
@@ -72,11 +72,12 @@ def oracle_popov(
     shift: list[int],
     field: PrimeField,
 ) -> tuple[PolyMatrix, list[int]]:
-    """Shifted Popov interpolation basis by full-matrix Gaussian elimination."""
-    _jordan.check_evaluations(e_rows, mulmat)
+    """Shifted Popov interpolation basis by full-matrix Gaussian elimination;
+    its inputs and domain errors are those of dnc and lin."""
+    _jordan.check_evaluations(e_rows, mulmat, field)
     m = len(e_rows)
     sigma = len(e_rows[0])
-    shift = check_shift(shift, m)
+    shift = normalized_shift(shift, m)
     delta = max(sigma, 1)
     pairs = _priority_pairs(shift, m, delta)
     stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)

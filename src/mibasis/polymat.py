@@ -131,17 +131,27 @@ class PolyMatrix:
         return PolyMatrix(self.field, out, self.ncols)
 
 
-def check_shift(shift, ncols: int) -> list[int]:
-    """The shift as Python ints; ValueError unless ncols nonnegative integers."""
+def normalized_shift(shift, ncols: int) -> list[int]:
+    """The shift as Python ints less their minimum, as the engines take it:
+    s-Popov forms and s-reduced degrees do not change when a constant is
+    added to s.  ValueError unless ncols integers."""
     if len(shift) != ncols:
         raise ValueError(f"the shift needs {ncols} entries")
     try:
         shift = [operator.index(s) for s in shift]
     except TypeError:
-        raise ValueError("shift entries must be nonnegative integers") from None
-    if any(s < 0 for s in shift):
+        raise ValueError("shift entries must be integers") from None
+    low = min(shift, default=0)
+    return [s - low for s in shift]
+
+
+def check_shift(shift, ncols: int) -> list[int]:
+    """The shift as Python ints; ValueError unless ncols nonnegative integers."""
+    relative = normalized_shift(shift, ncols)
+    low = operator.index(min(shift, default=0))
+    if low < 0:
         raise ValueError("shift entries must be nonnegative integers")
-    return shift
+    return [s + low for s in relative]
 
 
 def row_degree(row: list[list[int]], shift: list[int]):
@@ -265,24 +275,17 @@ def naive_mul(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(f, out, a.ncols)
 
 
-def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix, trunc: int | None) -> PolyMatrix:
+def _mat_mul_kron(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
     """Kronecker substitution: pack each entry once, sum products as integers."""
     f = b.field
     p = f.p
     terms = int(min(b.degree(), a.degree())) + 1
     width = digit_bytes(b.ncols * terms * (p - 1) * (p - 1))
     cols = list(zip(*[[kron_pack(e, width) for e in row] for row in a.rows]))
-    mask = None if trunc is None else (1 << (8 * width * max(trunc, 0))) - 1
     rows = []
     for brow in b.rows:
         packed = [kron_pack(e, width) for e in brow]
-        orow = []
-        for col in cols:
-            acc = sum(map(operator.mul, packed, col))
-            if mask is not None:
-                acc &= mask
-            orow.append(kron_unpack(acc, width, p))
-        rows.append(orow)
+        rows.append([kron_unpack(sum(map(operator.mul, packed, col)), width, p) for col in cols])
     return PolyMatrix(f, rows, a.ncols)
 
 
@@ -365,15 +368,15 @@ def _weight_spectra(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, n: int, widt
     return sums
 
 
-def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: int, width: int, count: int):
-    """b*a mod X^size, the entries of b and a cut to lb and la coefficients,
-    by one batched float64 FFT of their limbs over n points (see fft_limbs).
+def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, n: int, width: int, count: int):
+    """b*a, the entries of b and a of at most lb and la coefficients, by one
+    batched float64 FFT of their limbs over n points (see fft_limbs).
     The limb sums are transformed back, rounded and recombined mod p one
     weight at a time, highest first, so only one weight is held in float64."""
     p = b.field.p
     out = None
     for sums in _weight_spectra(b, a, lb, la, n, width, count)[::-1]:
-        vals = _np.fft.irfft(sums, n, axis=-1)[..., :size]
+        vals = _np.fft.irfft(sums, n, axis=-1)[..., : lb + la - 1]
         digits = _np.rint(vals)
         if _np.abs(vals - digits).max() > 0.25:
             raise ArithmeticError("FFT product exceeded its certified round-off")
@@ -382,19 +385,19 @@ def _mat_mul_fft(b: PolyMatrix, a: PolyMatrix, lb: int, la: int, size: int, n: i
     return PolyMatrix.from_coefficients(b.field, out)
 
 
-def _stored(rows, length: int) -> int:
-    """Coefficients of the entries of `rows`, each cut to `length`."""
-    return sum(min(len(e), length) for row in rows for e in row)
+def _stored(rows) -> int:
+    """Coefficients of the entries of `rows`."""
+    return sum(len(e) for row in rows for e in row)
 
 
-def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatrix:
-    """Product b*a, mod X^trunc when trunc is given.
+def mat_mul(b: PolyMatrix, a: PolyMatrix) -> PolyMatrix:
+    """Product b*a.
 
     One batched float64 FFT over n points, n the power of two at or above
-    the product length (both cut to trunc): every entry is padded to the
-    longest entry of its operand and transformed once per limb, the inner
-    products run as one einsum over the n/2 + 1 frequencies, and each output
-    entry is transformed back once per limb weight.  With L limbs, the cost
+    the product length: every entry is padded to the longest entry of its
+    operand and transformed once per limb, the inner products run as one
+    einsum over the n/2 + 1 frequencies, and each output entry is
+    transformed back once per limb weight.  With L limbs, the cost
     is L (rows*inner + inner*cols) + (2L - 1) rows*cols real transforms of
     n points and L^2 rows*inner*cols*(n/2 + 1) complex products, whatever
     the degrees of the shorter entries: a low-degree row costs as much as
@@ -409,17 +412,14 @@ def mat_mul(b: PolyMatrix, a: PolyMatrix, trunc: int | None = None) -> PolyMatri
     if b.ncols != a.nrows:
         raise ValueError("dimension mismatch in mat_mul")
     db, da = b.degree(), a.degree()
-    if db == MINUS_INF or da == MINUS_INF or (trunc is not None and trunc <= 0):
+    if db == MINUS_INF or da == MINUS_INF:
         return PolyMatrix.zeros(b.field, b.nrows, a.ncols)
     lb, la = int(db) + 1, int(da) + 1
-    size = lb + la - 1
-    if trunc is not None:
-        lb, la, size = min(lb, trunc), min(la, trunc), min(size, trunc)
     padded = b.nrows * b.ncols * lb + a.nrows * a.ncols * la
-    if padded >= FFT_MAX_PADDING * (_stored(b.rows, lb) + _stored(a.rows, la)):
-        return _mat_mul_kron(b, a, trunc)
+    if padded >= FFT_MAX_PADDING * (_stored(b.rows) + _stored(a.rows)):
+        return _mat_mul_kron(b, a)
     n = 1 << (lb + la - 2).bit_length()
     limbs = fft_limbs(b.field.p, b.ncols, min(lb, la), n)
     if limbs is None:
-        return _mat_mul_kron(b, a, trunc)
-    return _mat_mul_fft(b, a, lb, la, size, n, *limbs)
+        return _mat_mul_kron(b, a)
+    return _mat_mul_fft(b, a, lb, la, n, *limbs)

@@ -453,3 +453,174 @@ def test_bench_usage_errors(capsys, args, where):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage error:") and where in err
+
+
+# The file-or-bundle rule.  A flag that names a file reads the first section
+# of its kind there, after checking that the file has the input's prime;
+# without the flag the bundled document's section of that kind is read at a
+# fixed index.  Each flag path must print the bundled layout's bytes.
+
+EVALS_3 = "mat 3 3\n27 49 29\n50 58 0\n77 10 29\n"
+HP_MAT = "polymat 3 1\n27,49,29\n50,58\n77,10,29\n"
+MP_HEAD = "polymat 2 2\n1,2;3\n0,1;5\nmat 1 2\n1 2\n"
+NS_MAT = "polymat 3 1\n1,2\n0,1\n5\n"
+SC_MAT = "polymat 3 3\n0,36,1;0,31;0\n13,3;57,1;0\n96;96;1\n"
+RED_MAT = "polymat 2 2\n0,1;1\n1;0\n"  # reduced at shift (0, 5), not at (0, 0)
+
+# (command, bundled document, document read beside the flags, {flag: file
+# body}); IN stands for the document's path
+FLAG_PATHS = [
+    (["interp", "--algo", algo, "--evals", "IN"],
+     EVALS_3 + "jordan 1\n0 3\nshift 3\n1 0 2\n", EVALS_3 + "jordan 1\n0 3\n",
+     {"--shift": "shift 3\n1 0 2\n"})
+    for algo in ("dnc", "lin", "oracle")
+] + [
+    (["interp", "--evals", "IN"],
+     EVALS_3 + "jordan 1\n0 3\nshift 3\n1 0 2\n", EVALS_3 + "shift 3\n1 0 2\n",
+     {"--jordan": "jordan 1\n0 3\n"}),
+    (["interp", "--evals", "IN"],
+     EVALS_3 + "jordan 1\n0 3\nshift 3\n1 0 2\n", EVALS_3,
+     {"--jordan": "jordan 1\n0 3\n", "--shift": "shift 3\n1 0 2\n"}),
+    (["hermite-pade", "IN"],
+     HP_MAT + "shift 1\n3\nshift 3\n1 0 2\n", HP_MAT + "shift 3\n1 0 2\n",
+     {"--orders": "shift 1\n3\n"}),
+    (["hermite-pade", "IN"],
+     HP_MAT + "shift 1\n3\nshift 3\n1 0 2\n", HP_MAT + "shift 1\n3\n",
+     {"--shift": "shift 3\n1 0 2\n"}),
+    (["hermite-pade", "IN"],
+     HP_MAT + "shift 1\n3\nshift 3\n1 0 2\n", HP_MAT,
+     {"--orders": "shift 1\n3\n", "--shift": "shift 3\n1 0 2\n"}),
+    (["mpade", "IN"],
+     MP_HEAD + "shift 2\n2 1\nshift 2\n0 3\n", MP_HEAD + "shift 2\n0 3\n",
+     {"--orders": "shift 2\n2 1\n"}),
+    (["mpade", "IN"],
+     MP_HEAD + "shift 2\n2 1\nshift 2\n0 3\n", MP_HEAD,
+     {"--orders": "shift 2\n2 1\n", "--shift": "shift 2\n0 3\n"}),
+    (["nullspace", "IN"],
+     NS_MAT + "shift 3\n3 1 2\n", NS_MAT, {"--shift": "shift 3\n3 1 2\n"}),
+    (["shift-change", "IN", "--with-transform"],
+     SC_MAT + "shift 3\n0 0 0\nshift 3\n0 3 6\n", SC_MAT + "shift 3\n0 0 0\n",
+     {"--target": "shift 3\n0 3 6\n"}),
+    (["shift-change", "IN", "--with-transform"],
+     SC_MAT + "shift 3\n0 0 0\nshift 3\n0 3 6\n", SC_MAT + "shift 3\n0 3 6\n",
+     {"--shift": "shift 3\n0 0 0\n"}),
+    (["shift-change", "IN", "--with-transform"],
+     SC_MAT + "shift 3\n0 0 0\nshift 3\n0 3 6\n", SC_MAT,
+     {"--shift": "shift 3\n0 0 0\n", "--target": "shift 3\n0 3 6\n"}),
+    (["check", "--reduced", "--matrix", "IN"],
+     RED_MAT + "shift 2\n0 5\n", RED_MAT, {"--shift": "shift 2\n0 5\n"}),
+    (["check", "--reduced", "--matrix", "IN"],
+     RED_MAT + "shift 2\n0 0\n", RED_MAT, {"--shift": "shift 2\n0 0\n"}),
+]
+FLAG_KINDS = {"--shift": "shift", "--orders": "shift", "--target": "shift", "--jordan": "jordan"}
+
+
+def _run(capsys, args):
+    capsys.readouterr()
+    rc = main(args)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _flag_args(tmp_path, command, doc, files, p=97):
+    args = [_write(tmp_path, "in.txt", f"field p={p}\n" + doc) if a == "IN" else a for a in command]
+    for flag, body in files.items():
+        args += [flag, _write(tmp_path, flag.strip("-") + ".txt", body)]
+    return args
+
+
+@pytest.mark.parametrize("command, bundled, doc, files", FLAG_PATHS)
+def test_flag_files_give_the_bundled_bytes(tmp_path, capsys, command, bundled, doc, files):
+    expected = _run(capsys, _flag_args(tmp_path, command, bundled, {}))
+    assert expected[0] in (0, 1) and expected[1] and not expected[2]
+    prefixed = {flag: "field p=97\n" + body for flag, body in files.items()}
+    assert _run(capsys, _flag_args(tmp_path, command, doc, prefixed)) == expected
+
+
+@pytest.mark.parametrize("command, bundled, doc, files", FLAG_PATHS)
+def test_flag_files_of_another_prime_or_without_the_section(tmp_path, capsys, command, bundled, doc, files):
+    for flag in files:
+        for body, err in (
+            ("field p=7\n" + files[flag], "error: input files disagree on the field prime\n"),
+            ("field p=97\nmat 1 1\n0\n", f"error: document has no {FLAG_KINDS[flag]} section (index 0)\n"),
+        ):
+            bodies = {f: (body if f == flag else "field p=97\n" + b) for f, b in files.items()}
+            assert _run(capsys, _flag_args(tmp_path, command, doc, bodies)) == (1, "", err)
+
+
+def test_mult_file_gives_the_multiplicity_bytes(tmp_path, capsys):
+    pts = _write(tmp_path, "pts.txt", "field p=97\nmat 4 2\n3 5\n10 2\n20 40\n33 7\n")
+    command = ["rs-interp", pts, "--weight", "1"]
+    expected = _run(capsys, command + ["--multiplicity", "2"])
+    assert expected[0] == 0 and expected[1]
+    mults = _write(tmp_path, "m.txt", "field p=97\nshift 4\n2 2 2 2\n")
+    assert _run(capsys, command + ["--mult-file", mults]) == expected
+    # the file wins over --multiplicity; uneven multiplicities solve too
+    assert _run(capsys, command + ["--multiplicity", "3", "--mult-file", mults]) == expected
+    uneven = _write(tmp_path, "u.txt", "field p=97\nshift 4\n1 2 3 1\n")
+    assert _run(capsys, command + ["--mult-file", uneven])[0] == 0
+    for body, err in (
+        ("field p=7\nshift 4\n2 2 2 2\n", "error: input files disagree on the field prime\n"),
+        ("field p=97\nmat 1 1\n0\n", "error: document has no shift section (index 0)\n"),
+    ):
+        bad = _write(tmp_path, "bad.txt", body)
+        assert _run(capsys, command + ["--mult-file", bad]) == (1, "", err)
+
+
+def test_matrix2_of_another_prime_or_without_a_polymat(tmp_path, capsys):
+    basis = str(tmp_path / "basis.txt")
+    assert main(["interp", "--evals", str(GOLDEN), "-o", basis]) == 0
+    command = ["check", "--equiv", "--matrix", basis, "--evals", str(GOLDEN), "--matrix2"]
+    assert _run(capsys, command + [basis]) == (0, "ok\n", "")
+    for body, err in (
+        ("field p=7\npolymat 1 1\n1\n", "error: input files disagree on the field prime\n"),
+        ("field p=97\nmat 1 1\n0\n", "error: document has no polymat section (index 0)\n"),
+    ):
+        bad = _write(tmp_path, "bad.txt", body)
+        assert _run(capsys, command + [bad]) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "command, doc, files, err",
+    [
+        # the evaluations come before the shift, the shift before M
+        (["interp", "--evals", "IN"], "jordan 1\n0 3\n", {"--shift": "mat 1 1\n0\n"}, "mat"),
+        (["interp", "--evals", "IN"], EVALS_3, {"--shift": "mat 1 1\n0\n"}, "shift"),
+        (["interp", "--evals", "IN"], EVALS_3, {"--jordan": "mat 1 1\n0\n"}, "jordan"),
+        # the orders come before the shift
+        (["hermite-pade", "IN"], HP_MAT, {"--shift": "mat 1 1\n0\n"}, "shift"),
+        (["hermite-pade", "IN"], "shift 1\n3\n", {"--orders": "mat 1 1\n0\n"}, "polymat"),
+        (["mpade", "IN"], "polymat 2 2\n1,2;3\n0,1;5\n", {"--orders": "mat 1 1\n0\n"}, "mat"),
+        # the base shift comes before the extra shift
+        (["shift-change", "IN"], SC_MAT, {"--shift": "mat 1 1\n0\n", "--target": "shift 3\n0 3 6\n"}, "shift"),
+        (["shift-change", "IN"], "shift 3\n0 0 0\n", {"--target": "mat 1 1\n0\n"}, "polymat"),
+    ],
+)
+def test_missing_sections_are_reported_in_read_order(tmp_path, capsys, command, doc, files, err):
+    bodies = {flag: "field p=97\n" + body for flag, body in files.items()}
+    expected = (1, "", f"error: document has no {err} section (index 0)\n")
+    assert _run(capsys, _flag_args(tmp_path, command, doc, bodies)) == expected
+
+
+def test_a_file_of_another_prime_is_reported_before_a_later_missing_section(tmp_path, capsys):
+    # shift-change reads the base shift first, then the extra one
+    command = ["shift-change", "IN"]
+    other = {"--shift": "field p=7\nshift 3\n0 0 0\n", "--target": "field p=97\nmat 1 1\n0\n"}
+    assert _run(capsys, _flag_args(tmp_path, command, SC_MAT, other)) == (
+        1, "", "error: input files disagree on the field prime\n")
+    other = {"--shift": "field p=97\nmat 1 1\n0\n", "--target": "field p=7\nshift 3\n0 3 6\n"}
+    assert _run(capsys, _flag_args(tmp_path, command, SC_MAT, other)) == (
+        1, "", "error: document has no shift section (index 0)\n")
+
+
+@pytest.mark.parametrize("algo", ["lin", "oracle"])
+def test_a_dense_m_must_be_square(tmp_path, capsys, algo):
+    f = _write(tmp_path, "inst.txt", "field p=97\nmat 2 3\n1 2 3\n4 5 6\nmat 3 4\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    args = ["interp", "--algo", algo, "--evals", f, "--dense-mulmat", f]
+    assert _run(capsys, args) == (1, "", "error: a dense multiplication matrix must be square\n")

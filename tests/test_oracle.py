@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import jordan, oracle, polymat
+from mibasis import cli, jordan, oracle, polymat
 from mibasis.polymat import PolyMatrix
 
 F97 = PrimeField(97)
@@ -104,29 +105,73 @@ def test_oracle_order_and_assembly_match_lin_on_random_shifts():
 
 @pytest.mark.parametrize("engine", ["dnc", "lin", "oracle"])
 @pytest.mark.parametrize(
-    "e, message",
+    "e, message, mulmat, shift",
     [
-        ([], "at least one evaluation row is required"),
-        ([[1, 2]], "column count of E must match the order of M"),
-        ([[1, 2, 3, 4]], "column count of E must match the order of M"),
-        ([[1, 2, 3], [4, 5]], "column count of E must match the order of M"),
+        ([], "at least one evaluation row is required", nilpotent3(), []),
+        ([[1, 2]], "column count of E must match the order of M", nilpotent3(), [0]),
+        ([[1, 2, 3, 4]], "column count of E must match the order of M", nilpotent3(), [0]),
+        ([[1, 2, 3], [4, 5]], "column count of E must match the order of M", nilpotent3(), [0, 0]),
+        # a Jordan matrix over F_7 under the field F_97
+        ([[1, 2, 3]], "field does not match the Jordan matrix", jordan.JordanRep(F7, ((0, 3),)), [0]),
+        ([[1, 2, 3], [4, 5, 6]], "a dense multiplication matrix must be square", [[0, 1, 0, 0]] * 3, [0, 0]),
+        ([[1, 2, 3], [4, 5, 6]], "the shift needs 2 entries", nilpotent3(), [0]),
+        ([[1, 2, 3], [4, 5, 6]], "the shift needs 2 entries", nilpotent3(), [0, 1, 2]),
+        ([[1, 2, 3], [4, 5, 6]], "shift entries must be integers", nilpotent3(), [0, 0.5]),
+        ([[1, 2, 3], [4, 5, 6]], "shift entries must be integers", nilpotent3(), ["1", 0]),
     ],
 )
-def test_engines_give_the_same_domain_errors(engine, e, message):
+def test_engines_give_the_same_domain_errors(engine, e, message, mulmat, shift):
     from mibasis.dnc import interpolation_basis
     from mibasis.linearization import lin_interp_basis
 
-    j = nilpotent3()
-    shift = [0] * len(e)
+    mulmats = [mulmat]
     # lin and the oracle take a dense M as well
-    for mulmat in (j,) if engine == "dnc" else (j, jordan.to_dense(j)):
-        with pytest.raises(ValueError, match=message):
+    if engine != "dnc" and isinstance(mulmat, jordan.JordanRep) and mulmat.field == F97:
+        mulmats.append(jordan.to_dense(mulmat))
+    for mulmat in mulmats:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             if engine == "dnc":
                 interpolation_basis(e, mulmat, shift, F97)
             elif engine == "lin":
                 lin_interp_basis(e, mulmat, shift, 4, F97)
             else:
                 oracle.oracle_popov(e, mulmat, shift, F97)
+
+
+@pytest.mark.parametrize("engine", ["dnc", "lin", "oracle"])
+@pytest.mark.parametrize("p", [97, 65537, (1 << 61) - 1])
+def test_evaluations_beyond_int64_give_the_reduced_bytes(engine, p):
+    # lists of Python integers past int64, and a uint64 array past 2^63,
+    # which int64 words would wrap to negative values
+    field = PrimeField(p)
+    rng = random.Random(p)
+    j = jordan.JordanRep(field, ((0, 4), (3, 2), (0, 1), (11, 3)))
+    e = [[rng.randrange(p) for _ in range(j.order)] for _ in range(3)]
+    shift = [0, 2, 1]
+    for raw in (
+        [[a + rng.randrange(1, 1 << 30) * 2**64 for a in row] for row in e],
+        [[a - 2**70 for a in row] for row in e],
+        np.array(e, dtype=np.uint64) + np.uint64(2**63 + 5),
+        np.array(e, dtype=np.uint64),
+    ):
+        reduced = [[int(a) % p for a in row] for row in raw]
+        expected = repr(cli._solve(engine, reduced, j, shift, field).rows)
+        assert repr(cli._solve(engine, raw, j, shift, field).rows) == expected
+
+
+@pytest.mark.parametrize("engine", ["dnc", "lin", "oracle"])
+def test_shifts_offset_by_a_constant_give_the_normalized_bytes(engine):
+    # s-Popov forms and s-reduced degrees do not change when a constant is
+    # added to s, negative entries included
+    rng = random.Random(5)
+    j = jordan.JordanRep(F97, ((0, 3), (2, 2), (5, 3), (2, 1)))
+    e = [[rng.randrange(97) for _ in range(j.order)] for _ in range(3)]
+    for base in ([0, 3, 1], [2, 0, 0], [0, 0, 0]):
+        expected = repr(cli._solve(engine, e, j, base, F97).rows)
+        for c in (-9, -1, 4, 10**20):
+            offset = [s + c for s in base]
+            assert repr(cli._solve(engine, e, j, offset, F97).rows) == expected
+        assert repr(cli._solve(engine, e, j, np.array(base) - 5, F97).rows) == expected
 
 
 def test_sigma_zero_gives_identity_on_every_engine():

@@ -203,10 +203,6 @@ def kernel(request, monkeypatch):
     return request.param
 
 
-def _truncated(prod, k):
-    return [[prod.field.poly_trunc(e, k) for e in row] for row in prod.rows]
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_mat_mul_matches_naive(p, kernel):
     field = PrimeField(p)
@@ -216,11 +212,7 @@ def test_mat_mul_matches_naive(p, kernel):
         return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
 
     def check(b, a):
-        full = polymat.naive_mul(b, a)
-        assert polymat.mat_mul(b, a) == full
-        size = b.degree() + a.degree() + 1
-        for k in (0, 1, size // 2, size - 1, size, size + 3):
-            assert polymat.mat_mul(b, a, trunc=k).rows == _truncated(full, k)
+        assert polymat.mat_mul(b, a) == polymat.naive_mul(b, a)
 
     # a row of degree 0 beside one of degree ~300, zero entries and a zero
     # row, as the residual products of dnc pass them
