@@ -301,3 +301,42 @@ def test_inv_round_trip(p):
     for zero in (0, p):
         with pytest.raises(ZeroDivisionError):
             field.inv(zero)
+
+
+@pytest.mark.parametrize("p", [7, 97, (1 << 31) - 1, (1 << 61) - 1])
+def test_crt_and_multi_mod_are_inverse_bijections(p):
+    # moduli (X - a)^s at distinct a, s = 0..5: s = 0 gives the constant
+    # modulus 1, whose only residue is the zero polynomial
+    fld = PrimeField(p)
+    rng = random.Random(p)
+    for sizes in ([0, 1, 2, 3, 4, 5], [5, 0], [3, 1, 0, 2], [0], [4]):
+        pts = rng.sample(range(min(p, 1 << 30)), len(sizes))
+        moduli = [fld.poly_pow([(-a) % p, 1], s) for a, s in zip(pts, sizes)]
+        for _ in range(4):
+            f = rand_poly(rng, fld, sum(sizes) - 1)
+            assert fld.crt(fld.multi_mod(f, moduli), moduli) == f
+            r = [rand_poly(rng, fld, s - 1) for s in sizes]
+            assert fld.multi_mod(fld.crt(r, moduli), moduli) == r
+
+
+def test_crt_and_multi_mod_of_no_moduli():
+    assert F7.crt([], []) == []
+    assert F7.multi_mod([1, 2, 3], []) == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: F7.crt([[1]], [[0, 1], [1, 1]]), "residue/modulus count mismatch"),
+        (lambda: F7.crt([[1], [2], [3]], [[0, 1], [1, 1]]), "residue/modulus count mismatch"),
+        (lambda: F7.crt([[1, 1]], [[0, 1]]), "residue degree not below modulus degree"),
+        (lambda: F7.crt([[1], [2]], [[1], [0, 1]]), "residue degree not below modulus degree"),
+        (lambda: F7.crt([[1], []], [[0, 1], []]), "zero modulus"),
+        (lambda: F7.multi_mod([1, 1], [[1, 1], []]), "zero modulus"),
+        (lambda: F7.crt([[1], [2]], [[0, 1], [0, 0, 1]]), "moduli are not pairwise coprime"),
+        (lambda: F7.crt([[1], [2]], [[1, 1], [1, 1]]), "moduli are not pairwise coprime"),
+    ],
+)
+def test_crt_and_multi_mod_error_texts(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mibasis.field import PrimeField
 from mibasis import oracle, reductions
+from mibasis.cli import main
 from mibasis.dnc import interpolation_basis
 from mibasis.polymat import PolyMatrix, shifted_row_degree
 
@@ -32,6 +33,13 @@ def test_hermite_pade_instance_fixture():
     inst = reductions.hermite_pade_instance(f, [3])
     assert inst.evals == [[27, 49, 29], [50, 58, 0], [77, 10, 29]]
     assert inst.mulmat.blocks == ((0, 3),)
+
+
+def test_hermite_pade_of_zero_rows_is_a_domain_error(tmp_path, capsys):
+    inp = tmp_path / "hp.txt"
+    inp.write_text("field p=97\npolymat 0 2\nshift 2\n3 2\n")
+    assert main(["hermite-pade", str(inp)]) == 1
+    assert capsys.readouterr() == ("", "error: at least one evaluation row is required\n")
 
 
 def test_hermite_pade_zero_input():
