@@ -43,6 +43,8 @@ class ApproximantInstance:
 
 def mbasis(inst: ApproximantInstance) -> PolyMatrix:
     """Shifted reduced basis of the approximant module, iteratively."""
+    if not inst.f.nrows:
+        return PolyMatrix(inst.f.field, [])
     hp = hermite_pade_instance(inst.f, inst.orders)
     return dnc.mbasis_jordan(hp.evals, hp.mulmat, inst.shift, hp.field)
 

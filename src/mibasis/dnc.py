@@ -186,9 +186,12 @@ def interpolation_basis(e_rows, j: JordanRep, shift, field: PrimeField) -> PolyM
     at most order + sum of that shift.  One full residual of the output,
     which must vanish, checks every row here, and AssertionError reports a
     basis that does not interpolate.  Malformed inputs raise the ValueError
-    of ``check_evaluations`` and ``normalized_shift``, as in lin and oracle.
+    of ``check_evaluations`` and ``normalized_shift``, as in lin and oracle,
+    and a dense M, which those two take, a ValueError of its own.
     """
     check_evaluations(e_rows, j, field)
+    if not isinstance(j, JordanRep):
+        raise ValueError("dnc requires a Jordan multiplication matrix")
     shift = normalized_shift(shift, len(e_rows))
     e = modmat.reduce(e_rows, field.p, _np.int64)
     basis = interpolation_basis_rec(e, j, shift, field)

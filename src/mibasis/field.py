@@ -28,17 +28,18 @@ wide enough that no coefficient of the product overflows its digit; one
 Python integer product then does the whole convolution.  ``kron_pack`` and
 ``kron_unpack`` are the two directions of that map.
 
-Simultaneous reduction (``multi_mod``) and Chinese remaindering (``crt``)
-walk one SubproductTree down and up; a tree built once for fixed moduli
-serves any number of polynomials.  No solve calls ``crt``, ``multi_mod`` or
-``SubproductTree``: residuals on long blocks take one polynomial-matrix
-product and Taylor shifts instead.  They stay because tests cover them and
-perfbench's tracer wraps ``crt`` and ``multi_mod`` by name.
+No solve calls simultaneous reduction (``multi_mod``) or Chinese
+remaindering (``crt``): residuals take one polynomial-matrix product and
+Taylor shifts instead.  Both remain because perfbench's tracer binds them by
+name; they are direct forms on code that solves run, ``poly_mod`` per
+modulus and one ``modmat.solve_right``.
 """
 
 from __future__ import annotations
 
 import numpy as _np
+
+from . import modmat
 
 MINUS_INF = float("-inf")
 
@@ -244,21 +245,6 @@ class PrimeField:
             a, b = b, self.poly_mod(a, b)
         return self.poly_monic(a)
 
-    def poly_xgcd(self, f: list[int], g: list[int]):
-        """(g, u, v) monic with u*f + v*g = gcd."""
-        r0, r1 = f, g
-        u0, u1 = [1], []
-        v0, v1 = [], [1]
-        while r1:
-            q, r = self.poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, self.poly_sub(u0, self.poly_mul(q, u1))
-            v0, v1 = v1, self.poly_sub(v0, self.poly_mul(q, v1))
-        if r0:
-            c = self.inv(r0[-1])
-            return self.poly_scale(r0, c), self.poly_scale(u0, c), self.poly_scale(v0, c)
-        return [], u0, v0
-
     # -- Taylor shift, simultaneous reduction, Chinese remaindering ---------
 
     def taylor_shift(self, f: list[int], x: int) -> list[int]:
@@ -290,53 +276,39 @@ class PrimeField:
 
         return shift(f)
 
-    def multi_mod(self, f: list[int], moduli) -> list[list[int]]:
-        """Remainders of f by each modulus, going down a subproduct tree.
+    def multi_mod(self, f: list[int], moduli: list[list[int]]) -> list[list[int]]:
+        """Remainders of f by each of the nonzero polynomials ``moduli``."""
+        if any(not q for q in moduli):
+            raise ValueError("zero modulus")
+        return [self.poly_mod(f, q) for q in moduli]
 
-        ``moduli`` is a list of nonzero polynomials or a SubproductTree built
-        over them, which many polynomials can then share.
+    def crt(self, residues: list[list[int]], moduli: list[list[int]]) -> list[int]:
+        """Unique f of degree < n = sum(deg moduli) with f mod m_i = r_i.
+
+        On polynomials of degree < n the map f -> (f mod m_i)_i is linear,
+        and a bijection when the nonzero ``moduli`` are pairwise coprime:
+        one solve_right of the n x n system whose row t holds X^t mod each
+        m_i.  A singular system means the moduli share a factor.
         """
-        tree = moduli if isinstance(moduli, SubproductTree) else SubproductTree(self, moduli)
-        rems = [f]
-        for level in reversed(tree.levels):
-            rems = [
-                self.poly_mod(rems[i // 2], q) if len(rems[i // 2]) >= len(q) else rems[i // 2]
-                for i, q in enumerate(level)
-            ]
-        return rems
-
-    def crt(self, residues: list[list[int]], moduli) -> list[int]:
-        """Unique f of degree < sum(deg moduli) matching all residues.
-
-        Goes up a subproduct tree: each leaf holds r_i * c_i mod m_i, c_i
-        being the tree's cofactor, and each node f_L * M_R + f_R * M_L.
-        ``moduli`` is a list of pairwise coprime nonzero polynomials or a
-        SubproductTree built over them, which many residue vectors can then
-        share.
-        """
-        tree = moduli if isinstance(moduli, SubproductTree) else SubproductTree(self, moduli)
-        leaves = tree.levels[0]
-        if len(residues) != len(leaves):
+        rems = self.multi_mod([1], moduli)  # ValueError on a zero modulus
+        if len(residues) != len(moduli):
             raise ValueError("residue/modulus count mismatch")
-        for r, q in zip(residues, leaves):
-            if len(r) >= len(q):
-                raise ValueError("residue degree not below modulus degree")
-        if not leaves:
-            return []
-        vals = [
-            self.poly_mod(self.poly_mul(r, c), q)
-            for r, c, q in zip(residues, tree.cofactors(), leaves)
-        ]
-        for level in tree.levels[:-1]:
-            vals = [
-                self.poly_add(
-                    self.poly_mul(vals[i], level[i + 1]), self.poly_mul(vals[i + 1], level[i])
-                )
-                if i + 1 < len(level)
-                else vals[i]
-                for i in range(0, len(level), 2)
-            ]
-        return vals[0]
+        if any(len(r) >= len(q) for r, q in zip(residues, moduli)):
+            raise ValueError("residue degree not below modulus degree")
+        degs = [len(q) - 1 for q in moduli]
+
+        def padded(rems: list[list[int]]) -> list[int]:
+            return [c for r, d in zip(rems, degs) for c in r + [0] * (d - len(r))]
+
+        rows = []
+        for _ in range(sum(degs)):
+            rows.append(padded(rems))
+            rems = [self.poly_mod(self.poly_shift_up(r, 1), q) for r, q in zip(rems, moduli)]
+        try:
+            f = modmat.solve_right(rows, [padded(residues)], self.p)
+        except ValueError:
+            raise ValueError("moduli are not pairwise coprime") from None
+        return self.normalize(f[0].tolist())
 
     # -- binomials -----------------------------------------------------------
 
@@ -366,60 +338,3 @@ class PrimeField:
             num = num * (n - t + 1) % p
             den = den * t % p
         return num * pow(den, -1, p) % p
-
-
-class SubproductTree:
-    """Fixed moduli with their subproduct tree and CRT cofactors.
-
-    Built once and passed to PrimeField.multi_mod and PrimeField.crt in place
-    of the moduli list, it serves every polynomial reduced modulo them and
-    every residue vector lifted from them (von zur Gathen & Gerhard, Modern
-    Computer Algebra, ch. 10).  ``levels[0]`` holds the moduli; each level
-    above multiplies neighbours pairwise, an odd last node moving up
-    unchanged, so that ``levels[-1][0]`` is their product M.
-    """
-
-    __slots__ = ("field", "levels", "_cofactors")
-
-    def __init__(self, field: PrimeField, moduli: list[list[int]]):
-        if any(not q for q in moduli):
-            raise ValueError("zero modulus")
-        levels = [list(moduli)]
-        while len(levels[-1]) > 1:
-            level = levels[-1]
-            levels.append(
-                [
-                    field.poly_mul(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
-                    for i in range(0, len(level), 2)
-                ]
-            )
-        self.field = field
-        self.levels = levels
-        self._cofactors = None
-
-    def cofactors(self) -> list[list[int]]:
-        """Per modulus m_i, the inverse of M / m_i modulo m_i.
-
-        Computed on first use: M / m_i mod m_i comes down the tree, each
-        child taking its parent's value times its sibling modulo itself, and
-        one extended gcd per modulus inverts it.  Raises ValueError unless
-        the moduli are pairwise coprime.
-        """
-        if self._cofactors is None:
-            f = self.field
-            rest = [[1]]
-            for level in reversed(self.levels[:-1]):
-                rest = [
-                    f.poly_mod(f.poly_mul(rest[i // 2], level[i ^ 1]), q)
-                    if i ^ 1 < len(level)
-                    else rest[i // 2]
-                    for i, q in enumerate(level)
-                ]
-            cof = []
-            for a, q in zip(rest, self.levels[0]):
-                g, u, _ = f.poly_xgcd(a, q)  # u * a = g mod q
-                if len(g) != 1:
-                    raise ValueError("moduli are not pairwise coprime")
-                cof.append(u)
-            self._cofactors = cof
-        return self._cofactors

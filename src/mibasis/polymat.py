@@ -2,8 +2,11 @@
 
 A PolyMatrix is a dense row-major grid of normalized coefficient lists over
 one PrimeField; arrays enter and leave it only through ``coefficients`` and
-``from_coefficients``.  Shifts are per-column nonnegative integer weights;
-row degree vectors may contain MINUS_INF entries, which mark zero rows.
+``from_coefficients``.  Shifts are per-column integer weights, of any sign
+for the row degrees and the reducedness predicates, which depend on them
+only up to an added constant, and nonnegative for the order bases, which
+scale columns by X^s (``check_shift``); row degree vectors may contain
+MINUS_INF entries, which mark zero rows.
 """
 
 from __future__ import annotations
@@ -82,9 +85,6 @@ class PolyMatrix:
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols} over F_{self.field.p})"
 
-    def copy(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, [[e[:] for e in row] for row in self.rows], self.ncols)
-
     def degree(self):
         """Largest entry degree, MINUS_INF if the matrix is zero."""
         d = MINUS_INF
@@ -131,27 +131,32 @@ class PolyMatrix:
         return PolyMatrix(self.field, out, self.ncols)
 
 
+def _integers(shift, ncols: int) -> list[int]:
+    """The shift as Python ints; ValueError unless ncols integers."""
+    if len(shift) != ncols:
+        raise ValueError(f"the shift needs {ncols} entries")
+    try:
+        return [operator.index(s) for s in shift]
+    except TypeError:
+        raise ValueError("shift entries must be integers") from None
+
+
 def normalized_shift(shift, ncols: int) -> list[int]:
     """The shift as Python ints less their minimum, as the engines take it:
     s-Popov forms and s-reduced degrees do not change when a constant is
     added to s.  ValueError unless ncols integers."""
-    if len(shift) != ncols:
-        raise ValueError(f"the shift needs {ncols} entries")
-    try:
-        shift = [operator.index(s) for s in shift]
-    except TypeError:
-        raise ValueError("shift entries must be integers") from None
+    shift = _integers(shift, ncols)
     low = min(shift, default=0)
     return [s - low for s in shift]
 
 
 def check_shift(shift, ncols: int) -> list[int]:
-    """The shift as Python ints; ValueError unless ncols nonnegative integers."""
-    relative = normalized_shift(shift, ncols)
-    low = operator.index(min(shift, default=0))
-    if low < 0:
+    """The shift as Python ints; ValueError unless ncols nonnegative integers.
+    For the order bases, which scale columns by X^s."""
+    shift = _integers(shift, ncols)
+    if any(s < 0 for s in shift):
         raise ValueError("shift entries must be nonnegative integers")
-    return [s + low for s in relative]
+    return shift
 
 
 def row_degree(row: list[list[int]], shift: list[int]):
@@ -165,8 +170,9 @@ def row_degree(row: list[list[int]], shift: list[int]):
 
 
 def shifted_row_degree(mat: PolyMatrix, shift: list[int]) -> list:
-    """Per-row max of entry degree plus column shift; MINUS_INF on zero rows."""
-    shift = check_shift(shift, mat.ncols)
+    """Per-row max of entry degree plus column shift, any integers;
+    MINUS_INF on zero rows."""
+    shift = _integers(shift, mat.ncols)
     return [row_degree(row, shift) for row in mat.rows]
 
 
@@ -181,7 +187,7 @@ def degree_sum(degs) -> int:
 
 def leading_matrix(mat: PolyMatrix, shift: list[int]) -> list[list[int]]:
     """Coefficient of degree rdeg_i - shift_j in entry (i, j)."""
-    shift = check_shift(shift, mat.ncols)
+    shift = _integers(shift, mat.ncols)
     degs = shifted_row_degree(mat, shift)
     if any(d == MINUS_INF for d in degs):
         raise ValueError("leading matrix undefined on zero rows")
@@ -216,7 +222,7 @@ def pivot(row: list[list[int]], shift: list[int]) -> tuple[int, int]:
 
 def is_weak_popov(mat: PolyMatrix, shift: list[int]) -> bool:
     """True when rows are nonzero with pairwise distinct pivot indices."""
-    shift = check_shift(shift, mat.ncols)
+    shift = _integers(shift, mat.ncols)
     seen = set()
     for row in mat.rows:
         if row_degree(row, shift) == MINUS_INF:
@@ -232,7 +238,7 @@ def is_popov(mat: PolyMatrix, shift: list[int]) -> bool:
     """Monic diagonal pivots dominating their columns in degree."""
     if mat.nrows != mat.ncols:
         raise ValueError("Popov form is defined for square matrices")
-    shift = check_shift(shift, mat.ncols)
+    shift = _integers(shift, mat.ncols)
     for i, row in enumerate(mat.rows):
         if row_degree(row, shift) == MINUS_INF:
             return False

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .dnc import interpolation_basis
 from .field import PrimeField
-from .jordan import JordanRep
+from .jordan import JordanRep, check_evaluations
 from .polymat import PolyMatrix, shifted_row_degree
 
 
@@ -26,12 +26,9 @@ class InterpolationInstance:
     mulmat: JordanRep
 
     def __post_init__(self):
-        sigma = self.mulmat.order
-        if sigma < 1:
+        if self.mulmat.order < 1:
             raise ValueError("instance order must be at least 1")
-        for row in self.evals:
-            if len(row) != sigma:
-                raise ValueError("evaluation width must equal the Jordan order")
+        check_evaluations(self.evals, self.mulmat, self.field)
 
 
 def _pack_columns(fmat: PolyMatrix, orders, shifts_by_block):

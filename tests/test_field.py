@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mibasis.field import MINUS_INF, PrimeField, SubproductTree, is_prime
+from mibasis.field import MINUS_INF, PrimeField, is_prime
 
 F97 = PrimeField(97)
 F7 = PrimeField(7)
@@ -227,8 +227,7 @@ def test_crt_single_modulus():
 
 
 def test_crt_round_trip_with_multi_mod():
-    # many rows against one set of moduli (X - a)^s: a tree shared by all rows
-    # gives what a tree built per call gives, and long division agrees
+    # many rows against one set of moduli (X - a)^s; long division agrees
     rng = random.Random(9)
     for p, sizes in itertools.product(
         [97, (1 << 61) - 1], [[1, 2, 5, 1, 2], [2, 1, 3], [5]]
@@ -236,27 +235,23 @@ def test_crt_round_trip_with_multi_mod():
         fld = PrimeField(p)
         pts = rng.sample(range(min(p, 1 << 30)), len(sizes))
         moduli = [fld.poly_pow([(-a) % p, 1], s) for a, s in zip(pts, sizes)]
-        tree = SubproductTree(fld, moduli)
         for _ in range(6):
             f = rand_poly(rng, fld, sum(sizes) - 1)
-            rems = fld.multi_mod(f, tree)
-            assert rems == fld.multi_mod(f, moduli)
+            rems = fld.multi_mod(f, moduli)
             assert rems == [long_division_reference(f, m, p) for m in moduli]
-            assert fld.crt(rems, tree) == fld.crt(rems, moduli) == f
-            assert fld.multi_mod(fld.crt(rems, tree), tree) == rems
+            assert fld.crt(rems, moduli) == f
+            assert fld.multi_mod(fld.crt(rems, moduli), moduli) == rems
             g = rand_poly(rng, fld, 3 * sum(sizes))
-            assert fld.multi_mod(g, tree) == [long_division_reference(g, m, p) for m in moduli]
+            assert fld.multi_mod(g, moduli) == [long_division_reference(g, m, p) for m in moduli]
 
 
 def test_crt_rejects_non_coprime_moduli():
     with pytest.raises(ValueError):
         F7.crt([[1], [2]], [[0, 1], [0, 0, 1]])
-    # X and X^2 are not siblings in the tree of [X, X + 1, X^2]
+    # X and X^2 share a factor, with X + 1 between them
     moduli = [[0, 1], [1, 1], [0, 0, 1]]
     with pytest.raises(ValueError):
         F7.crt([[1], [2], [3]], moduli)
-    with pytest.raises(ValueError):
-        F7.crt([[1], [2], [3]], SubproductTree(F7, moduli))
 
 
 def test_binomial_lucas():

@@ -174,6 +174,21 @@ def test_shifts_offset_by_a_constant_give_the_normalized_bytes(engine):
         assert repr(cli._solve(engine, e, j, np.array(base) - 5, F97).rows) == expected
 
 
+def test_dnc_rejects_a_dense_multiplication_matrix_after_the_shared_checks():
+    from mibasis.dnc import interpolation_basis
+
+    dense = jordan.to_dense(nilpotent3())
+    with pytest.raises(ValueError, match="^dnc requires a Jordan multiplication matrix$"):
+        interpolation_basis([[1, 2, 3]], dense, [0], F97)
+    for e, message, mulmat in (
+        ([], "at least one evaluation row is required", dense),
+        ([[1, 2]], "column count of E must match the order of M", dense),
+        ([[1, 2, 3]], "a dense multiplication matrix must be square", [[0, 1, 0, 0]] * 3),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            interpolation_basis(e, mulmat, [0] * len(e), F97)
+
+
 def test_sigma_zero_gives_identity_on_every_engine():
     # no interpolation conditions: every row is an interpolant
     from mibasis.dnc import interpolation_basis

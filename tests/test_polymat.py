@@ -57,6 +57,28 @@ def test_row_degree_shift_translation():
         assert b == (a + 2 if a != MINUS_INF else MINUS_INF)
 
 
+@pytest.mark.parametrize("engine", ["dnc", "lin", "oracle"])
+def test_predicates_take_the_shifts_the_engines_take(engine):
+    # at s + c, of any sign, the leading matrix and the predicates read as at
+    # s, and the shifted row degrees move by c
+    from mibasis import cli, jordan
+
+    rng = random.Random(12)
+    j = jordan.JordanRep(F97, ((0, 3), (2, 2), (5, 3)))
+    for s in ([-1], [0, 3, 1], [2, 0, 0], [-1, -4, 2]):
+        e = [[rng.randrange(97) for _ in range(j.order)] for _ in s]
+        basis = cli._solve(engine, e, j, s, F97)
+        degs = polymat.shifted_row_degree(basis, s)
+        lead = polymat.leading_matrix(basis, s)
+        preds = [f(basis, s) for f in (polymat.is_reduced, polymat.is_weak_popov, polymat.is_popov)]
+        assert preds[0]
+        for c in (-9, -1, 4, 10**20):
+            t = [x + c for x in s]
+            assert polymat.shifted_row_degree(basis, t) == [d + c for d in degs]
+            assert polymat.leading_matrix(basis, t) == lead
+            assert [f(basis, t) for f in (polymat.is_reduced, polymat.is_weak_popov, polymat.is_popov)] == preds
+
+
 def test_leading_matrix_identity():
     ident = PolyMatrix.identity(F7, 3)
     assert polymat.leading_matrix(ident, [1, 4, 2]) == [

@@ -7,6 +7,7 @@ from mibasis.field import PrimeField
 from mibasis import oracle, reductions
 from mibasis.cli import main
 from mibasis.dnc import interpolation_basis
+from mibasis.jordan import JordanRep
 from mibasis.polymat import PolyMatrix, shifted_row_degree
 
 F97 = PrimeField(97)
@@ -40,6 +41,18 @@ def test_hermite_pade_of_zero_rows_is_a_domain_error(tmp_path, capsys):
     inp.write_text("field p=97\npolymat 0 2\nshift 2\n3 2\n")
     assert main(["hermite-pade", str(inp)]) == 1
     assert capsys.readouterr() == ("", "error: at least one evaluation row is required\n")
+
+
+def test_instances_take_the_engines_domain_checks():
+    j = JordanRep(F97, ((0, 3),))
+    for evals, mulmat, message in (
+        ([[1, 2]], j, "column count of E must match the order of M"),
+        ([], j, "at least one evaluation row is required"),
+        ([[1, 2, 3]], JordanRep(F7, ((0, 3),)), "field does not match the Jordan matrix"),
+        ([[]], JordanRep(F97, ()), "instance order must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reductions.InterpolationInstance(F97, evals, mulmat)
 
 
 def test_hermite_pade_zero_input():
