@@ -4,11 +4,10 @@ Given an m x n matrix F and orders sigma_1 >= ... >= sigma_n, the target
 module is the set of rows p with p * F_j = 0 mod X^(sigma_j) for every
 column j: the interpolation module of one nilpotent block of order sigma_j
 per column, whose evaluation columns hold the first sigma_j coefficients of
-F_j (``reductions.hermite_pade_instance``).  So both engines are ``dnc``'s:
-``mbasis`` runs its iterative kernel ``mbasis_jordan`` on the whole
-instance, and ``pm_basis`` its divide-and-conquer ``interpolation_basis``,
-whose leaves are that kernel and whose output passes one full residual
-check.
+F_j (``reductions.hermite_pade_instance``).  So the engine is ``dnc``'s:
+``pm_basis`` runs its divide-and-conquer ``interpolation_basis`` (PM-basis),
+whose leaves are the iterative kernel ``mbasis_jordan`` (M-basis) and whose
+output passes one full residual check.
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ class ApproximantInstance:
             for row in self.f.rows:
                 if len(row[j]) > o:
                     raise ValueError("column degree must stay below its order")
-
-
-def mbasis(inst: ApproximantInstance) -> PolyMatrix:
-    """Shifted reduced basis of the approximant module, iteratively."""
-    if not inst.f.nrows:
-        return PolyMatrix(inst.f.field, [])
-    hp = hermite_pade_instance(inst.f, inst.orders)
-    return dnc.mbasis_jordan(hp.evals, hp.mulmat, inst.shift, hp.field)
 
 
 def pm_basis(inst: ApproximantInstance) -> PolyMatrix:

@@ -11,11 +11,12 @@ elimination and one multiplication of the pivot row by X - x.  The kernel
 keeps each row's residual and its coefficients as one extended Jordan row,
 the coefficients acting as nilpotent blocks of eigenvalue 0, so that
 multiplication is one gather through a table of shift sources and one
-multiply by the eigenvalue differences.  The halves
+multiply by the eigenvalue differences, and past the last block of nonzero
+eigenvalue the gather alone.  The halves
 are the leading and trailing columns with their blocks in the order given;
 a block that straddles the cut splits in two.  Order bases are the case of
-one nilpotent block per column, so ``approx`` runs this recursion as
-PM-basis and this kernel as M-basis.
+one nilpotent block per column, so ``approx.pm_basis`` runs this recursion
+as PM-basis, with this kernel, M-basis, at its leaves.
 
 A node computes the residual of P1 on the right half only: on the blocks
 that reach past the cut, the left columns of a straddling block included.
@@ -50,14 +51,16 @@ from .unbalanced import unbalanced_mul
 # save nodes of the recursion; in object words (large p) it grows with the
 # leaf.  128 beat 64 on every Jordan shape at p = 65537, and 256 lost to 128
 # on distinct points and at large p.  Measured again with the gathered
-# (X - x) step (mib bench --engines dnc --repeats 3, m = 4, p = 65537, two
-# runs each, s for leaves of 64 / 128 / 256):
-#   hermite-pade  sigma = 1024: 0.055-0.064 / 0.032 / 0.033-0.037
-#                 sigma = 8192: 0.53-0.57 / 0.41-0.46 / 0.33-0.36
-#   multipoint    sigma = 1024: 0.046-0.059 / 0.035-0.051 / 0.042-0.050
-#                 sigma = 8192: 0.58-0.60 / 0.44-0.60 / 0.43-0.60
-#   rs-list       sigma = 8190 (m = 33): 3.3-3.4 / 3.5 / 3.1-3.6
-# 64 still loses; 256 wins only on one nilpotent block at sigma >= 4096.
+# (X - x) step that writes the pivot row back unreduced (mib bench --engines
+# dnc --repeats 3, m = 4, p = 65537, four runs each, s for leaves of
+# 64 / 128 / 256):
+#   hermite-pade  sigma = 1024: 0.021-0.025 / 0.018-0.021 / 0.019-0.020
+#                 sigma = 8192: 0.25 / 0.22-0.23 / 0.22-0.23
+#   multipoint    sigma = 1024: 0.027-0.028 / 0.024-0.039 / 0.024
+#                 sigma = 8192: 0.34-0.36 / 0.31-0.33 / 0.31
+#   rs-list       sigma = 8190 (m = 33): 2.0-2.2 / 2.0-2.2 / 2.0-2.2
+# 64 still loses; 256 wins by 2-3% in the median at sigma = 8192 on one
+# nilpotent block and on distinct points, and ties elsewhere.
 _LEAF = 128
 _LEAF_PER_ROW = 8
 
@@ -87,11 +90,20 @@ def mbasis_jordan(e, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     the index of a zero kept past the end of the reduced pivot row, at
     each block start and on the coefficients of degree 0.  So a column
     takes one rank-1 update and one gathered (X - x) update, both stopping
-    at the largest degree reached so far.  A row is reduced mod p when it
-    becomes the pivot; the others take at most one update of magnitude
-    below (p-1)^2 per column, and the pivot product stays below p^2, so W
-    holds int64 words while (p-1)^2 (order + 2) < 2^63, and object arrays
-    of Python integers beyond.
+    at the largest degree reached so far.  From the column after the last
+    block of nonzero eigenvalue on, x and every later eigenvalue are 0, so
+    the (X - x) update is the gather alone: R'[c] = R[prev[c]].  That is
+    the whole leaf of an order basis.
+
+    Only the pivot row is reduced mod p, into the buffer that the update
+    reads, when it becomes the pivot; its product by X - x goes back into
+    W unreduced, in [-(p-1)^2, p(p-1)], and the coefficients are reduced
+    at exit.  Each rank-1 update subtracts f r1, both in [0, p), so at
+    most (p-1)^2, and a row takes at most one per column after E, reduced,
+    entered it or after its last multiplication.  Every word of W thus
+    lies in [-order (p-1)^2, p(p-1)], so W holds int64 words while
+    (p-1)^2 (order + 2) < 2^63, and object arrays of Python integers
+    beyond.
     """
     p = field.p
     m, sigma = len(e), j.order
@@ -107,6 +119,9 @@ def mbasis_jordan(e, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
     prev[list(j.offsets)] = width
     prev[sigma : sigma + m] = width
     buf = _np.zeros(width + 1, dtype=dt)  # buf[width] stays 0
+    tmp = _np.empty(width, dtype=dt)
+    # past the last block of nonzero eigenvalue, X - x is a pure shift
+    shift_from = max((off + s for (x, s), off in zip(j.blocks, j.offsets) if x), default=0)
     u = list(shift)
     rowdeg = [0] * m  # a bound on the degrees of each row of P
     deg = 0
@@ -133,9 +148,16 @@ def mbasis_jordan(e, j: JordanRep, shift, field: PrimeField) -> PolyMatrix:
         f = _np.array([a * inv % p for a in v], dtype=dt)
         w[:, col + 1 : end] -= _np.multiply.outer(f, r1)
         # the pivot row times X - x, in one pass over the extended row
-        new = (eig[col + 1 : end] - x) * r1
-        new += buf.take(prev[col + 1 : end])
-        _np.remainder(new, p, out=w[piv, col + 1 : end])
+        # (every source is in range: mode "clip" lets take write to out
+        # directly, where "raise" copies through a buffer)
+        row, sources = w[piv, col + 1 : end], prev[col + 1 : end]
+        if col >= shift_from:
+            buf.take(sources, out=row, mode="clip")
+        else:
+            diff = tmp[: end - col - 1]
+            _np.subtract(eig[col + 1 : end], x, out=diff)
+            _np.multiply(diff, r1, out=row)
+            row += buf.take(sources, out=diff, mode="clip")
         u[piv] += 1
     coeffs = (w[:, sigma : sigma + (deg + 1) * m] % p).reshape(m, deg + 1, m)
     return PolyMatrix.from_coefficients(field, coeffs.transpose(0, 2, 1))

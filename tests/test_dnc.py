@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField
-from mibasis import cli, dnc, jordan, modmat, oracle, polymat, residual
+from mibasis import approx, cli, dnc, jordan, modmat, oracle, polymat, reductions, residual
 from mibasis.dnc import interpolation_basis, interpolation_basis_rec, right_residual
 from mibasis.linearization import lin_interp_basis
 from mibasis.polymat import PolyMatrix
@@ -183,6 +183,45 @@ def test_leaf_edge_cases(p):
     assert reference_leaf(raw, j, [0, 1, 0], field) == basis
 
 
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+@pytest.mark.parametrize("where", ["last", "first", "between"])
+def test_leaf_nilpotent_blocks_in_fixed_places(p, where):
+    # From the column after the last block of nonzero eigenvalue, the
+    # kernel's (X - x) update is a pure shift: there it starts part way
+    # through the leaf ("last"); columns of eigenvalue 0 before a nonzero
+    # block take the general update ("first", "between")
+    field = PrimeField(p)
+    rng = random.Random(p + 2)
+    x, y = rng.randrange(1, p), rng.randrange(1, p)
+    blocks = {
+        "last": ((0, 2), (x, 3), (y, 4), (0, 5), (0, 2)),
+        "first": ((0, 4), (0, 1), (x, 3), (y, 5)),
+        "between": ((x, 3), (0, 4), (y, 2), (0, 3), (x, 2)),
+    }[where]
+    j = jordan.JordanRep(field, blocks)
+    for m, shift in ((1, [0]), (2, [0, 10**6]), (3, [4, 0, 1]), (4, [0, 0, 0, 0])):
+        e = [[rng.randrange(p) for _ in range(j.order)] for _ in range(m)]
+        leaf_case(e, j, shift, field)
+
+
+@pytest.mark.parametrize("p", LEAF_PRIMES)
+def test_leaf_of_nilpotent_blocks_only(p):
+    # an order basis of unequal orders: several nilpotent blocks and nothing
+    # else, so every column takes the pure shift; pm_basis on a leaf is one
+    # kernel call
+    field = PrimeField(p)
+    rng = random.Random(p + 3)
+    orders = (7, 4, 4, 1)
+    for shift in ((0, 0, 0), (5, 0, 2)):
+        f = PolyMatrix.from_entries(
+            field, [[[rng.randrange(p) for _ in range(o)] for o in orders] for _ in shift]
+        )
+        hp = reductions.hermite_pade_instance(f, orders)
+        leaf_case(hp.evals, hp.mulmat, list(shift), field)
+        basis = reference_leaf(hp.evals, hp.mulmat, list(shift), field)
+        assert approx.pm_basis(approx.ApproximantInstance(f, orders, shift)) == basis
+
+
 # The leaf keeps int64 words while (p-1)^2 (sigma + 2) < 2^63 and object
 # words beyond; these primes are the last below and the first above that
 # bound at sigma = 64.
@@ -214,6 +253,68 @@ def test_leaf_word_bound(p, words, monkeypatch):
     assert seen == [words]
     assert basis == reference_leaf(e, j, [0, 10**6], field)
     assert list(polymat.shifted_row_degree(basis, [0, 0])) == [64, 63]
+
+
+# With int64 words forced, the leaf of multiplied_row_leaf keeps the right
+# bytes at the last prime with 63 (p-1)^2 < 2^63 and loses them at the
+# first prime past it.
+BELOW_MULTIPLIED_ROW, PAST_MULTIPLIED_ROW = 382626061, 382626109
+
+
+def multiplied_row_leaf(p):
+    """E over blocks ((1, 1), (p - 1, 63)), shift [10^6, 0], whose row 0,
+    multiplied at column 1, then takes the largest update at columns 2-63.
+
+    Row 1 pivots at column 0 with multiplier 1 for row 0, so row 0's
+    coefficient of X^0 in entry 1 is -1; row 1, multiplied by X - 1, is
+    zero at column 1, where row 0 pivots on eigenvalue p - 1 and that
+    coefficient becomes (0 - (p-1))(p-1) = -(p-1)^2.  Row 1's residual is
+    then 1 at column 2 and 0 beyond (E1[c] = -2^(1-c) for c >= 2), which
+    each multiplication by X - (p-1) moves one column on, with -1 as its
+    coefficient of X^0 in entry 1; row 0's residual is -1 at every column
+    (E0 = E1 - 1 past column 0), so every multiplier is p - 1 and every
+    update takes (p-1)^2 from that coefficient: it ends at -63 (p-1)^2.
+    """
+    half = pow(2, -1, p)
+    e1 = [1, 0] + [-pow(half, c - 1, p) % p for c in range(2, 64)]
+    e0 = [1] + [(a - 1) % p for a in e1[1:]]
+    return [e0, e1], jordan.JordanRep(PrimeField(p), ((1, 1), (p - 1, 63)))
+
+
+@pytest.mark.parametrize(
+    "p, words", [(BELOW_WORD_BOUND, np.int64), (ABOVE_WORD_BOUND, object)]
+)
+def test_leaf_word_bound_of_a_multiplied_row(p, words, monkeypatch):
+    # the pivot row goes back into W unreduced, at -(p-1)^2, and 62 updates
+    # of (p-1)^2 follow: the words of (p-1)^2 (sigma + 2) < 2^63 still hold
+    field = PrimeField(p)
+    e, j = multiplied_row_leaf(p)
+    seen = []
+    words_for = modmat.words
+
+    def spy(q, terms):
+        seen.append(words_for(q, terms))
+        return seen[-1]
+
+    monkeypatch.setattr(modmat, "words", spy)
+    basis = dnc.mbasis_jordan(e, j, [10**6, 0], field)
+    assert seen == [words]
+    assert basis == reference_leaf(e, j, [10**6, 0], field)
+    # row 0 pivots once, row 1 at the 63 other columns
+    assert list(polymat.shifted_row_degree(basis, [10**6, 0])) == [10**6 + 1, 63]
+
+
+@pytest.mark.parametrize("p", [BELOW_MULTIPLIED_ROW, PAST_MULTIPLIED_ROW])
+def test_multiplied_row_reaches_its_bound(p, monkeypatch):
+    # the leaf above does drive a word to -63 (p-1)^2: in int64 words it
+    # wraps exactly when that passes -2^63
+    assert (63 * (p - 1) ** 2 < 1 << 63) == (p == BELOW_MULTIPLIED_ROW)
+    field = PrimeField(p)
+    e, j = multiplied_row_leaf(p)
+    monkeypatch.setattr(modmat, "words", lambda q, terms: np.int64)
+    basis = dnc.mbasis_jordan(e, j, [10**6, 0], field)
+    expected = reference_leaf(e, j, [10**6, 0], field)
+    assert (basis == expected) == (p == BELOW_MULTIPLIED_ROW)
 
 
 def test_zero_evals_gives_identity():
