@@ -5,15 +5,19 @@ the rows of a striped Krylov matrix (the stack of E, E*M, ..., E*M^delta),
 with rows permuted so that relations found among early rows have small
 shifted row degree.  The engine computes the row rank profile of that
 matrix by degree doubling: the first elimination takes the 2m rows of E and
-E*M, and delta = 1 is one elimination of E.  A later step whose new rows
-all sort after the kept ones resumes from the kept rows' reduced form and
-eliminates only the new rows; the doubling stops early once the kept rows
-span F^sigma and the next step's rows would all follow them.  One product
-by M takes the last profile row of each column to its target row.  Each
-elimination also carries T, the transform of the profile rows C to their
-reduced form R = T C, so the relations X C = D, D the targets, take no
-elimination: one product checks D = D[:, pivots] R, and X = D[:, pivots] T
-gives the unique interpolation basis in shifted Popov form.
+E*M, and delta = 1 is one elimination of E.  Each later step adds the
+rows of degree step..2*step-1 of the live columns, those that kept every
+row so far, by `step` products of at most m rows by a dense M; squaring M
+would cost a sigma x sigma product per step, which numpy's cubic products
+never repay.  A step whose kept rows' images all sort after the kept rows
+resumes from their reduced form and eliminates only the new rows; the
+doubling stops early once the kept rows span F^sigma and the next step's
+rows would all follow them.  One product by M takes the last profile row of
+each column to its target row.  Each elimination also carries T, the
+transform of the profile rows C to their reduced form R = T C, so the
+relations X C = D, D the targets, take no elimination: one product checks
+D = D[:, pivots] R, and X = D[:, pivots] T gives the unique interpolation
+basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -21,8 +25,8 @@ enables the fast blockwise row updates.
 The engine runs on numpy arrays from entry to exit.  E is converted once,
 reduced mod p, into the int64 (or object) words of `modmat`; a dense M is
 converted once, reduced mod p, into the dtype of its products.  The Krylov
-rows, the powers of M, the target rows and the relations stay arrays;
-lists appear again only when the PolyMatrix is assembled.
+rows, the target rows and the relations stay arrays; lists appear again
+only when the PolyMatrix is assembled.
 """
 
 from __future__ import annotations
@@ -93,17 +97,22 @@ def _operands(e_rows, mulmat, shift, field: PrimeField):
     return e, mulmat, shift
 
 
-def _rows_times_power(rows, mulmat, step, p, pow_cache):
+def _live_rows(pairs, rows, mulmat, step, p):
+    """The rows of degrees step..2*step-1 of the live columns, those whose
+    kept rows (pairs, rows) have the degrees 0..step-1, with their pairs."""
+    top = [i for i, (_, d) in enumerate(pairs) if d == step - 1]
+    if not top:
+        return [], rows[:0]
     if isinstance(mulmat, _jordan.JordanRep):
-        return _jordan.act_power(rows, mulmat, step)
-    mp = pow_cache["mat"]
-    while pow_cache["exp"] < step:
-        mp = modmat.mat_mul(mp, mp, p)
-        pow_cache["exp"] *= 2
-        pow_cache["mat"] = mp
-    if pow_cache["exp"] != step:
-        raise AssertionError("power cache out of sync")
-    return modmat.mat_mul(rows, mp, p)
+        live = {pairs[i][0] for i in top}
+        at = [i for i, (c, _) in enumerate(pairs) if c in live]
+        new_pairs = [(pairs[i][0], pairs[i][1] + step) for i in at]
+        return new_pairs, _jordan.act_power(rows.take(at, 0), mulmat, step)
+    blocks = [rows.take(top, 0)]
+    for _ in range(step):
+        blocks.append(modmat.mat_mul(blocks[-1], mulmat, p))
+    new_pairs = [(pairs[i][0], d) for d in range(step, 2 * step) for i in top]
+    return new_pairs, _np.concatenate(blocks[1:])
 
 
 def krylov_rank_profile(
@@ -118,25 +127,35 @@ def krylov_rank_profile(
     delta must be a power of two bounding the degree of the minimal
     polynomial of the multiplication matrix.  The loop starts from all rows
     of E in priority order; each doubling step merges the kept rows with
-    their images under M^step and eliminates once, so delta = 1 is one
-    elimination of E and delta > 1 takes at most log2(delta) eliminations.
-    A row that depends on earlier rows in degree d still does in degree
-    d + step, as the priority order is compatible with multiplication by M,
-    so dropped rows never change which later rows are independent.
+    new rows and eliminates once, so delta = 1 is one elimination of E and
+    delta > 1 takes at most log2(delta) eliminations.  A row that depends
+    on earlier rows in degree d still does in degree d + 1, as the priority
+    order is compatible with multiplication by M, so the kept rows of
+    column c are its degrees 0..d_c.  Only a live column, d_c = step - 1,
+    gets new rows: those of degrees step..2*step-1.  A dense M makes them
+    by `step` products of at most m rows by M, which cost about one sigma^3
+    product per solve; squaring M (Keller-Gehrig) costs one per step and
+    pays only with a product exponent omega < 3, not with numpy's cubic
+    products.  A Jordan M takes the live columns' kept rows to their images
+    under M^step by one `jordan.act_power`.
 
-    When every new row (c, d + step) sorts after every kept row, as it
-    always does for a uniform shift, the kept rows are a prefix of the
-    merged stack.  They are independent and their reduced rows and their
-    transform are known from the previous elimination, so `modmat.rref`
-    resumes from those and eliminates only the new rows; the result is the
-    elimination of the whole stack.  Otherwise the merged stack is eliminated from scratch.
+    When every kept row's image (c, d + step) sorts after every kept row,
+    as it always does for a uniform shift, the kept rows are a prefix of
+    the merged stack.  They are independent and their reduced rows and
+    their transform are known from the previous elimination, so
+    `modmat.rref` resumes from those and eliminates only the new rows; the
+    result is the elimination of the whole stack.  Otherwise the merged
+    stack is eliminated from scratch.  The rule reads the finished
+    columns' images too, which are never made, so it restarts in some
+    cases where the new rows alone would allow a resume.
     Once the kept rows have rank sigma and the next step's rows all sort
-    after them, doubling stops and the profile is final.  The kept rows of
-    column c have the degrees 0..d_c, and the rows examined so far all
-    degrees below some D.  A row (c, d) with d >= D either lies past a
-    dropped row (c, d_c + 1), so it depends on earlier rows, or has
-    d_c = D - 1 and sorts no earlier than the next step's row (c, D), so it
-    follows rows spanning F^sigma and is dependent as well.
+    after them, doubling stops and the profile is final.  After the step
+    by M^(D/2), the live columns have kept all their degrees below D, and
+    every other column c has dropped its row (c, d_c + 1).  A row (c, d)
+    with d >= D either lies past such a dropped row, so it depends on
+    earlier rows, or has d_c = D - 1 and sorts no earlier than the next
+    step's row (c, D), so it follows rows spanning F^sigma and is
+    dependent as well.
 
     `row_indices` refer to the degree-delta row ordering.  E, a dense M and
     the shift are checked and converted here, unless E is an array, as
@@ -152,18 +171,21 @@ def krylov_rank_profile(
     def key(cd):
         return (shift[cd[0]] + cd[1], cd[0])
 
+    def images_follow(pairs, step):
+        # every kept row's image under M^step sorts after the last kept row
+        return min(key((c, d + step)) for c, d in pairs) > key(pairs[-1])
+
     pairs = [(c, 0) for c in sorted(range(m), key=lambda c: (shift[c], c))]
     rows = e.take([c for c, _ in pairs], 0)
     reduced = None  # (pivot columns, reduced rows, transform) of the kept rows
-    pow_cache = {"mat": mulmat, "exp": 1}
     step = 1
     while True:
         if step < delta:
-            new_rows = _rows_times_power(rows, mulmat, step, p, pow_cache)
-            merged = pairs + [(c, d + step) for c, d in pairs]
+            if reduced is not None and not images_follow(pairs, step):
+                reduced = None  # the kept rows are no prefix of the merged stack
+            new_pairs, new_rows = _live_rows(pairs, rows, mulmat, step, p)
+            merged = pairs + new_pairs
             order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
-            if order[: len(pairs)] != list(range(len(pairs))):
-                reduced = None  # new rows interleave: the kept ones are no prefix
             pairs = [merged[i] for i in order]
             rows = _np.concatenate([rows, new_rows]).take(order, 0)
         kept, *reduced = modmat.rref(rows, p, reduced, transform=True)
@@ -172,10 +194,8 @@ def krylov_rank_profile(
         step *= 2
         if step >= delta or not pairs:
             break
-        if len(pairs) == sigma:
-            # the kept rows span F^sigma: final once the next step's rows follow
-            if min(key((c, d + step)) for c, d in pairs) > key(pairs[-1]):
-                break
+        if len(pairs) == sigma and images_follow(pairs, step):
+            break  # the kept rows span F^sigma and the next step's rows follow
 
     return RankProfile(len(pairs), pairs, rows, tuple(reduced), list(shift), delta)
 

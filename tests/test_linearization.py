@@ -235,6 +235,105 @@ def test_krylov_rank_below_sigma_runs_every_step(monkeypatch):
     assert prof.row_indices == expected
 
 
+def _eliminations(monkeypatch, *args):
+    """krylov_rank_profile, and for each elimination its input rows, whether
+    it resumed, and the indices of the rows it kept."""
+    calls = []
+    rref = modmat.rref
+
+    def spy(mat, p, reduced=None, **kwargs):
+        out = rref(mat, p, reduced, **kwargs)
+        calls.append((mat.tolist(), reduced is not None, out[0]))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modmat, "rref", spy)
+        return lin.krylov_rank_profile(*args), calls
+
+
+def _check_new_rows(calls, e, dense, shift, delta, p):
+    """Replay the eliminations on (column, degree) labels.  The step by
+    M^step must add exactly the rows of degrees step..2*step-1 of the
+    columns that kept the degrees 0..step-1, with the bytes of E*M^d, and
+    must resume exactly when the kept rows are a prefix of the kept rows
+    merged with all their images under M^step.  Returns how many of those
+    images belong to finished columns and so were never made."""
+    def key(cd):
+        return (shift[cd[0]] + cd[1], cd[0])
+
+    krylov = [[[x % p for x in row] for row in e]]
+    for _ in range(delta):
+        krylov.append([[sum(a * b for a, b in zip(row, col)) % p for col in zip(*dense)]
+                       for row in krylov[-1]])
+    kept = sorted(((c, 0) for c in range(len(e))), key=key)
+    step, spared = 1, 0
+    for i, (mat, resumed, pivrows) in enumerate(calls):
+        assert step < delta
+        images = [(c, d + step) for c, d in kept]
+        live = [c for c, d in kept if d == step - 1]
+        spared += len(images) - step * len(live)
+        assert resumed == (i > 0 and sorted(kept + images, key=key)[: len(kept)] == kept)
+        labels = sorted(kept + [(c, d) for c in live for d in range(step, 2 * step)], key=key)
+        assert mat == [krylov[d][c] for c, d in labels]
+        kept = [labels[k] for k in pivrows]
+        step *= 2
+    return spared
+
+
+def _finished_column_cases(field, rng):
+    """(name, E, M, dense M, delta, spares) with columns that finish at
+    different degrees; spares tells whether some column finishes after
+    keeping rows, so that images of its kept rows are never made.  The
+    repeated and the zero row of E finish before keeping any."""
+    p = field.p
+
+    def rand_rows(rows, cols):
+        return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+    sigma = 10
+    r, s = rand_rows(2, sigma)
+    dense = rand_rows(sigma, sigma)
+    yield "equal and zero rows of E", [r, list(r), [0] * sigma, s], dense, dense, 16, False
+    sigma, a = 12, 5
+    dense = [row + [0] * (sigma - a) for row in rand_rows(a, a)]
+    dense += [[0] * a + row for row in rand_rows(sigma - a, sigma - a)]
+    e = [row + [0] * (sigma - a) for row in rand_rows(2, a)]
+    yield "diag(A, B), E on A", e, dense, dense, 16, True
+    # two rows of E span 6 + 3 of the 10 dimensions, so no step stops early
+    j = jordan.JordanRep(field, ((0, 6), (0, 3), (0, 1)))
+    dense = jordan.to_dense(j)
+    e = rand_rows(2, j.order)
+    yield "dense nilpotent M", e, dense, dense, 16, True
+    yield "Jordan nilpotent M", e, j, dense, 16, True
+    # row 1 of E is an eigenvector: column 1 finishes at degree 0 while
+    # column 0 stays live, so steps mix live and finished columns
+    j = jordan.JordanRep(field, ((0, 7), (2, 1)))
+    dense = jordan.to_dense(j)
+    e = [rand_rows(1, 8)[0], [0] * 7 + [1 + rng.randrange(p - 1)]]
+    yield "eigenvector row of E, dense M", e, dense, dense, 8, True
+    yield "eigenvector row of E, Jordan M", e, j, dense, 8, True
+
+
+@pytest.mark.parametrize("p", [7, 65537, 268435399, (1 << 61) - 1])
+def test_krylov_finished_columns_get_no_rows(monkeypatch, p):
+    # products in float64 words at p = 7 and 65537, in int64 at
+    # p = 268435399 and in object words at 2^61 - 1.  Uniform shifts resume
+    # every step; the spread ones make new rows sort among the kept ones
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for name, e, mulmat, dense, delta, spares in _finished_column_cases(field, rng):
+        m = len(e)
+        for shift in ([0] * m, [0, 3, 1, 5][:m]):
+            prof, calls = _eliminations(monkeypatch, e, mulmat, shift, delta, field)
+            expected = _dense_rank_profile_reference(e, mulmat, shift, delta, field)
+            assert prof.row_indices == expected, (name, shift)
+            spared = _check_new_rows(calls, e, dense, shift, delta, p)
+            assert (spared > 0) == spares, (name, shift)
+            basis, mindeg = lin.lin_interp_basis(e, mulmat, shift, delta, field)
+            popov, oracle_mindeg = oracle.oracle_popov(e, mulmat, shift, field)
+            assert basis == popov and mindeg == oracle_mindeg, (name, shift)
+
+
 EXPECTED_POPOV = [
     [[82, 40, 1], [76], []],
     [[13, 3], [57, 1], []],

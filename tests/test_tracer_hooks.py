@@ -77,11 +77,13 @@ def test_dense_lin_reaches_the_scalar_layers():
     # the steps by M, M^2, M^4 and M^8 keep 6, 12, 24 and then 40 = sigma
     # rows, and the rows of the step by M^16 would all follow them, so
     # doubling stops before delta = 64: four eliminations, whose transform
-    # gives the relations without a fifth; four products by powers of M,
-    # three squarings, one product for the target rows and two for the
-    # relations (the check of the targets against R, and the product by T)
+    # gives the relations without a fifth.  Every column stays live, and the
+    # step by M^step makes its new rows by step products of the 3 top rows
+    # by M: 1 + 2 + 4 + 8 = 15 products, with no squaring of M; then one
+    # product for the target rows and two for the relations (the check of
+    # the targets against R, and the product by T)
     assert stats["modmat.rref"].calls == 4
-    assert stats["modmat.mat_mul"].calls == 10
+    assert stats["modmat.mat_mul"].calls == 18
 
 
 def test_jordan_lin_eliminates_once_per_doubling_step_and_not_to_solve():
