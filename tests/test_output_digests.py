@@ -66,13 +66,14 @@ def pm_basis_unequal_orders(field, rng):
     return approx.pm_basis(ApproximantInstance(fmat, (300, 180), (0, 2, 1, 5)))
 
 
-def lin_on(shape, size):
-    """`mib interp --algo lin` on a bench instance."""
+def lin_on(shape, size, shift=None):
+    """`mib interp --algo lin` on a bench instance, at its own shift unless
+    one is given."""
 
     def solve(field, rng):
-        evals, mulmat, shift = cli._bench_instance(field, 4, size, rng, shape)
+        evals, mulmat, own = cli._bench_instance(field, 4, size, rng, shape)
         delta = cli._krylov_delta(mulmat, len(evals[0]))
-        return lin_interp_basis(evals, mulmat, shift, delta, field)[0]
+        return lin_interp_basis(evals, mulmat, own if shift is None else shift, delta, field)[0]
 
     return solve
 
@@ -82,6 +83,15 @@ SOLVES = {
     "pm-basis-unequal": (pm_basis_unequal_orders, "0ee8431e34a7b6e48d35d363ef93b0066b6eeffb3badb0a1f8fb016dd389051d"),
     "lin-rs-list": (lin_on("rs-list", 156), "0100a1ec9246f0991fdb57fa1fcf72192d4fe445507a27cb44fbcb94bcfb9f43"),
     "lin-dense": (lin_on("dense", 64), "c6571ea8d73b28bd3e4bbb6479a5cf76bdd1a03ad40f7d73b3bef2dd04434e26"),
+    # the dense-lin workload's shape: sigma = 256, m = 4, uniform shift
+    "lin-dense-256": (lin_on("dense", 256), "7d64b235d914abbd4a8b416cba99e4358a977fed257848ca31c8e4de57e05b27"),
+    # columns that enter the Krylov profile 40 degrees apart
+    "lin-dense-spread": (
+        lin_on("dense", 128, [0, 40, 80, 120]),
+        "9fbc3bf3d12a6838d054d1ef34f56b0d51a7ccaf97a0db803950ec58a419ccee",
+    ),
+    # Jordan M, m = 6, shift (0, 15, ..., 75)
+    "lin-rs-list-255": (lin_on("rs-list", 255), "702d13ca09f41f047dfaacd403f1ce361ec8c634317e9a1f3a7c98c101f220dd"),
 }
 
 
