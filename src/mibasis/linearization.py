@@ -3,21 +3,22 @@
 Interpolants of degree at most delta correspond to linear relations among
 the rows of a striped Krylov matrix (the stack of E, E*M, ..., E*M^delta),
 with rows permuted so that relations found among early rows have small
-shifted row degree.  The engine computes the row rank profile of that
-matrix by degree doubling: the first elimination takes the 2m rows of E and
-E*M, and delta = 1 is one elimination of E.  Each later step adds the
-rows of degree step..2*step-1 of the live columns, those that kept every
-row so far, by `step` products of at most m rows by a dense M; squaring M
+shifted row degree: row c of E*M^d sorts by s_c + d, then by c.  The
+engine computes the row rank profile of that matrix by eliminations that
+take its rows in that order, in windows of doubling width: with a uniform
+shift the first takes the 2m rows of E and E*M, the next the rows of
+degrees 2 and 3, then 4..7, and delta = 1 is one elimination of E.  A
+column that dropped a row has only dependent rows left, so only the live
+columns get rows; they come from each column's last kept row by one
+product by M per degree, of at most m rows.  Squaring M (Keller-Gehrig)
 would cost a sigma x sigma product per step, which numpy's cubic products
-never repay.  A step whose kept rows' images all sort after the kept rows
-resumes from their reduced form and eliminates only the new rows; the
-doubling stops early once the kept rows span F^sigma and the next step's
-rows would all follow them.  One product by M takes the last profile row of
-each column to its target row.  Each elimination also carries T, the
-transform of the profile rows C to their reduced form R = T C, so the
-relations X C = D, D the targets, take no elimination: one product checks
-D = D[:, pivots] R, and X = D[:, pivots] T gives the unique interpolation
-basis in shifted Popov form.
+never repay.  Every window follows the kept rows, so every elimination
+after the first resumes from their reduced form.  One product by M takes
+the last profile row of each column to its target row.  Each elimination
+also carries T, the transform of the profile rows C to their reduced form
+R = T C, so the relations X C = D, D the targets, take no elimination: one
+product checks D = D[:, pivots] R, and X = D[:, pivots] T gives the unique
+interpolation basis in shifted Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -32,7 +33,6 @@ only when the PolyMatrix is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as _np
 
@@ -42,36 +42,16 @@ from .field import PrimeField
 from .polymat import PolyMatrix, normalized_shift
 
 
-def priority_index(shift: list[int], delta: int, c: int, d: int) -> int:
-    """Position of row c of E*M^d in the striped Krylov matrix of degree delta.
-
-    Rows (k, d') with d' <= delta are ranked by the priority shift[k] + d',
-    ties broken by ascending k; for a fixed c the rank is strictly increasing
-    in d.  Each k contributes the number of its degrees ranked before (c, d).
-    """
-    t = shift[c] + d
-    return sum(min(max(t - s + (k < c), 0), delta + 1) for k, s in enumerate(shift))
-
-
 @dataclass
 class RankProfile:
-    """The profile rows, as (column, degree) pairs and as rows of the Krylov
-    matrix, with `reduced` = (pivot_cols, R, T) of their elimination by
-    `modmat.rref`: R = T pivot_rows is their reduced form.  `shift` and
-    `delta` are those of the striped Krylov matrix."""
+    """The profile rows, as (column, degree) pairs in priority order and as
+    rows of the Krylov matrix, with `reduced` = (pivot_cols, R, T) of their
+    elimination by `modmat.rref`: R = T pivot_rows is their reduced form."""
 
     rank: int
     decoded: list[tuple[int, int]]
     pivot_rows: _np.ndarray
     reduced: tuple
-    shift: list[int]
-    delta: int
-
-    @cached_property
-    def row_indices(self) -> list[int]:
-        """The profile rows' indices in the degree-delta row ordering,
-        computed on first read: no engine needs them."""
-        return [priority_index(self.shift, self.delta, c, d) for c, d in self.decoded]
 
 
 def _is_pow2(n: int) -> bool:
@@ -97,22 +77,41 @@ def _operands(e_rows, mulmat, shift, field: PrimeField):
     return e, mulmat, shift
 
 
-def _live_rows(pairs, rows, mulmat, step, p):
-    """The rows of degrees step..2*step-1 of the live columns, those whose
-    kept rows (pairs, rows) have the degrees 0..step-1, with their pairs."""
-    top = [i for i, (_, d) in enumerate(pairs) if d == step - 1]
-    if not top:
-        return [], rows[:0]
+def _times_m(rows, mulmat, p):
+    """rows * M, by the blockwise update of a Jordan M or a dense product."""
     if isinstance(mulmat, _jordan.JordanRep):
-        live = {pairs[i][0] for i in top}
-        at = [i for i, (c, _) in enumerate(pairs) if c in live]
-        new_pairs = [(pairs[i][0], pairs[i][1] + step) for i in at]
-        return new_pairs, _jordan.act_power(rows.take(at, 0), mulmat, step)
-    blocks = [rows.take(top, 0)]
-    for _ in range(step):
-        blocks.append(modmat.mat_mul(blocks[-1], mulmat, p))
-    new_pairs = [(pairs[i][0], d) for d in range(step, 2 * step) for i in top]
-    return new_pairs, _np.concatenate(blocks[1:])
+        return _jordan.act_power(rows, mulmat, 1)
+    return modmat.mat_mul(rows, mulmat, p)
+
+
+def _window_rows(tops, kept, window, mulmat, p):
+    """The rows of degrees kept[c]..hi-1 of column c, for each (c, hi) of
+    window, with their (column, degree) pairs; tops[c] becomes the row of
+    degree hi-1.
+
+    Each column starts from tops[c], its row of degree max(kept[c]-1, 0):
+    its last kept row, or E's row when it kept none, which is then new.
+    One product by M per degree takes the rows on; with the columns in
+    order of the products they need, most first, each product takes a
+    prefix of the rows, and level k holds each column's row of degree
+    max(kept[c]-1, 0) + k."""
+    need = {c: hi - max(kept[c], 1) for c, hi in window}
+    cols = sorted(need, key=need.get, reverse=True)
+    base = [max(kept[c] - 1, 0) for c in cols]
+    levels = [tops.take(cols, 0)]
+    fresh = [i for i, c in enumerate(cols) if not kept[c]]
+    pairs = [(cols[i], 0) for i in fresh]
+    blocks = [levels[0].take(fresh, 0)]
+    n = len(cols)
+    for k in range(1, need[cols[0]] + 1):
+        while need[cols[n - 1]] < k:
+            n -= 1
+        levels.append(_times_m(levels[-1][:n], mulmat, p))
+        pairs += [(c, b + k) for c, b in zip(cols[:n], base)]
+    blocks += levels[1:]
+    for i, c in enumerate(cols):
+        tops[c] = levels[need[c]][i]
+    return pairs, _np.concatenate(blocks)
 
 
 def krylov_rank_profile(
@@ -125,79 +124,69 @@ def krylov_rank_profile(
     """Row rank profile of the shifted striped Krylov matrix in degree delta.
 
     delta must be a power of two bounding the degree of the minimal
-    polynomial of the multiplication matrix.  The loop starts from all rows
-    of E in priority order; each doubling step merges the kept rows with
-    new rows and eliminates once, so delta = 1 is one elimination of E and
-    delta > 1 takes at most log2(delta) eliminations.  A row that depends
-    on earlier rows in degree d still does in degree d + 1, as the priority
-    order is compatible with multiplication by M, so the kept rows of
-    column c are its degrees 0..d_c.  Only a live column, d_c = step - 1,
-    gets new rows: those of degrees step..2*step-1.  A dense M makes them
-    by `step` products of at most m rows by M, which cost about one sigma^3
-    product per solve; squaring M (Keller-Gehrig) costs one per step and
-    pays only with a product exponent omega < 3, not with numpy's cubic
-    products.  A Jordan M takes the live columns' kept rows to their images
-    under M^step by one `jordan.act_power`.
+    polynomial of the multiplication matrix; the rows have degrees below
+    delta.  Row (c, d), row c of E*M^d, has the key s_c + d, and
+    `modmat.rref` takes the rows by key, ties by column, in windows.  A row
+    that depends on earlier rows in degree d still does in degree d + 1,
+    as the key order is compatible with multiplication by M, so the kept
+    rows of column c are its degrees 0..kept_c - 1, and once c drops a row
+    it gets no more: only a live column, one that has dropped none and has
+    rows below delta, takes part.  Each elimination takes every row of a
+    live column with key in [start, end), where start is the least s_c +
+    kept_c and end the least s_c + 2 max(kept_c, 1) over the live columns:
+    no live column has a row below start left, so every window follows the
+    kept rows, and `modmat.rref` resumes from their reduced rows and their
+    transform and eliminates only the new rows.  A uniform shift gives the
+    windows [0, 2), [2, 4), [4, 8), ..., so delta = 1 is one elimination of
+    E and delta > 1 takes at most log2(delta) eliminations; no column gets
+    more than max(2, kept_c) rows in one.  The loop stops at rank sigma or
+    when no column is live.
 
-    When every kept row's image (c, d + step) sorts after every kept row,
-    as it always does for a uniform shift, the kept rows are a prefix of
-    the merged stack.  They are independent and their reduced rows and
-    their transform are known from the previous elimination, so
-    `modmat.rref` resumes from those and eliminates only the new rows; the
-    result is the elimination of the whole stack.  Otherwise the merged
-    stack is eliminated from scratch.  The rule reads the finished
-    columns' images too, which are never made, so it restarts in some
-    cases where the new rows alone would allow a resume.
-    Once the kept rows have rank sigma and the next step's rows all sort
-    after them, doubling stops and the profile is final.  After the step
-    by M^(D/2), the live columns have kept all their degrees below D, and
-    every other column c has dropped its row (c, d_c + 1).  A row (c, d)
-    with d >= D either lies past such a dropped row, so it depends on
-    earlier rows, or has d_c = D - 1 and sorts no earlier than the next
-    step's row (c, D), so it follows rows spanning F^sigma and is
-    dependent as well.
+    The new rows come from each live column's last kept row by one
+    product by M per degree (`_window_rows`); for a dense M these cost
+    about one sigma^3 product per solve, where squaring M costs one per
+    doubling and pays only with a product exponent omega < 3.
 
-    `row_indices` refer to the degree-delta row ordering.  E, a dense M and
-    the shift are checked and converted here, unless E is an array, as
-    lin_interp_basis passes its own checked and converted inputs.
+    E, a dense M and the shift are converted here, unless E is an array:
+    lin_interp_basis passes its own converted inputs.  The domain checks
+    run on every call.
     """
     p = field.p
-    e = e_rows
-    if not isinstance(e, _np.ndarray):
-        e, mulmat, shift = _operands(e, mulmat, shift, field)
+    if isinstance(e_rows, _np.ndarray):
+        _jordan.check_evaluations(e_rows, mulmat, field)
+        e = e_rows
+    else:
+        e, mulmat, shift = _operands(e_rows, mulmat, shift, field)
     m, sigma = e.shape
     _validate_delta(delta, sigma)
 
-    def key(cd):
-        return (shift[cd[0]] + cd[1], cd[0])
-
-    def images_follow(pairs, step):
-        # every kept row's image under M^step sorts after the last kept row
-        return min(key((c, d + step)) for c, d in pairs) > key(pairs[-1])
-
-    pairs = [(c, 0) for c in sorted(range(m), key=lambda c: (shift[c], c))]
-    rows = e.take([c for c, _ in pairs], 0)
-    reduced = None  # (pivot columns, reduced rows, transform) of the kept rows
-    step = 1
-    while True:
-        if step < delta:
-            if reduced is not None and not images_follow(pairs, step):
-                reduced = None  # the kept rows are no prefix of the merged stack
-            new_pairs, new_rows = _live_rows(pairs, rows, mulmat, step, p)
-            merged = pairs + new_pairs
-            order = sorted(range(len(merged)), key=lambda i: key(merged[i]))
-            pairs = [merged[i] for i in order]
-            rows = _np.concatenate([rows, new_rows]).take(order, 0)
-        kept, *reduced = modmat.rref(rows, p, reduced, transform=True)
-        pairs = [pairs[i] for i in kept]
-        rows = rows.take(kept, 0)
-        step *= 2
-        if step >= delta or not pairs:
+    kept = [0] * m  # column c has kept its rows of degrees 0..kept[c]-1
+    dropped = [False] * m
+    tops = e.copy()  # row c: column c's row of degree max(kept[c]-1, 0)
+    pairs, rows, reduced = [], e[:0], None
+    while len(pairs) < sigma:
+        live = [c for c in range(m) if not dropped[c] and kept[c] < delta]
+        if not live:
             break
-        if len(pairs) == sigma and images_follow(pairs, step):
-            break  # the kept rows span F^sigma and the next step's rows follow
-
-    return RankProfile(len(pairs), pairs, rows, tuple(reduced), list(shift), delta)
+        start = min(shift[c] + kept[c] for c in live)
+        end = min(shift[c] + 2 * max(kept[c], 1) for c in live)
+        window = [(c, min(end - shift[c], delta)) for c in live if shift[c] + kept[c] < end]
+        new_pairs, new_rows = _window_rows(tops, kept, window, mulmat, p)
+        keys = [shift[c] + d - start for c, d in new_pairs]
+        order = _np.lexsort(([c for c, _ in new_pairs], keys)).tolist()
+        rows = _np.concatenate([rows, new_rows.take(order, 0)])
+        r = len(pairs)
+        pivrows, *reduced = modmat.rref(rows, p, reduced, transform=True)
+        for i in pivrows[r:]:
+            c, d = new_pairs[order[i - r]]
+            pairs.append((c, d))
+            kept[c] += 1
+        for c, hi in window:
+            dropped[c] = kept[c] < hi
+        rows = rows.take(pivrows, 0)
+    if reduced is None:  # no elimination: rank 0
+        reduced = ([], rows, rows[:, :0])
+    return RankProfile(len(pairs), pairs, rows, tuple(reduced))
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:
@@ -220,10 +209,7 @@ def _target_rows(e, mulmat, profile, mindeg, p):
     if cs:
         where = {cd: k for k, cd in enumerate(profile.decoded)}
         last = profile.pivot_rows.take([where[c, mindeg[c] - 1] for c in cs], 0)
-        if isinstance(mulmat, _jordan.JordanRep):
-            targets[cs] = _jordan.act_power(last, mulmat, 1)
-        else:
-            targets[cs] = modmat.mat_mul(last, mulmat, p)
+        targets[cs] = _times_m(last, mulmat, p)
     return targets
 
 

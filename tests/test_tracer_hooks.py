@@ -74,29 +74,32 @@ def test_dense_lin_reaches_the_scalar_layers():
     e = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(3)]
     dense = [[rng.randrange(field.p) for _ in range(sigma)] for _ in range(sigma)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, dense, [0, 0, 0], 64, field))
-    # the steps by M, M^2, M^4 and M^8 keep 6, 12, 24 and then 40 = sigma
-    # rows, and the rows of the step by M^16 would all follow them, so
-    # doubling stops before delta = 64: four eliminations, whose transform
-    # gives the relations without a fifth.  Every column stays live, and the
-    # step by M^step makes its new rows by step products of the 3 top rows
-    # by M: 1 + 2 + 4 + 8 = 15 products, with no squaring of M; then one
-    # product for the target rows and two for the relations (the check of
-    # the targets against R, and the product by T)
+    # the windows of degrees [0, 2), [2, 4), [4, 8) and [8, 16) keep 6, 12,
+    # 24 and then 40 = sigma rows, so the loop stops before delta = 64: four
+    # eliminations, whose transform gives the relations without a fifth.
+    # Every column stays live, and the window [k, 2k) makes its new rows by
+    # k products of the 3 top rows by M: 1 + 2 + 4 + 8 = 15 products, with
+    # no squaring of M; then one product for the target rows and two for
+    # the relations (the check of the targets against R, and the product
+    # by T)
     assert stats["modmat.rref"].calls == 4
     assert stats["modmat.mat_mul"].calls == 18
 
 
 def test_jordan_lin_eliminates_once_per_doubling_step_and_not_to_solve():
-    # no elimination of E alone and no column profile: the step by M keeps
-    # 4 = sigma rows, and the rows of the step by M^2 would all follow them,
-    # so delta = 4 takes one doubling step, and the relations are read off
-    # its transform without a second elimination
+    # no elimination of E alone and no column profile: the window of
+    # degrees 0 and 1 keeps 4 = sigma rows, so delta = 4 takes one
+    # elimination, and the relations are read off its transform without a
+    # second.  The Jordan M takes rows on by one act_power per degree, as
+    # a dense M does by one product: one for the rows of degree 1 and one
+    # for the target rows
     field = mb.PrimeField(97)
     rep = jordan.JordanRep(field, ((0, 4),))
     rng = random.Random(5)
     e = [[rng.randrange(field.p) for _ in range(4)] for _ in range(4)]
     stats = traced_stats(lambda: mb.lin_interp_basis(e, rep, [0, 0, 0, 0], 4, field))
     assert stats["modmat.rref"].calls == 1
+    assert stats["jordan.act_power"].calls == 2
 
 
 # One solve of perfbench's seed-7 instance 0 of each Jordan workload: the
