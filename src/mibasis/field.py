@@ -174,12 +174,6 @@ class PrimeField:
         """f * X^k."""
         return [0] * k + f if f else []
 
-    def poly_eval(self, f: list[int], x: int) -> int:
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * x + c) % self.p
-        return acc
-
     def poly_monic(self, f: list[int]) -> list[int]:
         if not f:
             return []
@@ -203,17 +197,6 @@ class PrimeField:
             return self.normalize((out % p).tolist())
         width = digit_bytes(bound)
         return kron_unpack(kron_pack(f, width) * kron_pack(g, width), width, p)
-
-    def poly_pow(self, f: list[int], e: int) -> list[int]:
-        result = [1]
-        base = f
-        while e:
-            if e & 1:
-                result = self.poly_mul(result, base)
-            e >>= 1
-            if e:
-                base = self.poly_mul(base, base)
-        return result
 
     # -- division, gcd ------------------------------------------------------
 

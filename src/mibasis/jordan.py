@@ -96,21 +96,38 @@ class JordanRep:
 
 
 def check_evaluations(e_rows, mulmat, field: PrimeField) -> None:
-    """The engines' domain checks on E and M: at least one row of E, M a
-    JordanRep over field or a square dense matrix, and as many columns in E
-    as the order of M.  dnc, lin and the oracle raise the same ValueError."""
-    if not len(e_rows):
+    """The engines' domain checks on E and M: E a matrix of at least one
+    row, M a JordanRep over field or a square dense matrix, and as many
+    columns in E as the order of M.  An array is checked by its shape, a
+    list by the lengths of its rows.  dnc, lin and the oracle raise the
+    same ValueError."""
+    rows, widths = _row_lengths(e_rows, "E must be a list of rows or a 2-D array")
+    if not rows:
         raise ValueError("at least one evaluation row is required")
     if isinstance(mulmat, JordanRep):
         if mulmat.field != field:
             raise ValueError("field does not match the Jordan matrix")
         order = mulmat.order
     else:
-        order = len(mulmat)
-        if any(len(row) != order for row in mulmat):
-            raise ValueError("a dense multiplication matrix must be square")
-    if any(len(row) != order for row in e_rows):
+        square = "a dense multiplication matrix must be square"
+        order, m_widths = _row_lengths(mulmat, square)
+        if m_widths - {order}:
+            raise ValueError(square)
+    if widths != {order}:
         raise ValueError("column count of E must match the order of M")
+
+
+def _row_lengths(mat, message: str) -> tuple[int, set[int]]:
+    """The row count of a matrix and the set of its row lengths, or
+    ValueError(message) when mat is neither a 2-D array nor a list of rows."""
+    if isinstance(mat, _np.ndarray):
+        if mat.ndim != 2:
+            raise ValueError(message)
+        return len(mat), {mat.shape[1]} if len(mat) else set()
+    try:
+        return len(mat), {len(row) for row in mat}
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def to_dense(j: JordanRep) -> list[list[int]]:

@@ -13,9 +13,10 @@ columns get rows; they come from each column's last kept row by one
 product by M per degree, of at most m rows.  Squaring M (Keller-Gehrig)
 would cost a sigma x sigma product per step, which numpy's cubic products
 never repay.  Every window follows the kept rows, so every elimination
-after the first resumes from their reduced form.  One product by M takes
-the last profile row of each column to its target row.  Each elimination
-also carries T, the transform of the profile rows C to their reduced form
+after the first resumes from their reduced form and takes only the new
+rows.  The loop holds one row per column, its last kept row, and one
+product by M takes those rows to the target rows.  Each elimination also
+carries T, the transform of the profile rows C to their reduced form
 R = T C, so the relations X C = D, D the targets, take no elimination: one
 product checks D = D[:, pivots] R, and X = D[:, pivots] T gives the unique
 interpolation basis in shifted Popov form.
@@ -23,11 +24,11 @@ interpolation basis in shifted Popov form.
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
 
-The engine runs on numpy arrays from entry to exit.  E is converted once,
-reduced mod p, into the int64 (or object) words of `modmat`; a dense M is
-converted once, reduced mod p, into the dtype of its products.  The Krylov
-rows, the target rows and the relations stay arrays; lists appear again
-only when the PolyMatrix is assembled.
+The engine runs on numpy arrays from entry to exit.  `krylov_rank_profile`
+checks its inputs once and converts E, reduced mod p, into the int64 (or
+object) words of `modmat`, and a dense M, reduced mod p, into the dtype of
+its products.  The Krylov rows, the target rows and the relations stay
+arrays; lists appear again only when the PolyMatrix is assembled.
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ from .polymat import PolyMatrix, normalized_shift
 
 @dataclass
 class RankProfile:
-    """The profile rows, as (column, degree) pairs in priority order and as
-    rows of the Krylov matrix, with `reduced` = (pivot_cols, R, T) of their
-    elimination by `modmat.rref`: R = T pivot_rows is their reduced form."""
+    """The profile rows as (column, degree) pairs in priority order, with
+    `reduced` = (pivot_cols, R, T) of their elimination by `modmat.rref`:
+    R = T C for the profile rows C, and `targets`, whose row c is row c of
+    E*M^d_c, d_c the count of profile rows of column c."""
 
     rank: int
     decoded: list[tuple[int, int]]
-    pivot_rows: _np.ndarray
+    targets: _np.ndarray
     reduced: tuple
 
 
@@ -64,9 +66,10 @@ def _validate_delta(delta: int, sigma: int) -> None:
 
 
 def _operands(e_rows, mulmat, shift, field: PrimeField):
-    """The checked inputs: E reduced mod p in modmat's words, a dense M
-    reduced mod p in the dtype of its products (so that no product converts
-    it again), and the normalized shift."""
+    """The inputs of `krylov_rank_profile`, checked: E, a list of rows or an
+    array, reduced mod p in modmat's words, a dense M reduced mod p in the
+    dtype of its products (so that no product converts it again), and the
+    normalized shift."""
     _jordan.check_evaluations(e_rows, mulmat, field)
     shift = normalized_shift(shift, len(e_rows))
     p = field.p
@@ -86,8 +89,7 @@ def _times_m(rows, mulmat, p):
 
 def _window_rows(tops, kept, window, mulmat, p):
     """The rows of degrees kept[c]..hi-1 of column c, for each (c, hi) of
-    window, with their (column, degree) pairs; tops[c] becomes the row of
-    degree hi-1.
+    window, with their (column, degree) pairs; tops is only read.
 
     Each column starts from tops[c], its row of degree max(kept[c]-1, 0):
     its last kept row, or E's row when it kept none, which is then new.
@@ -98,19 +100,17 @@ def _window_rows(tops, kept, window, mulmat, p):
     need = {c: hi - max(kept[c], 1) for c, hi in window}
     cols = sorted(need, key=need.get, reverse=True)
     base = [max(kept[c] - 1, 0) for c in cols]
-    levels = [tops.take(cols, 0)]
+    level = tops.take(cols, 0)
     fresh = [i for i, c in enumerate(cols) if not kept[c]]
     pairs = [(cols[i], 0) for i in fresh]
-    blocks = [levels[0].take(fresh, 0)]
+    blocks = [level.take(fresh, 0)]
     n = len(cols)
     for k in range(1, need[cols[0]] + 1):
         while need[cols[n - 1]] < k:
             n -= 1
-        levels.append(_times_m(levels[-1][:n], mulmat, p))
+        level = _times_m(level[:n], mulmat, p)
+        blocks.append(level)
         pairs += [(c, b + k) for c, b in zip(cols[:n], base)]
-    blocks += levels[1:]
-    for i, c in enumerate(cols):
-        tops[c] = levels[need[c]][i]
     return pairs, _np.concatenate(blocks)
 
 
@@ -145,25 +145,23 @@ def krylov_rank_profile(
     The new rows come from each live column's last kept row by one
     product by M per degree (`_window_rows`); for a dense M these cost
     about one sigma^3 product per solve, where squaring M costs one per
-    doubling and pays only with a product exponent omega < 3.
+    doubling and pays only with a product exponent omega < 3.  The loop
+    holds one row per column, its last kept row or E's row while it has
+    kept none, written where a pivot is kept; one more product by M takes
+    those rows to the targets, row c of E*M^kept_c.
 
-    E, a dense M and the shift are converted here, unless E is an array:
-    lin_interp_basis passes its own converted inputs.  The domain checks
-    run on every call.
+    E, a dense M and the shift are converted and checked here, on every
+    call.
     """
     p = field.p
-    if isinstance(e_rows, _np.ndarray):
-        _jordan.check_evaluations(e_rows, mulmat, field)
-        e = e_rows
-    else:
-        e, mulmat, shift = _operands(e_rows, mulmat, shift, field)
+    e, mulmat, shift = _operands(e_rows, mulmat, shift, field)
     m, sigma = e.shape
     _validate_delta(delta, sigma)
 
     kept = [0] * m  # column c has kept its rows of degrees 0..kept[c]-1
     dropped = [False] * m
     tops = e.copy()  # row c: column c's row of degree max(kept[c]-1, 0)
-    pairs, rows, reduced = [], e[:0], None
+    pairs, reduced = [], None
     while len(pairs) < sigma:
         live = [c for c in range(m) if not dropped[c] and kept[c] < delta]
         if not live:
@@ -174,19 +172,22 @@ def krylov_rank_profile(
         new_pairs, new_rows = _window_rows(tops, kept, window, mulmat, p)
         keys = [shift[c] + d - start for c, d in new_pairs]
         order = _np.lexsort(([c for c, _ in new_pairs], keys)).tolist()
-        rows = _np.concatenate([rows, new_rows.take(order, 0)])
-        r = len(pairs)
+        rows = new_rows.take(order, 0)
         pivrows, *reduced = modmat.rref(rows, p, reduced, transform=True)
-        for i in pivrows[r:]:
-            c, d = new_pairs[order[i - r]]
+        for i in pivrows:
+            c, d = new_pairs[order[i]]
             pairs.append((c, d))
             kept[c] += 1
+            tops[c] = rows[i]
         for c, hi in window:
             dropped[c] = kept[c] < hi
-        rows = rows.take(pivrows, 0)
     if reduced is None:  # no elimination: rank 0
-        reduced = ([], rows, rows[:, :0])
-    return RankProfile(len(pairs), pairs, rows, tuple(reduced))
+        reduced = ([], e[:0], e[:0, :0])
+    # the targets: row c of E*M^kept[c]
+    cs = [c for c in range(m) if kept[c]]
+    if cs:
+        tops[cs] = _times_m(tops.take(cs, 0), mulmat, p)
+    return RankProfile(len(pairs), pairs, tops, tuple(reduced))
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:
@@ -196,21 +197,6 @@ def minimal_degree(profile: RankProfile, m: int) -> list[int]:
         if d + 1 > out[c]:
             out[c] = d + 1
     return out
-
-
-def _target_rows(e, mulmat, profile, mindeg, p):
-    """Row c of E*M^mindeg[c], for every c, as one array.
-
-    The profile holds row c of E*M^(mindeg[c]-1) when mindeg[c] > 0, so one
-    product by M gives every such target; the others are row c of E.
-    """
-    targets = e.copy()
-    cs = [c for c, dc in enumerate(mindeg) if dc]
-    if cs:
-        where = {cd: k for k, cd in enumerate(profile.decoded)}
-        last = profile.pivot_rows.take([where[c, mindeg[c] - 1] for c in cs], 0)
-        targets[cs] = _times_m(last, mulmat, p)
-    return targets
 
 
 def _assemble_popov(field, mindeg, decoded, relation):
@@ -240,11 +226,9 @@ def lin_interp_basis(
     and the oracle, with the same domain errors.
     """
     p = field.p
-    e, mulmat, shift = _operands(e_rows, mulmat, shift, field)
-    m = len(e)
-    profile = krylov_rank_profile(e, mulmat, shift, delta, field)
-    mindeg = minimal_degree(profile, m)
-    targets = _target_rows(e, mulmat, profile, mindeg, p)
+    profile = krylov_rank_profile(e_rows, mulmat, shift, delta, field)
+    targets = profile.targets
+    mindeg = minimal_degree(profile, len(targets))
     pivcols, red, transform = profile.reduced
     coords = targets[:, pivcols]
     if not _np.array_equal(modmat.mat_mul(coords, red, p), targets):

@@ -62,10 +62,6 @@ def _dims(mat) -> tuple[int, int]:
     return len(mat), (len(mat[0]) if len(mat) else 0)
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b, p: int) -> _np.ndarray:
     """Exact product over Z/pZ of two matrices with entries in [0, p)."""
     ra, ca = _dims(a)
@@ -92,11 +88,11 @@ def rref(mat, p: int, reduced=None, transform: bool = False):
     exactly when D = D[:, pivot_cols] R.
 
     `reduced` resumes an elimination: it is the (pivot_cols, reduced_rows),
-    or with transform the (pivot_cols, reduced_rows, T), that rref returned
-    for the first r = len(pivot_cols) rows of mat, which must all have been
-    pivot rows.  Those rows are then not eliminated again; the loop starts
-    at row r from their reduced rows, and the result is the one a fresh call
-    returns, pivot rows 0..r-1 included.
+    or with transform the (pivot_cols, reduced_rows, T), of r earlier pivot
+    rows, and mat holds only the rows to add after them.  The loop starts
+    from those reduced rows; the pivot indices returned index mat, and
+    pivot_cols, R and T are those of a fresh call on the r earlier rows
+    followed by mat, whose first r rows are its pivot rows.
 
     The elimination is blocked.  The reduced rows R found so far stay fully
     reduced, and each block of rows is pre-reduced against them with one
@@ -116,12 +112,14 @@ def rref(mat, p: int, reduced=None, transform: bool = False):
     working row is its T part times the pivot rows.
     """
     nrows, ncols = _dims(mat)
-    if not nrows or not ncols:
+    pivcols: list[int] = list(reduced[0]) if reduced is not None else []
+    r0 = len(pivcols)
+    if not (nrows or r0) or not ncols:
         empty = _np.zeros((0, ncols), dtype=_np.int64)
         if transform:
             return [], [], empty, _np.zeros((0, 0), dtype=_np.int64)
         return [], [], empty
-    cap = min(nrows, ncols)
+    cap = min(r0 + nrows, ncols)
     dt = _dtype_for(p, cap + 1)
     wd = words(p, cap + 1)
     A = _np.asarray(mat, dtype=wd)
@@ -130,14 +128,12 @@ def rref(mat, p: int, reduced=None, transform: bool = False):
     R = _np.zeros((cap, width), dtype=dt)  # reduced rows, with T beside them
     H = _np.zeros((kmax, width), dtype=dt)
     G = _np.zeros((ncols, kmax), dtype=dt)
-    pivcols: list[int] = []
-    if reduced is not None:
-        pivcols = list(reduced[0])
-        R[: len(pivcols), :ncols] = reduced[1]
+    if r0:
+        R[:r0, :ncols] = reduced[1]
         if transform:
-            R[: len(pivcols), ncols : ncols + len(pivcols)] = reduced[2]
-    pivrows = list(range(len(pivcols)))
-    i = len(pivcols)
+            R[:r0, ncols : ncols + r0] = reduced[2]
+    pivrows: list[int] = []
+    i = 0
     while i < nrows and len(pivcols) < ncols:
         r = len(pivcols)
         blk = _np.zeros((min(_BLOCK, nrows - i), width), dtype=wd)
@@ -222,25 +218,3 @@ def solve_right(c, d, p: int) -> _np.ndarray:
         raise ValueError(_UNSOLVABLE)
     return R[_np.argsort(pivcols), r:].T
 
-
-def det(mat, p: int) -> int:
-    """Determinant over Z/pZ by plain elimination (small matrices)."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    sign = 1
-    result = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), -1)
-        if piv < 0:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pv = a[col][col] % p
-        result = result * pv % p
-        inv = pow(pv, -1, p)
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return result * sign % p

@@ -94,9 +94,6 @@ class PolyMatrix:
                     d = len(e) - 1
         return d
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
-
     def submatrix(self, rows, cols) -> "PolyMatrix":
         cols = list(cols)
         return PolyMatrix(

@@ -6,6 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from mibasis.field import MINUS_INF, PrimeField, is_prime
 
+
+def horner(field, f, x):
+    """f(x) in field, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % field.p
+    return acc
+
+
+def power(field, f, e):
+    """f^e in field, by e products."""
+    out = [1]
+    for _ in range(e):
+        out = field.poly_mul(out, f)
+    return out
+
+
 F97 = PrimeField(97)
 F7 = PrimeField(7)
 
@@ -201,7 +218,7 @@ def test_multi_mod_examples():
     # moduli of the form X - a return evaluations
     f = [3, 2, 5]
     rems = F7.multi_mod(f, [[(-a) % 7, 1] for a in range(5)])
-    assert [r[0] if r else 0 for r in rems] == [F7.poly_eval(f, a) for a in range(5)]
+    assert [r[0] if r else 0 for r in rems] == [horner(F7, f, a) for a in range(5)]
 
 
 def test_multi_mod_matches_long_division():
@@ -234,7 +251,7 @@ def test_crt_round_trip_with_multi_mod():
     ):
         fld = PrimeField(p)
         pts = rng.sample(range(min(p, 1 << 30)), len(sizes))
-        moduli = [fld.poly_pow([(-a) % p, 1], s) for a, s in zip(pts, sizes)]
+        moduli = [power(fld, [(-a) % p, 1], s) for a, s in zip(pts, sizes)]
         for _ in range(6):
             f = rand_poly(rng, fld, sum(sizes) - 1)
             rems = fld.multi_mod(f, moduli)
@@ -306,7 +323,7 @@ def test_crt_and_multi_mod_are_inverse_bijections(p):
     rng = random.Random(p)
     for sizes in ([0, 1, 2, 3, 4, 5], [5, 0], [3, 1, 0, 2], [0], [4]):
         pts = rng.sample(range(min(p, 1 << 30)), len(sizes))
-        moduli = [fld.poly_pow([(-a) % p, 1], s) for a, s in zip(pts, sizes)]
+        moduli = [power(fld, [(-a) % p, 1], s) for a, s in zip(pts, sizes)]
         for _ in range(4):
             f = rand_poly(rng, fld, sum(sizes) - 1)
             assert fld.crt(fld.multi_mod(f, moduli), moduli) == f

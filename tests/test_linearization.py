@@ -230,8 +230,8 @@ def _eliminations(monkeypatch, *args):
 
 
 def _check_new_rows(calls, e, dense, shift, delta, p):
-    """Replay the eliminations on (column, degree) labels.  Each must take,
-    after the kept rows and in priority order, every row below degree delta
+    """Replay the eliminations on (column, degree) labels.  Each must take
+    only new rows: in priority order, every row below degree delta
     of the live columns, those that have dropped no row, whose key s_c + d
     lies in [start, end): start is the least s_c + kept_c and end the least
     s_c + 2 max(kept_c, 1) over the live columns, kept_c the rows column c
@@ -265,9 +265,8 @@ def _check_new_rows(calls, e, dense, shift, delta, p):
         offered = {c: sum(1 for k, _ in new if k == c) for c in cols}
         assert all(offered[c] <= max(2, kept[c]) for c in cols)
         new.sort(key=key)
-        assert mat == [krylov[d][c] for c, d in labels + new]
-        assert pivrows[: len(labels)] == list(range(len(labels)))
-        labels = [(labels + new)[k] for k in pivrows]
+        assert mat == [krylov[d][c] for c, d in new]
+        labels += [new[k] for k in pivrows]
         for c in cols:
             now = sum(1 for k, _ in labels if k == c)
             dropped[c] = now - kept[c] < offered[c]
@@ -394,8 +393,7 @@ def test_lin_interp_basis_field_mismatch_rejected():
 
 
 def test_krylov_rank_profile_checks_an_array_e():
-    # an array E is taken as converted, as lin_interp_basis passes it, but
-    # the domain checks still run on it
+    # an array E is converted and checked as a list is
     e = np.array([[1, 2, 3]], dtype=np.int64)
     with pytest.raises(ValueError, match="field does not match the Jordan matrix"):
         lin.krylov_rank_profile(e, jordan.JordanRep(F7, ((1, 3),)), [0], 4, F97)
@@ -406,6 +404,71 @@ def test_krylov_rank_profile_checks_an_array_e():
     expected = lin.krylov_rank_profile(EVALS, nilpotent3(), [3, 0, 2], 4, F97)
     prof = lin.krylov_rank_profile(np.array(EVALS, dtype=np.int64), nilpotent3(), [3, 0, 2], 4, F97)
     assert prof.decoded == expected.decoded == [(1, 0), (1, 1), (1, 2)]
+
+
+def _counted_solve(monkeypatch, *args):
+    """lin_interp_basis, with its calls of check_evaluations, rref and mat_mul."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def spy(*a, **kw):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*a, **kw)
+
+        patch.setattr(owner, name, spy)
+
+    with monkeypatch.context() as patch:
+        count(jordan, "check_evaluations")
+        count(modmat, "rref")
+        count(modmat, "mat_mul")
+        return lin.lin_interp_basis(*args), calls
+
+
+@pytest.mark.parametrize("p", [97, 65537, (1 << 61) - 1])
+def test_lin_interp_basis_takes_arrays_as_lists_with_one_check(monkeypatch, p):
+    # E and a dense M as arrays give the bytes and the schedule of their
+    # lists, and each solve checks its inputs once
+    field = PrimeField(p)
+    rng = random.Random(p + 2)
+    sigma = 20
+    e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(3)]
+    dense = [[rng.randrange(p) for _ in range(sigma)] for _ in range(sigma)]
+    dt = np.int64 if p < 1 << 62 else object
+    j = rand_jordan(rng, field, sigma)
+    for mulmat, array_m in ((dense, np.array(dense, dtype=dt)), (j, j)):
+        expected, calls = _counted_solve(monkeypatch, e, mulmat, [0, 2, 1], 32, field)
+        got, array_calls = _counted_solve(monkeypatch, np.array(e, dtype=dt), array_m, [0, 2, 1], 32, field)
+        assert repr(got[0].rows) == repr(expected[0].rows) and got[1] == expected[1]
+        assert array_calls == calls
+        assert calls["check_evaluations"] == 1
+
+
+def test_rank_profile_targets_are_the_next_krylov_rows():
+    # row c of the targets is row c of E*M^d_c, d_c the profile rows of
+    # column c: rank-deficient E and M, columns with no profile row, and
+    # spread shifts, on Jordan and dense M
+    rng = random.Random(14)
+    for trial in range(20):
+        field = (F7, F97, PrimeField((1 << 61) - 1))[trial % 3]
+        p = field.p
+        m = rng.randrange(1, 5)
+        sigma = rng.randrange(1, 11)
+        j = rand_jordan(rng, field, sigma)
+        e = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+        if m > 1:
+            e[-1] = list(e[0]) if trial % 2 else [0] * sigma
+        s = [rng.choice([0, 1, 3, 8]) for _ in range(m)]
+        delta = 1
+        while delta < sigma:
+            delta *= 2
+        for mulmat in (j, jordan.to_dense(j)):
+            prof = lin.krylov_rank_profile(e, mulmat, s, delta, field)
+            mindeg = lin.minimal_degree(prof, m)
+            kry = oracle.striped_krylov(e, mulmat, s, delta, field)
+            index = {cd: i for i, cd in enumerate(oracle._priority_pairs(s, m, delta))}
+            assert prof.targets.tolist() == [kry[index[c, d]] for c, d in enumerate(mindeg)]
 
 
 def test_lin_interp_basis_zero_evals():

@@ -56,7 +56,8 @@ def random_matrix(rng, p, rows, cols, small):
 
 
 def test_row_rank_profile_identity():
-    assert modmat.row_rank_profile(modmat.identity(4), 7) == (4, [0, 1, 2, 3])
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert modmat.row_rank_profile(identity, 7) == (4, [0, 1, 2, 3])
 
 
 def test_row_rank_profile_by_hand():
@@ -112,12 +113,13 @@ def test_large_blocked_path_agrees_with_reference():
     assert rref_lists(mat, 97) == rref_reference(mat, 97)
 
 
-@pytest.mark.parametrize("p", [7, P26, P61])
+@pytest.mark.parametrize("p", [7, 65537, P26, P61])
 @pytest.mark.parametrize("k", [5, 32, 40])
 def test_rref_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     # k independent rows, inside the first block or across the block size,
     # then a rank-deficient tail: planted combinations of earlier tail rows
-    # and one combination of head rows; p runs float64, int64 and object
+    # and one combination of head rows; p runs float64, int64 and object.
+    # The resumed call takes the tail alone, and its pivot indices index it
     rng = random.Random(k)
     cols = 48
     head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
@@ -126,8 +128,9 @@ def test_rref_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     pivrows, pivcols, reduced = modmat.rref(head, p)
     assert pivrows == list(range(k))
     fresh = modmat.rref(head + tail, p)
-    resumed = modmat.rref(head + tail, p, (pivcols, reduced))
-    assert resumed[:2] == fresh[:2]
+    resumed = modmat.rref(tail, p, (pivcols, reduced))
+    assert [k + i for i in resumed[0]] == fresh[0][k:]
+    assert resumed[1] == fresh[1]
     assert resumed[2].dtype == fresh[2].dtype
     assert np.array_equal(resumed[2], fresh[2])
     assert fresh[:2] == rref_reference(head + tail, p)[:2]
@@ -171,7 +174,8 @@ def test_rref_transform_maps_pivot_rows_to_reduced_rows(p):
 @pytest.mark.parametrize("k", [5, 32, 40])
 def test_rref_transform_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     # k independent head rows, then a rank-deficient tail that also holds a
-    # combination of head rows; T of the resumed call covers the head too
+    # combination of head rows; the resumed call takes the tail alone, and
+    # its T covers the head too
     rng = random.Random(1000 + k)
     cols = 48
     head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
@@ -180,9 +184,11 @@ def test_rref_transform_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     pivrows, pivcols, red, t = check_transform(head, p)
     assert pivrows == list(range(k))
     fresh = check_transform(head + tail, p)
-    resumed = check_transform(head + tail, p, (pivcols, red, t), (pivcols, red))
-    assert resumed[:2] == fresh[:2]
-    assert np.array_equal(resumed[2], fresh[2]) and np.array_equal(resumed[3], fresh[3])
+    resumed = modmat.rref(np.array(tail, dtype=object), p, (pivcols, red, t), transform=True)
+    assert [k + i for i in resumed[0]] == fresh[0][k:]
+    assert resumed[1] == fresh[1]
+    for got, want in zip(resumed[2:], fresh[2:]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(fresh[0]) < len(head + tail)
 
 
@@ -224,7 +230,7 @@ def test_solve_right():
             r = rng.randrange(1, 6)
             while True:
                 c = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
-                if modmat.det(c, p) != 0:
+                if modmat.row_rank_profile(c, p)[0] == r:
                     break
             x = [[rng.randrange(p) for _ in range(r)] for _ in range(4)]
             d = modmat.mat_mul(x, c, p)
@@ -265,8 +271,3 @@ def test_solve_right_rejects_inconsistent_and_rank_deficient_rectangular():
     assert modmat.solve_right(empty, [[0, 7, 0, 0, 0]], 7).shape == (1, 0)
     with pytest.raises(ValueError, match="row space"):
         modmat.solve_right(empty, [[0, 1, 0, 0, 0]], 7)
-
-
-def test_det():
-    assert modmat.det([[1, 2], [3, 4]], 97) == (4 - 6) % 97
-    assert modmat.det([[1, 1], [1, 1]], 7) == 0

@@ -112,6 +112,12 @@ def test_oracle_order_and_assembly_match_lin_on_random_shifts():
         # a Jordan matrix over F_7 under the field F_97
         ([[1, 2, 3]], "field does not match the Jordan matrix", jordan.JordanRep(F7, ((0, 3),)), [0]),
         ([[1, 2, 3], [4, 5, 6]], "a dense multiplication matrix must be square", [[0, 1, 0, 0]] * 3, [0, 0]),
+        # E or a dense M of the wrong rank; an array is checked by its shape
+        ([1, 2, 3], "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
+        (np.array([1, 2, 3]), "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
+        (np.ones((1, 3, 1), dtype=np.int64), "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
+        ([[1, 2, 3]], "a dense multiplication matrix must be square", np.array([1, 2, 3]), [0]),
+        ([[1, 2, 3]], "a dense multiplication matrix must be square", np.ones((3, 3, 1), dtype=np.int64), [0]),
         ([[1, 2, 3], [4, 5, 6]], "the shift needs 2 entries", nilpotent3(), [0]),
         ([[1, 2, 3], [4, 5, 6]], "the shift needs 2 entries", nilpotent3(), [0, 1, 2]),
         ([[1, 2, 3], [4, 5, 6]], "shift entries must be integers", nilpotent3(), [0, 0.5]),
@@ -264,7 +270,7 @@ def test_rational_kernel_column_pair():
     # (-X, 1) up to normalization
     row = ker.rows[0]
     prod = polymat.naive_mul(ker, f)
-    assert prod.is_zero()
+    assert prod.degree() == MINUS_INF
     assert row[1] == [1] and row[0] == [0, 6]
 
 
@@ -276,7 +282,7 @@ def test_rational_kernel_block_elimination():
     stacked = PolyMatrix.identity(F7, 2).vstack(a)
     ker = oracle.rational_kernel(stacked)
     assert ker.nrows == 2
-    assert polymat.naive_mul(ker, stacked).is_zero()
+    assert polymat.naive_mul(ker, stacked).degree() == MINUS_INF
 
 
 def test_rational_kernel_random_self_check():
@@ -294,7 +300,7 @@ def test_rational_kernel_random_self_check():
         except ValueError:
             continue
         assert ker.nrows == 2
-        assert polymat.naive_mul(ker, f).is_zero()
+        assert polymat.naive_mul(ker, f).degree() == MINUS_INF
 
 
 def test_rational_kernel_rejects_rank_deficient():

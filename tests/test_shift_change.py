@@ -7,6 +7,15 @@ from mibasis import modmat, oracle, polymat
 from mibasis.polymat import PolyMatrix
 from mibasis.shift_change import change_shift
 
+
+def horner(field, f, x):
+    """f(x) in field, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % field.p
+    return acc
+
+
 F97 = PrimeField(97)
 F7 = PrimeField(7)
 
@@ -53,11 +62,12 @@ def unimodular_checks(pm, s, t, r, u):
     lhs = polymat.degree_sum(polymat.shifted_row_degree(r, st))
     rhs = polymat.degree_sum(polymat.shifted_row_degree(pm, s)) + sum(t)
     assert lhs == rhs
-    # determinant of U is a nonzero constant: check degree and one evaluation
+    # determinant of U is a nonzero constant: check degree and full rank at
+    # one evaluation
     assert oracle.determinant_degree(u) == 0
     x0 = 5 % field.p
-    pt = [[field.poly_eval(e, x0) for e in row] for row in u.rows]
-    assert modmat.det(pt, field.p) != 0
+    pt = [[horner(field, e, x0) for e in row] for row in u.rows]
+    assert modmat.row_rank_profile(pt, field.p)[0] == len(pt)
 
 
 def test_zero_extra_shift_preserves_sorted_degrees():
