@@ -95,13 +95,15 @@ class JordanRep:
         return _ColumnTable(eig, pos, nilpotent, top)
 
 
-def check_evaluations(e_rows, mulmat, field: PrimeField) -> None:
+def check_evaluations(e_rows, mulmat, field: PrimeField) -> _np.ndarray:
     """The engines' domain checks on E and M: E a matrix of at least one
     row, M a JordanRep over field or a square dense matrix, and as many
     columns in E as the order of M.  An array is checked by its shape, a
-    list by the lengths of its rows.  dnc, lin and the oracle raise the
-    same ValueError."""
-    rows, widths = _row_lengths(e_rows, "E must be a list of rows or a 2-D array")
+    list by the lengths of its rows and then by the shape of its array, so
+    that rows of lists fail too.  dnc, lin and the oracle raise the same
+    ValueError.  Returns E reduced mod p, an int64 array."""
+    not_a_matrix = "E must be a list of rows or a 2-D array"
+    rows, widths = _row_lengths(e_rows, not_a_matrix)
     if not rows:
         raise ValueError("at least one evaluation row is required")
     if isinstance(mulmat, JordanRep):
@@ -115,6 +117,13 @@ def check_evaluations(e_rows, mulmat, field: PrimeField) -> None:
             raise ValueError(square)
     if widths != {order}:
         raise ValueError("column count of E must match the order of M")
+    try:
+        e = modmat.reduce(e_rows, field.p, _np.int64)
+    except (TypeError, ValueError):  # entries that are no integers
+        raise ValueError(not_a_matrix) from None
+    if e.ndim != 2:
+        raise ValueError(not_a_matrix)
+    return e
 
 
 def _row_lengths(mat, message: str) -> tuple[int, set[int]]:

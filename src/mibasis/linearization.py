@@ -14,12 +14,15 @@ product by M per degree, of at most m rows.  Squaring M (Keller-Gehrig)
 would cost a sigma x sigma product per step, which numpy's cubic products
 never repay.  Every window follows the kept rows, so every elimination
 after the first resumes from their reduced form and takes only the new
-rows.  The loop holds one row per column, its last kept row, and one
-product by M takes those rows to the target rows.  Each elimination also
-carries T, the transform of the profile rows C to their reduced form
-R = T C, so the relations X C = D, D the targets, take no elimination: one
-product checks D = D[:, pivots] R, and X = D[:, pivots] T gives the unique
-interpolation basis in shifted Popov form.
+rows.  The first elimination makes one `modmat.Echelon`, a buffer of
+sigma x 2 sigma words, and every later one extends it in place, so no
+window copies the reduced rows in or out.  The loop holds one row per
+column, its last kept row, and one product by M takes those rows to the
+target rows.  Each elimination also carries T, the transform of the
+profile rows C to their reduced form R = T C, so the relations X C = D, D
+the targets, take no elimination: one product checks D = D[:, pivots] R,
+and X = D[:, pivots] T gives the unique interpolation basis in shifted
+Popov form.
 
 Works for an arbitrary dense multiplication matrix; a Jordan representation
 enables the fast blockwise row updates.
@@ -27,8 +30,10 @@ enables the fast blockwise row updates.
 The engine runs on numpy arrays from entry to exit.  `krylov_rank_profile`
 checks its inputs once and converts E, reduced mod p, into the int64 (or
 object) words of `modmat`, and a dense M, reduced mod p, into the dtype of
-its products.  The Krylov rows, the target rows and the relations stay
-arrays; lists appear again only when the PolyMatrix is assembled.
+its products.  R and T stay in the words of the elimination's products,
+which the final products read without a conversion.  The Krylov rows, the
+target rows and the relations stay arrays; lists appear again only when the
+PolyMatrix is assembled.
 """
 
 from __future__ import annotations
@@ -46,14 +51,14 @@ from .polymat import PolyMatrix, normalized_shift
 @dataclass
 class RankProfile:
     """The profile rows as (column, degree) pairs in priority order, with
-    `reduced` = (pivot_cols, R, T) of their elimination by `modmat.rref`:
-    R = T C for the profile rows C, and `targets`, whose row c is row c of
-    E*M^d_c, d_c the count of profile rows of column c."""
+    `reduced`, the `modmat.Echelon` of their elimination: its pivot columns,
+    R and T with R = T C for the profile rows C, and `targets`, whose row c
+    is row c of E*M^d_c, d_c the count of profile rows of column c."""
 
     rank: int
     decoded: list[tuple[int, int]]
     targets: _np.ndarray
-    reduced: tuple
+    reduced: modmat.Echelon
 
 
 def _is_pow2(n: int) -> bool:
@@ -70,11 +75,11 @@ def _operands(e_rows, mulmat, shift, field: PrimeField):
     array, reduced mod p in modmat's words, a dense M reduced mod p in the
     dtype of its products (so that no product converts it again), and the
     normalized shift."""
-    _jordan.check_evaluations(e_rows, mulmat, field)
+    e = _jordan.check_evaluations(e_rows, mulmat, field)
     shift = normalized_shift(shift, len(e_rows))
     p = field.p
-    sigma = len(e_rows[0])
-    e = modmat.reduce(e_rows, p, modmat.words(p, sigma))
+    sigma = e.shape[1]
+    e = e.astype(modmat.words(p, sigma), copy=False)
     if not isinstance(mulmat, _jordan.JordanRep):
         mulmat = modmat.reduce(mulmat, p, modmat._dtype_for(p, sigma))
     return e, mulmat, shift
@@ -135,12 +140,12 @@ def krylov_rank_profile(
     live column with key in [start, end), where start is the least s_c +
     kept_c and end the least s_c + 2 max(kept_c, 1) over the live columns:
     no live column has a row below start left, so every window follows the
-    kept rows, and `modmat.rref` resumes from their reduced rows and their
-    transform and eliminates only the new rows.  A uniform shift gives the
-    windows [0, 2), [2, 4), [4, 8), ..., so delta = 1 is one elimination of
-    E and delta > 1 takes at most log2(delta) eliminations; no column gets
-    more than max(2, kept_c) rows in one.  The loop stops at rank sigma or
-    when no column is live.
+    kept rows, and `modmat.rref` extends the `Echelon` of their reduced
+    rows and their transform in place and eliminates only the new rows.  A
+    uniform shift gives the windows [0, 2), [2, 4), [4, 8), ..., so
+    delta = 1 is one elimination of E and delta > 1 takes at most
+    log2(delta) eliminations; no column gets more than max(2, kept_c) rows
+    in one.  The loop stops at rank sigma or when no column is live.
 
     The new rows come from each live column's last kept row by one
     product by M per degree (`_window_rows`); for a dense M these cost
@@ -173,7 +178,7 @@ def krylov_rank_profile(
         keys = [shift[c] + d - start for c, d in new_pairs]
         order = _np.lexsort(([c for c, _ in new_pairs], keys)).tolist()
         rows = new_rows.take(order, 0)
-        pivrows, *reduced = modmat.rref(rows, p, reduced, transform=True)
+        pivrows, reduced = modmat.rref(rows, p, reduced, transform=True)
         for i in pivrows:
             c, d = new_pairs[order[i]]
             pairs.append((c, d))
@@ -181,13 +186,13 @@ def krylov_rank_profile(
             tops[c] = rows[i]
         for c, hi in window:
             dropped[c] = kept[c] < hi
-    if reduced is None:  # no elimination: rank 0
-        reduced = ([], e[:0], e[:0, :0])
+    if reduced is None:  # no elimination: sigma = 0
+        reduced = modmat.Echelon(sigma, p)
     # the targets: row c of E*M^kept[c]
     cs = [c for c in range(m) if kept[c]]
     if cs:
         tops[cs] = _times_m(tops.take(cs, 0), mulmat, p)
-    return RankProfile(len(pairs), pairs, tops, tuple(reduced))
+    return RankProfile(len(pairs), pairs, tops, reduced)
 
 
 def minimal_degree(profile: RankProfile, m: int) -> list[int]:
@@ -229,10 +234,10 @@ def lin_interp_basis(
     profile = krylov_rank_profile(e_rows, mulmat, shift, delta, field)
     targets = profile.targets
     mindeg = minimal_degree(profile, len(targets))
-    pivcols, red, transform = profile.reduced
-    coords = targets[:, pivcols]
-    if not _np.array_equal(modmat.mat_mul(coords, red, p), targets):
+    reduced = profile.reduced
+    coords = targets[:, reduced.pivcols]
+    if not _np.array_equal(modmat.mat_mul(coords, reduced.rows, p), targets):
         raise ValueError("a target row is not in the span of the profile rows")
-    relation = modmat.mat_mul(coords, transform, p)
+    relation = modmat.mat_mul(coords, reduced.transform, p)
     basis = _assemble_popov(field, mindeg, profile.decoded, relation)
     return basis, mindeg

@@ -7,11 +7,13 @@ products mod p overflow int64 words.  Products run in float64 words when
 every sum of products fits their 53 bits, then in int64 words, and
 otherwise in object arrays, which are exact for any modulus below 2**62.
 Remainders of float64 products are taken in int64, where `%` is several
-times cheaper.  Every elimination goes through `rref`: row rank profiles,
-the Krylov eliminations of the linearization engine, which ask it for the
-transform T of their pivot rows and solve their relations with it, and
-`solve_right`, which solves a full-row-rank system with one call for the
-oracle.
+times cheaper, except on `rref`'s block-sized arrays, which `_rem` reduces
+in their own words by floor division.  Every elimination goes through
+`rref`: row rank profiles, the Krylov eliminations of the linearization
+engine, which ask it for the transform T of their pivot rows, keep it in
+one `Echelon` that every window extends in place, and solve their
+relations with it, and `solve_right`, which solves a full-row-rank system
+with one call for the oracle.
 """
 
 from __future__ import annotations
@@ -75,117 +77,183 @@ def mat_mul(a, b, p: int) -> _np.ndarray:
     return prod.astype(words(p, ca), copy=False) % p
 
 
-def rref(mat, p: int, reduced=None, transform: bool = False):
+def _rem(x: _np.ndarray, p: int) -> _np.ndarray:
+    """x mod p in place, in x's own words, by floor division; returns x.
+
+    float64 words take x - floor(x / p) p, exact for integers with
+    |x| + p < 2**53: x / p then rounds to a double of the same floor.
+    int64 words take x - (x // p) p, exact while |x| stays below
+    2**63 - p: numpy divides by a scalar through a precomputed reciprocal.
+    Python integers take %.  On 256 x 512 int64 words % runs a hardware
+    division per entry, 0.5 ms on entries below p and 1.2 ms near 2**41,
+    where this takes about 0.24 ms, as on float64 words, which needed a
+    conversion to int64 before % (1.2 to 1.8 ms; 2-core x86_64 VM, numpy
+    2.4).  `rref` reduces its block-sized arrays so, and its arrays of one
+    row, where the set-up of the division costs more than it saves, by %.
+    """
+    if x.dtype == object:
+        return _np.remainder(x, p, out=x)
+    if x.dtype == _np.float64:
+        q = x / p
+        _np.floor(q, out=q)
+    else:
+        q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+class Echelon:
+    """An elimination with its transform, which `rref` extends in place.
+
+    One buffer of ncols rows and 2 ncols columns, in the words of the
+    elimination's products (float64, int64 or object), holds the reduced
+    rows R in its first ncols columns and their transform T beside them;
+    `pivcols` holds one pivot column per row.  `rows` (R) and `transform`
+    (T, r x r for the rank r) are views of the buffer, whose entries lie
+    in [0, p): a later call that resumes from this state changes them.
+    """
+
+    def __init__(self, ncols: int, p: int):
+        self.p = p
+        self.ncols = ncols
+        self.pivcols: list[int] = []
+        self.buf = _np.zeros((ncols, 2 * ncols), dtype=_dtype_for(p, ncols + 1))
+
+    @property
+    def rows(self) -> _np.ndarray:
+        return self.buf[: len(self.pivcols), : self.ncols]
+
+    @property
+    def transform(self) -> _np.ndarray:
+        r = len(self.pivcols)
+        return self.buf[:r, self.ncols : self.ncols + r]
+
+
+def rref(mat, p: int, reduced: Echelon | None = None, transform: bool = False):
     """Row-order Gauss-Jordan elimination.
 
     Processes the rows top to bottom without swapping them, so the selected
     pivot rows form the (lexicographically first) row rank profile.  Returns
-    (pivot_row_indices, pivot_cols, reduced_rows), the last an array R whose
-    rows are unit at their own pivot column and zero at every other one.
-    With transform=True it also returns the r x r matrix T, r the rank, with
-    R = T C for the pivot rows C = mat[pivot_row_indices]; T is the inverse
-    of C[:, pivot_cols].  Then X C = D has the solution X = D[:, pivot_cols] T
-    exactly when D = D[:, pivot_cols] R.
+    (pivot_row_indices, pivot_cols, reduced_rows), the last an int64 (or
+    object) array R whose rows are unit at their own pivot column and zero
+    at every other one.
 
-    `reduced` resumes an elimination: it is the (pivot_cols, reduced_rows),
-    or with transform the (pivot_cols, reduced_rows, T), of r earlier pivot
-    rows, and mat holds only the rows to add after them.  The loop starts
-    from those reduced rows; the pivot indices returned index mat, and
-    pivot_cols, R and T are those of a fresh call on the r earlier rows
-    followed by mat, whose first r rows are its pivot rows.
+    With transform=True it returns (pivot_row_indices, state) instead, the
+    state an `Echelon` whose `rows` are R and whose `transform` is the
+    r x r matrix T, r the rank, with R = T C for the pivot rows
+    C = mat[pivot_row_indices]; T is the inverse of C[:, pivot_cols].  Then
+    X C = D has the solution X = D[:, pivot_cols] T exactly when
+    D = D[:, pivot_cols] R.  `reduced`, the state of an earlier call,
+    resumes that elimination: mat holds only the rows to add after its
+    pivot rows, the pivot indices returned index mat, and the state,
+    extended in place and returned, holds what a fresh call on the earlier
+    pivot rows followed by mat would give.  Nothing is copied in or out.
 
     The elimination is blocked.  The reduced rows R found so far stay fully
     reduced, and each block of rows is pre-reduced against them with one
     product.  Inside a block the new pivot rows H are kept in echelon form
-    only: zero at the block's earlier pivot columns.  Their entries at the
-    block's pivot columns form an upper-triangular matrix U, and G holds
-    the inverse of U in the rows of those columns (zero elsewhere), so that
-    H G = I.  An incoming row v is reduced by c = v G and v - c H: a pivot
-    costs products of one row, not an update of the whole block.  A new
-    pivot row h, of pivot column j, adds the column (e_j - G H[:, j]) / h_j
-    to G.  At the end of the block, U^-1 H are its fully reduced rows, and
-    one product folds them into R.
+    only: zero at the block's earlier pivot columns `loc`.  Their entries at
+    those columns form an upper-triangular k x k matrix U, and the block
+    keeps its inverse W.  An incoming row v is reduced by c = v[loc] W and
+    v - c H: a pivot costs products of one row, not an update of the whole
+    block.  A new pivot row h, of pivot column j, adds the column
+    -W H[:, j] / h_j and the diagonal entry 1 / h_j to W.  At the end of
+    the block, W H are its fully reduced rows, and one product folds them
+    into R.  Block-sized arrays are reduced by `_rem`, arrays of one row
+    by %.
 
-    T rides along as min(rows, cols) extra columns of every working row,
-    indexed by pivot number: a row that may become pivot k carries e_k
-    there, and every row operation acts on those columns too, so that each
-    working row is its T part times the pivot rows.
+    T rides along as extra columns of every working row, indexed by pivot
+    number: a row that may become pivot number i carries e_i there, and
+    every row operation acts on those columns too, so that each working row
+    is its T part times the pivot rows.  A working row's T part is zero
+    past its own e_i, so each step runs on the columns up to it alone.
     """
     nrows, ncols = _dims(mat)
-    pivcols: list[int] = list(reduced[0]) if reduced is not None else []
-    r0 = len(pivcols)
-    if not (nrows or r0) or not ncols:
-        empty = _np.zeros((0, ncols), dtype=_np.int64)
-        if transform:
-            return [], [], empty, _np.zeros((0, 0), dtype=_np.int64)
-        return [], [], empty
-    cap = min(r0 + nrows, ncols)
-    dt = _dtype_for(p, cap + 1)
-    wd = words(p, cap + 1)
+    if reduced is not None:
+        if not transform:
+            raise ValueError("an elimination resumes with its transform")
+        if reduced.ncols != ncols or reduced.p != p:
+            raise ValueError("the state is of another column count or prime than mat")
+    if transform:
+        state = reduced if reduced is not None else Echelon(ncols, p)
+        return _eliminate(mat, p, state.buf, state.pivcols, True), state
+    if not nrows or not ncols:
+        return [], [], _np.zeros((0, ncols), dtype=_np.int64)
+    cap = min(nrows, ncols)
+    R = _np.zeros((cap, ncols), dtype=_dtype_for(p, cap + 1))
+    pivcols: list[int] = []
+    pivrows = _eliminate(mat, p, R, pivcols, False)
+    return pivrows, pivcols, R[: len(pivcols)].astype(words(p, cap + 1), copy=False)
+
+
+def _eliminate(mat, p: int, R: _np.ndarray, pivcols: list[int], transform: bool) -> list[int]:
+    """The loop of `rref`: eliminates the rows of mat after the reduced rows
+    R[:len(pivcols)], extending R and pivcols in place, and returns the
+    indices of mat's pivot rows.  R has room for ncols rows, and with
+    transform for T beside R."""
+    nrows, ncols = _dims(mat)
+    dt = R.dtype
+    wd = object if dt == object else _np.int64
     A = _np.asarray(mat, dtype=wd)
-    width = ncols + cap if transform else ncols
-    kmax = min(_BLOCK, cap)
-    R = _np.zeros((cap, width), dtype=dt)  # reduced rows, with T beside them
-    H = _np.zeros((kmax, width), dtype=dt)
-    G = _np.zeros((ncols, kmax), dtype=dt)
-    if r0:
-        R[:r0, :ncols] = reduced[1]
-        if transform:
-            R[:r0, ncols : ncols + r0] = reduced[2]
+    # block arrays stay in the words of the products, row steps take wd
     pivrows: list[int] = []
     i = 0
     while i < nrows and len(pivcols) < ncols:
         r = len(pivcols)
-        blk = _np.zeros((min(_BLOCK, nrows - i), width), dtype=wd)
-        _np.remainder(A[i : i + _BLOCK], p, out=blk[:, :ncols])
+        nb = min(_BLOCK, nrows - i)
+        kmax = min(nb, ncols - r)
+        # live width: the T part of the block's rows ends at their own e_i
+        width = ncols + min(r + nb, ncols) if transform else ncols
+        live = ncols + r if transform else ncols
+        blk = _np.zeros((nb, width), dtype=dt)
+        _np.remainder(A[i : i + nb], p, out=blk[:, :ncols])  # exact on any input word
         if r:
-            blk = (blk - blk[:, pivcols] @ R[:r]).astype(wd, copy=False) % p
-        loc: list[int] = []
-        for bi in range(blk.shape[0]):
-            k = len(loc)
+            blk[:, :live] -= blk[:, pivcols] @ R[:r, :live]
+            _rem(blk[:, :live], p)
+        H = _np.zeros((kmax, width), dtype=dt)
+        W = _np.zeros((kmax, kmax), dtype=dt)
+        loc = _np.zeros(kmax, dtype=_np.intp)
+        k = 0
+        for bi in range(nb):
+            w = live + k + 1 if transform else ncols
+            v = blk[bi, :w]
             if transform:
-                blk[bi, ncols + r + k] = 1
-            v = blk[bi]
+                v[-1] = 1
             if k:
-                g = G[:, :k]
-                h = H[:k]
-                c = (v[:ncols] @ g).astype(wd, copy=False) % p
-                v = (v - c @ h).astype(wd, copy=False) % p
+                c = (v[loc[:k]] @ W[:k, :k]).astype(wd, copy=False) % p
+                v = (v - c @ H[:k, :w]).astype(wd, copy=False) % p
             nz = v[:ncols].nonzero()[0]
             if nz.size == 0:
                 continue
             j = int(nz[0])
             inv = pow(int(v[j]), -1, p)
             if k:
-                G[:, k] = (g @ h[:, j]).astype(wd, copy=False) % p * (p - inv) % p
-            else:
-                G[:, 0] = 0
-            G[j, k] = inv
-            H[k] = v
-            loc.append(j)
+                W[:k, k] = (W[:k, :k] @ H[:k, j]).astype(wd, copy=False) % p * (p - inv) % p
+            W[k, k] = inv
+            H[k, :w] = v
+            loc[k] = j
             pivrows.append(i + bi)
-            if r + k + 1 == ncols:
+            k += 1
+            if r + k == ncols:
                 break
-        if loc:
-            k = len(loc)
-            red = (G.take(loc, 0)[:, :k] @ H[:k]).astype(wd, copy=False) % p
+        if k:
+            w = live + k if transform else ncols
+            R[r : r + k, :w] = W[:k, :k] @ H[:k, :w]
+            _rem(R[r : r + k, :w], p)
             if r:
-                # the reduced rows and T apart, T up to its last live column,
-                # so that no r-row temporary is wider than the input
-                coef = R[:r, loc]
+                # the reduced rows and T apart, so that no r-row temporary
+                # is wider than the input
+                coef = R[:r, loc[:k]]
                 spans = [slice(0, ncols)]
                 if transform:
-                    spans.append(slice(ncols, ncols + r + k))
+                    spans.append(slice(ncols, w))
                 for cols in spans:
-                    R[:r, cols] = (R[:r, cols] - coef @ red[:, cols]).astype(wd, copy=False) % p
-            R[r : r + k] = red
-            pivcols.extend(loc)
-        i += _BLOCK
-    r = len(pivcols)
-    out = R[:r, :ncols].astype(wd, copy=False)
-    if transform:
-        return pivrows, pivcols, out, R[:r, ncols : ncols + r].astype(wd, copy=False)
-    return pivrows, pivcols, out
+                    R[:r, cols] -= coef @ R[r : r + k, cols]
+                    _rem(R[:r, cols], p)
+            pivcols.extend(loc[:k].tolist())
+        i += nb
+    return pivrows
 
 
 def row_rank_profile(mat, p: int) -> tuple[int, list[int]]:

@@ -74,13 +74,12 @@ def oracle_popov(
 ) -> tuple[PolyMatrix, list[int]]:
     """Shifted Popov interpolation basis by full-matrix Gaussian elimination;
     its inputs and domain errors are those of dnc and lin."""
-    _jordan.check_evaluations(e_rows, mulmat, field)
-    m = len(e_rows)
-    sigma = len(e_rows[0])
+    e = _jordan.check_evaluations(e_rows, mulmat, field)
+    m, sigma = e.shape
     shift = normalized_shift(shift, m)
     delta = max(sigma, 1)
     pairs = _priority_pairs(shift, m, delta)
-    stacked = _striped_rows(e_rows, _dense_mulmat(mulmat), delta, field.p)
+    stacked = _striped_rows(e, _dense_mulmat(mulmat), delta, field.p)
     kry = stacked[[d * m + c for c, d in pairs]]
     _, kept = modmat.row_rank_profile(kry, field.p)
     decoded = [pairs[i] for i in kept]

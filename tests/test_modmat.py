@@ -113,26 +113,35 @@ def test_large_blocked_path_agrees_with_reference():
     assert rref_lists(mat, 97) == rref_reference(mat, 97)
 
 
+def words_of_state(p, cols):
+    """The dtype of an Echelon's buffer: that of the products of a full rank
+    elimination of cols columns."""
+    return modmat._dtype_for(p, cols + 1)
+
+
 @pytest.mark.parametrize("p", [7, 65537, P26, P61])
 @pytest.mark.parametrize("k", [5, 32, 40])
 def test_rref_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     # k independent rows, inside the first block or across the block size,
     # then a rank-deficient tail: planted combinations of earlier tail rows
     # and one combination of head rows; p runs float64, int64 and object.
-    # The resumed call takes the tail alone, and its pivot indices index it
+    # The resumed call takes the tail alone and extends the head's state in
+    # its own buffer, and its pivot indices index the tail
     rng = random.Random(k)
     cols = 48
     head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
     tail = random_matrix(rng, p, 30, cols, small=True)
     tail[4] = [(3 * x + 5 * y) % p for x, y in zip(head[0], head[-1])]
-    pivrows, pivcols, reduced = modmat.rref(head, p)
+    pivrows, state = modmat.rref(head, p, transform=True)
     assert pivrows == list(range(k))
+    buf = state.buf
     fresh = modmat.rref(head + tail, p)
-    resumed = modmat.rref(tail, p, (pivcols, reduced))
-    assert [k + i for i in resumed[0]] == fresh[0][k:]
-    assert resumed[1] == fresh[1]
-    assert resumed[2].dtype == fresh[2].dtype
-    assert np.array_equal(resumed[2], fresh[2])
+    resumed, same = modmat.rref(tail, p, state, transform=True)
+    assert same is state and state.buf is buf
+    assert [k + i for i in resumed] == fresh[0][k:]
+    assert state.pivcols == fresh[1]
+    assert state.rows.dtype == words_of_state(p, cols)
+    assert np.array_equal(state.rows, fresh[2])
     assert fresh[:2] == rref_reference(head + tail, p)[:2]
 
 
@@ -141,17 +150,20 @@ def mod_product(a, b, p):
     return ((np.array(a, dtype=object) @ np.array(b, dtype=object)) % p).tolist()
 
 
-def check_transform(mat, p, reduced=None, plain_reduced=None):
+def check_transform(mat, p):
     """rref with T against rref without it, and T mat[pivrows] = R."""
-    pivrows, pivcols, red, t = modmat.rref(mat, p, reduced, transform=True)
-    plain = modmat.rref(mat, p, plain_reduced)
-    assert (pivrows, pivcols) == plain[:2]
-    assert red.dtype == plain[2].dtype and np.array_equal(red, plain[2])
+    pivrows, state = modmat.rref(mat, p, transform=True)
+    plain = modmat.rref(mat, p)
+    red, t = state.rows, state.transform
+    assert (pivrows, state.pivcols) == plain[:2]
+    assert np.array_equal(red, plain[2])
+    # R and T are views of the state's buffer, in the words of its products
+    assert red.dtype == t.dtype == words_of_state(p, len(mat[0]))
     assert t.shape == (len(pivrows), len(pivrows))
-    assert t.dtype == red.dtype
     if pivrows:
-        assert mod_product(t.tolist(), [mat[i] for i in pivrows], p) == red.tolist()
-    return pivrows, pivcols, red, t
+        assert mod_product(t.astype(object).tolist(), [mat[i] for i in pivrows], p) == \
+            red.astype(object).tolist()
+    return pivrows, state
 
 
 @pytest.mark.parametrize("p", [7, 65537, P26, P61])
@@ -167,7 +179,7 @@ def test_rref_transform_maps_pivot_rows_to_reduced_rows(p):
     assert deficient >= 2
     full = [[rng.randrange(p) for _ in range(40)] for _ in range(40)]
     assert len(check_transform(full, p)[0]) == 40
-    assert check_transform([[0] * 5] * 3, p)[3].shape == (0, 0)
+    assert check_transform([[0] * 5] * 3, p)[1].transform.shape == (0, 0)
 
 
 @pytest.mark.parametrize("p", [7, 65537, P26, P61])
@@ -181,15 +193,99 @@ def test_rref_transform_resumed_from_a_prefix_matches_a_fresh_call(p, k):
     head = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
     tail = random_matrix(rng, p, 30, cols, small=True)
     tail[4] = [(3 * x + 5 * y) % p for x, y in zip(head[0], head[-1])]
-    pivrows, pivcols, red, t = check_transform(head, p)
+    pivrows, state = check_transform(head, p)
     assert pivrows == list(range(k))
-    fresh = check_transform(head + tail, p)
-    resumed = modmat.rref(np.array(tail, dtype=object), p, (pivcols, red, t), transform=True)
-    assert [k + i for i in resumed[0]] == fresh[0][k:]
-    assert resumed[1] == fresh[1]
-    for got, want in zip(resumed[2:], fresh[2:]):
+    fresh_rows, fresh = check_transform(head + tail, p)
+    resumed, _ = modmat.rref(np.array(tail, dtype=object), p, state, transform=True)
+    assert [k + i for i in resumed] == fresh_rows[k:]
+    assert state.pivcols == fresh.pivcols
+    for got, want in ((state.rows, fresh.rows), (state.transform, fresh.transform)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(fresh[0]) < len(head + tail)
+    assert len(fresh_rows) < len(head + tail)
+
+
+@pytest.mark.parametrize("p", [7, 65537, P26, P61])
+def test_rref_windows_resumed_in_place_match_a_fresh_call(p):
+    # 100 rows of 40 columns in windows of 3, 33, 1, 40 and 23 rows, each
+    # resumed in place from the last, against one fresh call on all rows:
+    # windows and blocks that cross 32 rows, dependent rows (planted by
+    # random_matrix, and rows 10 and 50 depend on rows of earlier windows),
+    # zero rows (7 and 35, and row 0 of the first window), and rank 40 = ncols
+    # reached in the middle of the window of 40 rows and of its first
+    # block, so that the last window adds nothing.  float64 words at 7 and
+    # 65537, int64 at P26, object at P61
+    rng = random.Random(p + 5)
+    cols = 40
+    mat = random_matrix(rng, p, 100, cols, small=False)
+    mat[10] = [(x + 2 * y) % p for x, y in zip(mat[0], mat[4])]
+    mat[50] = [(5 * x + y) % p for x, y in zip(mat[12], mat[40])]
+    for i in (0, 7, 35):
+        mat[i] = [0] * cols
+    cuts = [0, 3, 36, 37, 77, 100]
+    fresh_rows, fresh = modmat.rref(mat, p, transform=True)
+    assert fresh_rows == rref_reference(mat, p)[0]
+    assert len(fresh_rows) == cols and 37 < fresh_rows[-1] < 69
+    state, buf, got = None, None, []
+    for lo, hi in zip(cuts, cuts[1:]):
+        window = np.array(mat[lo:hi], dtype=object if p == P61 else np.int64)
+        pivrows, state = modmat.rref(window, p, state, transform=True)
+        buf = buf if buf is not None else state.buf
+        assert state.buf is buf
+        got += [lo + i for i in pivrows]
+    assert got == fresh_rows
+    assert state.pivcols == fresh.pivcols
+    assert state.buf.shape == (cols, 2 * cols)
+    for a, b in ((state.rows, fresh.rows), (state.transform, fresh.transform)):
+        assert a.dtype == b.dtype == words_of_state(p, cols)
+        assert np.array_equal(a, b)
+    assert mod_product(state.transform.astype(object).tolist(), [mat[i] for i in got], p) == \
+        state.rows.astype(object).tolist()
+
+
+def test_rref_resume_rejects_a_foreign_state():
+    # a ValueError, not an assert: the checks hold under python -O too
+    _, state = modmat.rref([[1, 2, 3], [0, 1, 4]], 7, transform=True)
+    with pytest.raises(ValueError, match="column count"):
+        modmat.rref([[1, 2, 3, 4]], 7, state, transform=True)
+    with pytest.raises(ValueError, match="column count"):
+        modmat.rref([[1, 2]], 7, state, transform=True)
+    with pytest.raises(ValueError, match="prime"):
+        modmat.rref([[1, 2, 3]], 11, state, transform=True)
+    with pytest.raises(ValueError, match="transform"):
+        modmat.rref([[1, 2, 3]], 7, state)
+    assert state.pivcols == [0, 1]
+
+
+@pytest.mark.parametrize("p", [7, 65537, (1 << 31) - 1, P61])
+def test_block_reduction_equals_remainder(p):
+    # int64 words with negative entries and entries up to +-2^62, reduced in
+    # place, object arrays of Python integers of any size, and float64 words
+    # up to the bound of exact integers
+    rng = np.random.default_rng(p)
+    edges = [0, 1, -1, p - 1, p, -p, p + 1, -p - 1, 1 << 62, -(1 << 62), (1 << 62) - 1, 1 - (1 << 62)]
+    x = np.concatenate([
+        rng.integers(-(1 << 62), 1 << 62, size=300, endpoint=True),
+        rng.integers(-3 * p, 3 * p, size=300),
+        np.array(edges, dtype=np.int64),
+    ]).reshape(-1, 3)
+    want = x % p
+    y = x.copy()
+    assert modmat._rem(y, p) is y
+    assert y.dtype == np.int64 and np.array_equal(y, want)
+    big = np.array([[int(a) * (1 << 70) + int(b) for a, b in zip(r, r[::-1])] for r in x.tolist()],
+                   dtype=object)
+    want = [[a % p for a in r] for r in big.tolist()]
+    assert modmat._rem(big.copy(), p).tolist() == want
+    # float64 words, which rref takes only where (p - 1)^2 < 2^53: integers
+    # with |x| + p < 2^53, multiples of p among them
+    if modmat._dtype_for(p, 1) is not np.float64:
+        return
+    top = (1 << 53) - p - 1
+    ints = [0, 1, -1, p, -p, 3 * p, -3 * p, top, -top, top - top % p, -(top - top % p)]
+    ints += rng.integers(-top, top, size=300, endpoint=True).tolist()
+    f = np.array(ints, dtype=np.float64)
+    assert f.astype(np.int64).tolist() == ints
+    assert modmat._rem(f, p).tolist() == [a % p for a in ints]
 
 
 def test_mat_mul_against_naive():

@@ -116,6 +116,8 @@ def test_oracle_order_and_assembly_match_lin_on_random_shifts():
         ([1, 2, 3], "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
         (np.array([1, 2, 3]), "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
         (np.ones((1, 3, 1), dtype=np.int64), "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
+        # a list of rows whose entries are lists: rows of the right length
+        ([[[1], [2], [3]]], "E must be a list of rows or a 2-D array", nilpotent3(), [0]),
         ([[1, 2, 3]], "a dense multiplication matrix must be square", np.array([1, 2, 3]), [0]),
         ([[1, 2, 3]], "a dense multiplication matrix must be square", np.ones((3, 3, 1), dtype=np.int64), [0]),
         ([[1, 2, 3], [4, 5, 6]], "the shift needs 2 entries", nilpotent3(), [0]),
